@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import diffvec
 from .diffvec import find_usable, min_faults, pairs_only
 
@@ -359,3 +361,60 @@ def decision_table(kind: str, t: int, s1_nonzero: bool):
     fill(0, 0, "")
     _TABLE_CACHE[key] = tables
     return tables
+
+
+# Stop-reason codes of the flat tables: an index into REASONS, or one of two
+# non-stopping codes.
+REASONS = (USABLE_RUN, PAIR_COUNT, SHOR_REPEAT, SHOR_CAP, WEAK_NO_CORRECTION)
+CODE_CONTINUE = -1
+CODE_UNREACHABLE = -2
+
+
+@dataclass(frozen=True, eq=False)
+class FlatDecisionTable:
+    """The decision tables of one policy for every budget 0..t, as int arrays.
+
+    The state after ``length + 1`` rounds with packed difference vector
+    ``delta`` (as in :func:`decision_table`) under fault budget ``budget``
+    and first-syndrome branch ``s1_nonzero`` is column
+    ``offset[budget, s1_nonzero, length] + delta`` of ``entries``. The
+    three rows hold the stop-reason code (:data:`CODE_CONTINUE` while the
+    policy continues), the 1-based round whose syndrome corrects (0 for
+    none), and ``diffvec.min_faults`` of the difference vector, which the
+    two-stage rule subtracts from the stage-2 budget. Budget 0 is
+    :class:`TwoStageState`'s exhausted budget: accept the first syndrome.
+    Lengths a budget never reaches point past the end, so indexing them
+    raises.
+    """
+
+    offset: np.ndarray  # (t + 1, 2, max rounds) int64
+    entries: np.ndarray  # (3, states) int64
+
+    @property
+    def max_rounds(self) -> int:
+        return self.offset.shape[2]
+
+
+def flat_decision_table(kind: str, t: int) -> FlatDecisionTable:
+    """Flatten :func:`decision_table` for budgets 1..t plus the budget-0 rule."""
+    if kind not in ("strong", "weak"):
+        raise ValueError("flat decision tables cover the strong and weak policies")
+    max_rounds = PolicyConfig(kind, t).max_rounds_cap()
+    entries = [(REASONS.index(USABLE_RUN), 1, 0)]  # budget 0, length 0
+    starts = {(0, s1, 0): 0 for s1 in (0, 1)}
+    for budget in range(1, t + 1):
+        for s1 in (0, 1):
+            for length, row in enumerate(decision_table(kind, budget, bool(s1))):
+                starts[budget, s1, length] = len(entries)
+                for bits, entry in enumerate(row):
+                    if entry is None:
+                        entries.append((CODE_UNREACHABLE, 0, 0))
+                        continue
+                    action, round_index, reason = entry
+                    delta = "".join(str((bits >> i) & 1) for i in range(length))
+                    code = CODE_CONTINUE if action == CONTINUE else REASONS.index(reason)
+                    entries.append((code, round_index or 0, min_faults(delta)))
+    offset = np.full((t + 1, 2, max_rounds), len(entries), dtype=np.int64)
+    for key, start in starts.items():
+        offset[key] = start
+    return FlatDecisionTable(offset, np.array(entries, dtype=np.int64).T.copy())

@@ -330,6 +330,114 @@ def sample_round(
     return _apply_faults(compiled, frame, fired)
 
 
+# ---------------------------------------------------------------------------
+# Batched rounds: many shots per numpy operation
+
+
+_FAULTS_PER_DRAW = 1 << 18
+
+
+class FrameBatch:
+    """The Pauli frames of a batch of shots, one uint64 word per shot.
+
+    The array form of :class:`FrameState`; it needs n <= 64 data qubits
+    and r <= 64 generators, which holds for every supported distance.
+    """
+
+    __slots__ = ("x", "z", "syndrome")
+
+    def __init__(self, shots: int):
+        self.x = np.zeros(shots, np.uint64)
+        self.z = np.zeros(shots, np.uint64)
+        self.syndrome = np.zeros(shots, np.uint64)
+
+
+class FaultEffects:
+    """One schedule's faults as four-word XOR effects, for batched rounds.
+
+    Row ``first_row[location_id] + choice`` of ``words`` holds, for the
+    fault value with that choice index, the change to the reported
+    syndrome, the X and Z deposits on the data, and the change to the true
+    syndrome. A deposit in circuit c is seen by the circuits after c only,
+    so the reported-syndrome word is ``(proj(syn_delta) & later[c]) ^
+    (flip << c)``. No word depends on the round's other faults, so a
+    round's faults fold into each shot by XOR in any order, and the result
+    equals :func:`_apply_faults` on the same faults. A noisy round on a
+    batch of shots is :meth:`draw`, then :meth:`fold`, per :meth:`slices`.
+    """
+
+    def __init__(self, compiled: CompiledSchedule):
+        code = compiled.code
+        if code.n > 64 or code.r > 64 or compiled.contiguous_base is None:
+            raise ValueError("batched rounds need n, r <= 64 and a contiguous schedule")
+        rows = []
+        first_row = []
+        for flat, choices in enumerate(compiled.loc_effects):
+            c = compiled.loc_circuit[flat]
+            later = compiled.local_mask & ~((2 << c) - 1)
+            first_row.append(len(rows))
+            for flip, dep_x, dep_z, syn_delta in choices:
+                report = (compiled.reported_bits(syn_delta) & later) ^ (flip << c)
+                rows.append((report, dep_x, dep_z, syn_delta))
+        self.words = np.array(rows, dtype=np.uint64).reshape(-1, 4)
+        self.first_row = np.array(first_row, dtype=np.int64)
+        enabled = np.array(compiled.enabled_ids, dtype=np.int64)
+        n_choices = np.array([len(e) for e in compiled.loc_effects], dtype=np.float64)
+        self.enabled_first_row = self.first_row[enabled]
+        self.enabled_choices = n_choices[enabled]
+        self.n_enabled = len(enabled)
+        self.base = np.uint64(compiled.contiguous_base)
+        self.mask = np.uint64(compiled.local_mask)
+
+    def draw(self, p: float, shots: int, rng: np.random.Generator):
+        """(shot, row) of the faults of one round over ``shots`` shots.
+
+        Every enabled location of every shot fails independently with
+        probability p: the failing cells of the shots x locations grid are
+        found by geometric gaps, in increasing order, so ``shot`` is
+        sorted. Each failure then takes a uniform fault value.
+        """
+        cells = shots * self.n_enabled
+        if p <= 0.0 or cells == 0:
+            empty = np.zeros(0, np.int64)
+            return empty, empty
+        mean = cells * p
+        block = int(mean + 6.0 * mean ** 0.5) + 16
+        pos = np.cumsum(rng.geometric(p, block)) - 1
+        while pos[-1] < cells:
+            pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, block))))
+        pos = pos[: np.searchsorted(pos, cells)]
+        shot, loc = np.divmod(pos, self.n_enabled)
+        choice = (rng.random(len(pos)) * self.enabled_choices[loc]).astype(np.int64)
+        return shot, self.enabled_first_row[loc] + choice
+
+    def fold(self, frames: FrameBatch, active: np.ndarray, shot: np.ndarray,
+             row: np.ndarray) -> np.ndarray:
+        """Run one round on the shots ``active``; return their reported syndromes.
+
+        Fault i (effect row ``row[i]``) lands on shot ``active[shot[i]]``;
+        ``shot`` must be sorted. The frames are updated in place.
+        """
+        report = (frames.syndrome[active] >> self.base) & self.mask
+        if len(shot):
+            starts = np.flatnonzero(np.diff(shot, prepend=-1))
+            folded = np.bitwise_xor.reduceat(np.take(self.words, row, axis=0), starts, axis=0)
+            hit = shot[starts]
+            report[hit] ^= folded[:, 0]
+            hit = active[hit]
+            frames.x[hit] ^= folded[:, 1]
+            frames.z[hit] ^= folded[:, 2]
+            frames.syndrome[hit] ^= folded[:, 3]
+        return report
+
+    def slices(self, p: float, active: np.ndarray) -> list[np.ndarray]:
+        """``active`` cut into slices of about ``_FAULTS_PER_DRAW`` expected
+        faults, to draw and fold one at a time; this bounds the size of a
+        round's arrays at high p."""
+        step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_enabled, 1.0)))
+        return np.split(active, range(step, len(active), step))
+
+
 def _choice_index(compiled: CompiledSchedule, location_id: int, value) -> int:
     kind, _ = compiled.loc_kind[location_id]
     try:

@@ -1,11 +1,18 @@
 """Monte Carlo experiments, fault-injection checks, and threshold analysis.
 
-The experiment loop is deliberately flat Python over packed integers: a
-round with no faults costs one prefetched binomial draw, one comparison
-against the previous syndrome, and one decision-table lookup, which is
-what makes 1e7-shot points practical at low physical error rates. Rounds
-with faults take the detailed location path shared with the deterministic
-fault-injection harness.
+The Monte Carlo engine runs all shots of a chunk together, as numpy
+arrays in the manner of a Pauli-frame simulator: every shot's frame and
+syndromes are uint64 words, and all shots still running take each round
+in step. A round draws the failing locations of the whole
+shots x locations grid and folds each fault's four-word XOR effect into
+its shot (``extraction.FaultEffects``). The stopping policy is one lookup
+per round in the flattened decision tables (``decoders.FlatDecisionTable``),
+or a vectorised repeat counter for the Shor rule; a shot leaves the active
+set when it stops. In two-stage mode the same loop then runs the
+Z-sector stage with each shot's remaining budget, and the final decode
+and verdict run once over the whole chunk. The scalar reference runner
+below shares the circuit semantics (``inject_round``) and drives the
+``PolicyDecision`` state machines; the tests compare the two.
 
 Reproducibility: shots are processed in fixed-size chunks and every chunk
 draws from its own counter-based Philox stream keyed by
@@ -28,26 +35,36 @@ import numpy as np
 from . import decoders
 from .colorcode import build_hex_color_code
 from .decoders import (
+    CODE_CONTINUE,
+    CODE_UNREACHABLE,
     CONTINUE,
+    REASONS,
     SHOR_CAP,
     SHOR_REPEAT,
     STOP_CORRECT,
-    USABLE_RUN,
+    FlatDecisionTable,
     PolicyConfig,
-    decision_table,
+    ProtocolDefect,
+    flat_decision_table,
     make_policy,
 )
 from .extraction import (
     CompiledSchedule,
-    FrameState,
+    FaultEffects,
+    FrameBatch,
     NoiseModel,
-    _apply_faults,
     compile_schedule,
     inject_round,
     legal_values,
     sample_round,
 )
-from .recovery import SyndromeTable, build_table, decode_sector_masks, enumeration_count
+from .recovery import (
+    SyndromeTable,
+    build_table,
+    decode_sector_masks,
+    enumeration_count,
+    parity64,
+)
 from .stabilizer import PauliOperator, StabilizerCode
 
 CHUNK_SHOTS = 4096
@@ -141,7 +158,6 @@ class _Context:
         self.d = d
         self.kind = decoder
         self.t = (d - 1) // 2
-        self.css_two_stage = css_two_stage
         self.code = build_hex_color_code(d)
         weight = (
             built_to_weight
@@ -149,24 +165,21 @@ class _Context:
             else default_built_to_weight(self.code, self.t)
         )
         self.table = build_table(self.code, weight)
-        flags = NoiseModel(0.0)
-        self.compiled_all = compile_schedule(self.code, flags)
-        if css_two_stage:
-            self.compiled_x = compile_schedule(self.code, flags, "x")
-            self.compiled_z = compile_schedule(self.code, flags, "z")
         self.m = len(self.code.x_sector)
-        self.x_mask = (1 << self.m) - 1
-        self.logical_mask = self.code.logical_x[0].x_bits
-        if self.kind == "shor":
-            self.tables = None
-        else:
-            self.tables = (
-                decision_table(self.kind, self.t, False),
-                decision_table(self.kind, self.t, True),
-            )
-        self.cap = PolicyConfig(self.kind, self.t).max_rounds_cap()
-        if css_two_stage:
-            self.cap = 2 * self.cap
+        self.x_mask = np.uint64((1 << self.m) - 1)
+        # per stage: its schedule's fault effects, and the shift that places
+        # its reported bits in the full syndrome
+        flags = NoiseModel(0.0)
+        sectors = (("x", 0), ("z", self.m)) if css_two_stage else (("all", 0),)
+        self.stages = [
+            (FaultEffects(compile_schedule(self.code, flags, sector)), np.uint64(shift))
+            for sector, shift in sectors
+        ]
+        # an X error flips logical Z, a Z error flips logical X
+        self.x_logical = np.uint64(self.code.logical_z[0].z_bits)
+        self.z_logical = np.uint64(self.code.logical_x[0].x_bits)
+        self.policy = None if self.kind == "shor" else flat_decision_table(self.kind, self.t)
+        self.cap = PolicyConfig(self.kind, self.t).max_rounds_cap() * len(self.stages)
 
 
 _CTX_CACHE: dict[tuple, _Context] = {}
@@ -180,223 +193,127 @@ def _context(key: tuple) -> _Context:
     return ctx
 
 
-class _BufferedSampler:
-    """Round sampler with block-prefetched draws, one per chunk stream."""
-
-    __slots__ = ("compiled", "p", "rng", "n_enabled", "enabled", "effects",
-                 "_kbuf", "_ki", "_ubuf", "_ui", "_block")
-
-    def __init__(self, compiled: CompiledSchedule, p: float, rng: np.random.Generator,
-                 block: int = 4096):
-        self.compiled = compiled
-        self.p = float(p)
-        self.rng = rng
-        self.n_enabled = len(compiled.enabled_ids)
-        self.enabled = compiled.enabled_ids
-        self.effects = compiled.loc_effects
-        self._block = block
-        self._kbuf = ()
-        self._ki = 0
-        self._ubuf = ()
-        self._ui = 0
-
-    def _next_k(self) -> int:
-        if self._ki >= len(self._kbuf):
-            self._kbuf = self.rng.binomial(self.n_enabled, self.p, self._block).tolist()
-            self._ki = 0
-        k = self._kbuf[self._ki]
-        self._ki += 1
-        return k
-
-    def _next_u(self) -> float:
-        if self._ui >= len(self._ubuf):
-            self._ubuf = self.rng.random(self._block).tolist()
-            self._ui = 0
-        u = self._ubuf[self._ui]
-        self._ui += 1
-        return u
-
-    def round(self, frame: FrameState) -> int:
-        if self.p <= 0.0 or self.n_enabled == 0:
-            return self.compiled.reported_bits(frame.syndrome)
-        k = self._next_k()
-        if k == 0:
-            return self.compiled.reported_bits(frame.syndrome)
-        n = self.n_enabled
-        if k >= n:
-            ids = range(n)
-        elif k == 1:
-            ids = (int(self._next_u() * n),)
-        elif k <= 8:
-            chosen: set[int] = set()
-            while len(chosen) < k:
-                chosen.add(int(self._next_u() * n))
-            ids = sorted(chosen)
-        else:
-            ids = sorted(self.rng.choice(n, size=k, replace=False).tolist())
-        enabled = self.enabled
-        effects = self.effects
-        fired = []
-        for i in ids:
-            flat = enabled[i]
-            n_choices = len(effects[flat])
-            choice = int(self._next_u() * n_choices) if n_choices > 1 else 0
-            fired.append((flat, choice))
-        return _apply_faults(self.compiled, frame, fired)
+_SHOR_REPEAT = REASONS.index(SHOR_REPEAT)
+_SHOR_CAP = REASONS.index(SHOR_CAP)
 
 
-class _ChunkAccumulator:
-    __slots__ = ("shots", "errors", "rounds_sum", "hist", "max_rounds", "stopped_by")
+def _run_policy(t: int, table: FlatDecisionTable | None, next_round, budget: np.ndarray):
+    """Drive one stopping policy over a batch of shots, all rounds in step.
 
-    def __init__(self, cap: int):
-        self.shots = 0
-        self.errors = 0
-        self.rounds_sum = 0
-        self.hist = [0] * (cap + 2)
-        self.max_rounds = 0
-        self.stopped_by = {}
-
-    def add(self, logical: bool, rounds: int, reason: str) -> None:
-        self.shots += 1
-        self.errors += int(logical)
-        self.rounds_sum += rounds
-        self.hist[rounds] += 1
-        if rounds > self.max_rounds:
-            self.max_rounds = rounds
-        self.stopped_by[reason] = self.stopped_by.get(reason, 0) + 1
-
-    def as_tuple(self):
-        return (self.shots, self.errors, self.rounds_sum, self.hist,
-                self.max_rounds, self.stopped_by)
-
-
-def _finish_shot(ctx: _Context, frame: FrameState, chosen_syndrome: int | None) -> bool:
-    """Apply the selected correction, then ideal EC, then classify."""
-    table = ctx.table
-    m = ctx.m
-    x_mask = ctx.x_mask
-    fx, fz, fsyn = frame.x, frame.z, frame.syndrome
-    if chosen_syndrome:
-        cx, cz = decode_sector_masks(
-            table, chosen_syndrome & x_mask, chosen_syndrome >> m
-        )
-        fx ^= cx
-        fz ^= cz
-        fsyn ^= chosen_syndrome
-    if fsyn:
-        cx, cz = decode_sector_masks(table, fsyn & x_mask, fsyn >> m)
-        fx ^= cx
-        fz ^= cz
-    lmask = ctx.logical_mask
-    return bool(((fx & lmask).bit_count() & 1) or ((fz & lmask).bit_count() & 1))
-
-
-def _history_min_faults(history, rounds: int) -> int:
-    """Greedy 11-pair-plus-leftover count of the history's difference vector."""
-    total = 0
-    run_ones = 0
-    for i in range(1, rounds):
-        if history[i] != history[i - 1]:
-            run_ones += 1
-            if run_ones & 1:
-                total += 1
-        else:
-            run_ones = 0
-    return total
-
-
-def _run_policy_stream(sampler, frame, kind, t, tables, history):
-    """Drive one policy over sampled rounds; returns (syndrome index, reason, rounds).
-
-    ``history`` is reused across shots; the caller reads the chosen
-    syndrome out of it. A negative syndrome index means no correction.
+    The policy is the flat ``table`` (strong or weak), or the Shor rule
+    when ``table`` is None. ``next_round(active)`` runs one round on the
+    shots ``active`` (an index array) and returns their reported
+    syndromes. ``budget`` holds each shot's fault budget for the table
+    policies; the Shor rule counts repeats against ``t``. Returns, per
+    shot, the chosen syndrome (0 for no correction), the 1-based round it
+    came from (0 for none), the rounds used, the stop-reason code (an
+    index into ``REASONS``) and the minimum fault count of the final
+    difference vector (0 for the Shor rule).
     """
-    syn = sampler.round(frame)
-    history[0] = syn
-    rounds = 1
-    if kind == "shor":
-        cap = (t + 1) ** 2
-        repeats = 1
+    n = len(budget)
+    max_rounds = (t + 1) ** 2 if table is None else table.max_rounds
+    history = np.zeros((max_rounds, n), np.uint64)
+    chosen_round = np.zeros(n, np.int64)
+    rounds = np.zeros(n, np.int64)
+    reason = np.zeros(n, np.int64)
+    faults = np.zeros(n, np.int64)
+    active = np.arange(n)
+    prev = np.zeros(n, np.uint64)
+    # Shor: consecutive equal rounds; tables: the packed difference vector
+    key = np.zeros(n, np.int64)
+    for r in range(max_rounds):
+        syn = next_round(active)
+        history[r, active] = syn
+        changed = syn != prev
         prev = syn
-        while True:
-            if repeats >= t + 1:
-                return rounds - 1, SHOR_REPEAT, rounds
-            if rounds >= cap:
-                return rounds - 1, SHOR_CAP, rounds
-            syn = sampler.round(frame)
-            history[rounds] = syn
-            rounds += 1
-            repeats = repeats + 1 if syn == prev else 1
-            prev = syn
-    tbl = tables[1] if syn else tables[0]
-    action, rix, reason = tbl[0][0]
-    if action == CONTINUE:
-        delta = 0
-        prev = syn
-        while True:
-            syn = sampler.round(frame)
-            history[rounds] = syn
-            rounds += 1
-            if syn != prev:
-                delta |= 1 << (rounds - 2)
-            prev = syn
-            action, rix, reason = tbl[rounds - 1][delta]
-            if action != CONTINUE:
-                break
-    if action == STOP_CORRECT:
-        return rix - 1, reason, rounds
-    return -1, reason, rounds
-
-
-def _simulate_chunk_single(ctx: _Context, p: float, shots: int,
-                           rng: np.random.Generator) -> _ChunkAccumulator:
-    sampler = _BufferedSampler(ctx.compiled_all, p, rng)
-    acc = _ChunkAccumulator(ctx.cap)
-    history = [0] * (ctx.cap + 1)
-    kind, t, tables = ctx.kind, ctx.t, ctx.tables
-    for _ in range(shots):
-        frame = FrameState()
-        idx, reason, rounds = _run_policy_stream(sampler, frame, kind, t, tables, history)
-        chosen = history[idx] if idx >= 0 else None
-        logical = _finish_shot(ctx, frame, chosen)
-        acc.add(logical, rounds, reason)
-    return acc
-
-
-def _simulate_chunk_two_stage(ctx: _Context, p: float, shots: int,
-                              rng: np.random.Generator) -> _ChunkAccumulator:
-    sampler_x = _BufferedSampler(ctx.compiled_x, p, rng)
-    sampler_z = _BufferedSampler(ctx.compiled_z, p, rng)
-    acc = _ChunkAccumulator(ctx.cap)
-    kind, t = ctx.kind, ctx.t
-    m = ctx.m
-    cap1 = PolicyConfig(kind, t).max_rounds_cap()
-    history = [0] * (cap1 + 1)
-    tables1 = (decision_table(kind, t, False), decision_table(kind, t, True))
-    for _ in range(shots):
-        frame = FrameState()
-        idx, reason1, rounds1 = _run_policy_stream(
-            sampler_x, frame, kind, t, tables1, history
-        )
-        sx = history[idx] if idx >= 0 else 0
-        # minimum faults already evidenced by the stage-1 difference vector
-        t_oc = _history_min_faults(history, rounds1)
-        budget = t - t_oc
-        if budget <= 0:
-            sz = sampler_z.round(frame)
-            reason2 = USABLE_RUN
-            rounds2 = 1
+        if table is None:
+            key = np.where(changed, 1, key + 1)
+            last = _SHOR_CAP if r + 1 == max_rounds else CODE_CONTINUE
+            code = np.where(key > t, _SHOR_REPEAT, last)
+            pick = np.full(len(active), r + 1)
+            evidenced = np.zeros_like(key)
         else:
-            tables2 = (decision_table(kind, budget, False), decision_table(kind, budget, True))
-            idx2, reason2, rounds2 = _run_policy_stream(
-                sampler_z, frame, kind, budget, tables2, history
-            )
-            sz = history[idx2] if idx2 >= 0 else 0
-        # stage-local bits: sx keys the Z correction, sz keys the X correction
-        chosen = sx | (sz << m)
-        logical = _finish_shot(ctx, frame, chosen if chosen else None)
-        acc.add(logical, rounds1 + rounds2, reason2)
-    return acc
+            if r == 0:
+                offsets = table.offset.reshape(-1, max_rounds)
+                state = 2 * budget + changed  # the shot's row of offsets
+            else:
+                key |= changed.astype(np.int64) << (r - 1)
+            column = offsets[:, r][state] + key
+            code, pick, evidenced = np.take(table.entries, column, axis=1)
+            if (code == CODE_UNREACHABLE).any():
+                raise ProtocolDefect("a decision table reached a state it marks unreachable")
+        stop = code != CODE_CONTINUE
+        if not stop.any():
+            continue
+        done = active[stop]
+        chosen_round[done] = pick[stop]
+        rounds[done] = r + 1
+        reason[done] = code[stop]
+        faults[done] = evidenced[stop]
+        keep = ~stop
+        active, prev, key = active[keep], prev[keep], key[keep]
+        if table is not None:
+            state = state[keep]
+        if not active.size:
+            break
+    if active.size:
+        raise ProtocolDefect("policy undecided at its round cap")
+    chosen = history[chosen_round - 1, np.arange(n)]
+    chosen[chosen_round == 0] = 0
+    return chosen, chosen_round, rounds, reason, faults
+
+
+def _apply_faults(effects: FaultEffects, frames: FrameBatch, shot: np.ndarray,
+                  row: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Fold one round's faults into the frames of the shots ``active`` and
+    return their reported syndromes (``FaultEffects.fold``).
+
+    The batched counterpart of ``extraction._apply_faults``: the engine
+    applies every round's faults through this one module-level name, so a
+    tracer that replaces it sees each batched round and its fault count
+    ``len(shot)``, as it sees each round of the scalar path.
+    """
+    return effects.fold(frames, active, shot, row)
+
+
+def _logical_errors(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> np.ndarray:
+    """Apply each shot's chosen correction, then ideal EC; True where a
+    logical error remains."""
+    # a correction's syndrome is the syndrome it was decoded from
+    residual = frames.syndrome ^ chosen
+    for syndrome in (chosen, residual):
+        hit = np.flatnonzero(syndrome)
+        part = syndrome[hit]
+        cx, cz = decode_sector_masks(ctx.table, part & ctx.x_mask, part >> np.uint64(ctx.m))
+        frames.x[hit] ^= cx
+        frames.z[hit] ^= cz
+    return parity64(frames.x & ctx.x_logical) | parity64(frames.z & ctx.z_logical)
+
+
+def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generator) -> tuple:
+    """All shots of one chunk: stage 1, then stage 2 in two-stage mode, then
+    the verdicts. Stage 2 runs with each shot's budget t minus the faults
+    evidenced by its stage-1 difference vector (``TwoStageState``)."""
+    frames = FrameBatch(shots)
+    chosen = np.zeros(shots, np.uint64)
+    rounds = np.zeros(shots, np.int64)
+    budget = np.full(shots, ctx.t, np.int64)
+    for effects, shift in ctx.stages:
+        def next_round(active, effects=effects):
+            return np.concatenate([
+                _apply_faults(effects, frames, *effects.draw(p, len(part), rng), part)
+                for part in effects.slices(p, active)
+            ])
+
+        syn, _, used, reason, faults = _run_policy(ctx.t, ctx.policy, next_round, budget)
+        chosen |= syn << shift
+        rounds += used
+        budget = np.maximum(ctx.t - faults, 0)
+    errors = int(_logical_errors(ctx, frames, chosen).sum())
+    hist = np.bincount(rounds, minlength=ctx.cap + 2).tolist()
+    stops = np.bincount(reason, minlength=len(REASONS)).tolist()
+    stopped_by = {REASONS[i]: c for i, c in enumerate(stops) if c}
+    return (shots, errors, int(rounds.sum()), hist, int(rounds.max()), stopped_by)
 
 
 def _chunk_seed(seed: int, point_key: int, chunk_index: int) -> np.random.Generator:
@@ -406,13 +323,7 @@ def _chunk_seed(seed: int, point_key: int, chunk_index: int) -> np.random.Genera
 
 def _run_chunk(args) -> tuple:
     (ctx_key, p, shots, seed, point_key, chunk_index) = args
-    ctx = _context(ctx_key)
-    rng = _chunk_seed(seed, point_key, chunk_index)
-    if ctx.css_two_stage:
-        acc = _simulate_chunk_two_stage(ctx, p, shots, rng)
-    else:
-        acc = _simulate_chunk_single(ctx, p, shots, rng)
-    return acc.as_tuple()
+    return _simulate_chunk(_context(ctx_key), p, shots, _chunk_seed(seed, point_key, chunk_index))
 
 
 def resolve_workers(workers: int | None) -> int:

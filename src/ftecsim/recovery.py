@@ -15,6 +15,8 @@ import itertools
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .stabilizer import PauliOperator, StabilizerCode, logical_class, multiply, syndrome_of
 
 DEFAULT_BUDGET = 2_000_000
@@ -72,6 +74,13 @@ class _Gf2Solver:
         for col, sel in self.pivots:
             if (sel & syndrome).bit_count() & 1:
                 x |= 1 << col
+        return x
+
+    def solve_array(self, syndromes: np.ndarray) -> np.ndarray:
+        """:meth:`solve` on a uint64 array of syndromes."""
+        x = np.zeros(len(syndromes), np.uint64)
+        for col, sel in self.pivots:
+            x |= parity64(syndromes & np.uint64(sel)).astype(np.uint64) << np.uint64(col)
         return x
 
 
@@ -147,8 +156,18 @@ def split_sectors(code: StabilizerCode, syndrome: int) -> tuple[int, int]:
     return x_part, z_part
 
 
-def decode_sector_masks(table: SyndromeTable, x_part: int, z_part: int) -> tuple[int, int]:
-    """(x_mask, z_mask) correction for the two sector syndromes."""
+def decode_sector_masks(table: SyndromeTable, x_part, z_part) -> tuple:
+    """(x_mask, z_mask) correction for the two sector syndromes.
+
+    The parts are ints, or uint64 arrays decoded elementwise into uint64
+    arrays of masks. Syndromes the table does not cover fall back to the
+    GF(2) solver and count in ``table.fallback_decodes``.
+    """
+    if isinstance(x_part, np.ndarray):
+        return (
+            _lookup_array(table, table.x_corrections, table._x_solver, z_part),
+            _lookup_array(table, table.z_corrections, table._z_solver, x_part),
+        )
     x_mask = table.x_corrections.get(z_part)
     if x_mask is None:
         table.fallback_decodes += 1
@@ -158,6 +177,27 @@ def decode_sector_masks(table: SyndromeTable, x_part: int, z_part: int) -> tuple
         table.fallback_decodes += 1
         z_mask = table._z_solver.solve(x_part)
     return x_mask, z_mask
+
+
+def _lookup_array(table: SyndromeTable, corrections: dict[int, int], solver: _Gf2Solver,
+                  syndromes: np.ndarray) -> np.ndarray:
+    masks = np.zeros(len(syndromes), np.uint64)
+    hit = np.flatnonzero(syndromes)  # the zero syndrome needs no correction
+    get = corrections.get
+    found = np.array([get(s, -1) for s in syndromes[hit].tolist()], dtype=np.int64)
+    masks[hit] = found
+    missing = hit[found < 0]
+    if len(missing):
+        table.fallback_decodes += len(missing)
+        masks[missing] = solver.solve_array(syndromes[missing])
+    return masks
+
+
+def parity64(words: np.ndarray) -> np.ndarray:
+    """Parity of each uint64 word, as a bool array."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        words = words ^ (words >> np.uint64(shift))
+    return (words & np.uint64(1)).astype(bool)
 
 
 def decode(table: SyndromeTable, code: StabilizerCode, syndrome: int) -> PauliOperator:

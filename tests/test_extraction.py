@@ -8,6 +8,8 @@ from ftecsim.extraction import (
     MEASUREMENT,
     ONE_QUBIT,
     TWO_QUBIT,
+    FaultEffects,
+    FrameBatch,
     NoiseModel,
     build_round_schedule,
     compile_schedule,
@@ -16,6 +18,7 @@ from ftecsim.extraction import (
     legal_values,
     sample_round,
 )
+from ftecsim.colorcode import build_hex_color_code
 from ftecsim.stabilizer import PauliOperator, StabilizerCode, syndrome_of
 
 NOISELESS = NoiseModel(0.0)
@@ -196,3 +199,74 @@ def test_sector_schedules(code5):
     full = syndrome_of(code5, PauliOperator.single(19, 0, "X"))
     assert syn_z == full >> 9
     assert sample_round(cs_x, NOISELESS, frame, _rng()) == 0
+
+
+def _random_frames(compiled, rng, shots):
+    """Reference frames and the same frames as a batch, from random Paulis."""
+    n = compiled.code.n
+    refs = []
+    batch = FrameBatch(shots)
+    for i in range(shots):
+        x, z = (int(v) for v in rng.integers(0, 1 << n, size=2))
+        frame = compiled.new_frame(PauliOperator(n, x, z))
+        refs.append(frame)
+        batch.x[i], batch.z[i], batch.syndrome[i] = frame.x, frame.z, frame.syndrome
+    return refs, batch
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("sector", ["all", "x", "z"])
+def test_batched_fold_matches_apply_faults(d, sector):
+    """Random fault sets through FaultEffects.fold and through inject_round
+    (which runs _apply_faults) give identical reports and frames."""
+    compiled = compile_schedule(build_hex_color_code(d), NOISELESS, sector)
+    effects = FaultEffects(compiled)
+    rng = _rng(d)
+    shots = 400
+    refs, batch = _random_frames(compiled, rng, shots)
+    active = rng.permutation(shots)[:300]
+    shot_ids, rows, expected = [], [], []
+    for j, i in enumerate(active):
+        faults = []
+        for _ in range(int(rng.integers(0, 7))):
+            lid = int(rng.integers(compiled.n_locations))
+            values = legal_values(compiled, lid)
+            choice = int(rng.integers(len(values)))
+            faults.append((lid, values[choice]))
+            shot_ids.append(j)
+            rows.append(effects.first_row[lid] + choice)
+        expected.append(inject_round(compiled, refs[i], faults))
+    report = effects.fold(batch, active, np.array(shot_ids, np.int64),
+                          np.array(rows, np.int64))
+    assert report.tolist() == expected
+    for i, ref in enumerate(refs):
+        assert (int(batch.x[i]), int(batch.z[i]), int(batch.syndrome[i])) == (
+            ref.x, ref.z, ref.syndrome)
+
+
+def test_batched_round_noise_extremes(code5):
+    compiled = compile_schedule(code5, NOISELESS)
+    effects = FaultEffects(compiled)
+    rng = _rng(3)
+    refs, batch = _random_frames(compiled, rng, 50)
+    active = np.arange(50)
+    # p = 0: the noiseless report, frames untouched
+    assert [len(part) for part in effects.slices(0.0, active)] == [50]
+    # p = 1: a chunk goes in slices of at most 2^18 expected faults
+    parts = effects.slices(1.0, np.arange(4096))
+    assert len(parts) > 1 and np.array_equal(np.concatenate(parts), np.arange(4096))
+    assert max(len(part) for part in parts) * effects.n_enabled <= 1 << 18
+    report = effects.fold(batch, active, *effects.draw(0.0, 50, rng))
+    assert report.tolist() == [compiled.reported_bits(f.syndrome) for f in refs]
+    assert batch.syndrome.tolist() == [f.syndrome for f in refs]
+    # p = 1: every enabled location fails exactly once in every shot
+    partial = compile_schedule(code5, NoiseModel(0.0, two_qubit=False, cat_qubit=False))
+    for comp in (compiled, partial):
+        eff = FaultEffects(comp)
+        shot, row = eff.draw(1.0, 50, rng)
+        loc = np.searchsorted(eff.first_row, row, side="right") - 1
+        assert np.array_equal(shot, np.repeat(np.arange(50), len(comp.enabled_ids)))
+        assert np.array_equal(loc, np.tile(comp.enabled_ids, 50))
+    # 0 < p < 1: the failing fraction of the grid is p
+    shot, _ = effects.draw(0.25, 2000, rng)
+    assert abs(len(shot) / (2000 * effects.n_enabled) - 0.25) < 0.005

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from ftecsim import harness
-from ftecsim.decoders import CONTINUE, PolicyConfig, make_policy
+from ftecsim.decoders import (
+    CODE_CONTINUE,
+    CONTINUE,
+    REASONS,
+    PolicyConfig,
+    flat_decision_table,
+    make_policy,
+)
+from ftecsim.diffvec import min_faults
 from ftecsim.harness import (
     BracketError,
     ExperimentConfig,
     ExperimentStats,
-    _run_policy_stream,
+    _run_policy,
     enumerate_single_faults,
     estimate_pseudothreshold,
     run_point,
@@ -21,63 +29,74 @@ from ftecsim.harness import (
 )
 
 
-class _ReplaySampler:
-    """Duck-typed stand-in for the buffered sampler: replays a fixed stream."""
+class _Replay:
+    """Round source for `_run_policy`: replays fixed syndrome streams,
+    one row per shot."""
 
-    def __init__(self, stream):
-        self.stream = list(stream)
-        self.cursor = 0
+    def __init__(self, streams):
+        self.streams = np.array(streams, dtype=np.uint64)
+        self.round = 0
 
-    def round(self, frame):
-        syn = self.stream[self.cursor]
-        self.cursor += 1
+    def __call__(self, active):
+        syn = self.streams[active, self.round]
+        self.round += 1
         return syn
 
 
 def test_engine_policy_stream_matches_state_machines():
-    """The engine's inline policy stepping (tables + Shor counters) must
-    agree with the reference PolicyDecision state machines on random
+    """The engine's batched policy stepping (flat tables + Shor counters)
+    must agree with the reference PolicyDecision state machines on random
     syndrome streams."""
-    from ftecsim.decoders import decision_table
-
     rng = np.random.default_rng(123)
     for kind in ("shor", "strong", "weak"):
         for t in (1, 2):
-            tables = None
-            if kind != "shor":
-                tables = (decision_table(kind, t, False), decision_table(kind, t, True))
-            for _ in range(300):
-                cap = PolicyConfig(kind, t).max_rounds_cap()
-                stream = rng.integers(0, 3, size=cap + 1).tolist()
+            table = None if kind == "shor" else flat_decision_table(kind, t)
+            cap = PolicyConfig(kind, t).max_rounds_cap()
+            streams = [rng.integers(0, 3, size=cap + 1).tolist() for _ in range(300)]
+            chosen, chosen_round, rounds, reason, faults = _run_policy(
+                t, table, _Replay(streams), np.full(len(streams), t)
+            )
+            for i, stream in enumerate(streams):
                 policy = make_policy(PolicyConfig(kind, t))
                 decision = None
                 for syn in stream:
                     decision = policy.step(int(syn))
                     if decision.action != CONTINUE:
                         break
-                history = [0] * (cap + 1)
-                idx, reason, rounds = _run_policy_stream(
-                    _ReplaySampler(stream), None, kind, t, tables, history
-                )
-                assert rounds == decision.rounds_used
-                assert reason == decision.stopped_by
+                assert rounds[i] == decision.rounds_used
+                assert REASONS[reason[i]] == decision.stopped_by
                 if decision.action == "stop_correct":
-                    assert idx == decision.round_index - 1
+                    assert chosen_round[i] == decision.round_index
+                    assert chosen[i] == stream[decision.round_index - 1]
                 else:
-                    assert idx == -1
+                    assert chosen_round[i] == 0 and chosen[i] == 0
+                if kind != "shor":
+                    assert faults[i] == min_faults(policy.history.delta)
 
 
 def test_history_min_faults_matches_diffvec():
-    import numpy as np
-    from ftecsim.diffvec import SyndromeHistory, min_faults
-    from ftecsim.harness import _history_min_faults
+    """The min-faults column along every reachable prefix of random
+    histories, for every budget up to t=4."""
+    from ftecsim.diffvec import SyndromeHistory
 
+    tables = [flat_decision_table(kind, 4) for kind in ("strong", "weak")]
     rng = np.random.default_rng(5)
     for _ in range(200):
         rounds = int(rng.integers(1, 12))
         stream = rng.integers(0, 3, size=rounds).tolist()
-        h = SyndromeHistory(stream)
-        assert _history_min_faults(stream, rounds) == min_faults(h.delta)
+        delta = SyndromeHistory(stream).delta
+        s1_nonzero = int(stream[0] != 0)
+        for table in tables:
+            for budget in range(1, 5):
+                bits = 0
+                for length in range(rounds):
+                    if length:
+                        bits |= int(delta[length - 1]) << (length - 1)
+                    column = table.offset[budget, s1_nonzero, length] + bits
+                    code, _, faults = table.entries[:, column]
+                    assert faults == min_faults(delta[:length])
+                    if code != CODE_CONTINUE:
+                        break
 
 
 def test_wilson_interval_reference_values():

@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from ftecsim.recovery import (
     build_table,
     decode,
+    decode_sector_masks,
     enumeration_count,
     final_verdict,
     load_table,
@@ -125,3 +127,17 @@ def test_cache_rejects_mismatched_code(tmp_path, code3, code5, table3):
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
     with pytest.raises(ValueError, match="not a syndrome table"):
         load_table(path, code3)
+
+
+def test_array_decode_matches_scalar(code5):
+    """decode_sector_masks on uint64 arrays agrees with it on ints, table
+    hits and GF(2) fallbacks alike, and counts the same fallbacks."""
+    m = len(code5.x_sector)
+    rng = np.random.default_rng(11)
+    x_part = rng.integers(0, 1 << m, size=500).astype(np.uint64)
+    z_part = rng.integers(0, 1 << m, size=500).astype(np.uint64)
+    scalar, batched = build_table(code5, 1), build_table(code5, 1)
+    expected = [decode_sector_masks(scalar, int(a), int(b)) for a, b in zip(x_part, z_part)]
+    cx, cz = decode_sector_masks(batched, x_part, z_part)
+    assert list(zip(cx.tolist(), cz.tolist())) == expected
+    assert batched.fallback_decodes == scalar.fallback_decodes > 0
