@@ -30,7 +30,7 @@ from .harness import (
     enumerate_single_faults,
     estimate_pseudothreshold,
     resolve_workers,
-    run_point,
+    run_experiment,
     sample_fault_pairs,
 )
 from .worstcase import oracle_unusable_runs, verify_round_bounds
@@ -91,7 +91,7 @@ def _cmd_simulate(args) -> int:
     if not config.p_values:
         print("simulate: no physical error rates given (use --p)", file=sys.stderr)
         return 1
-    results = [run_point(config, p, point_key=i) for i, p in enumerate(config.p_values)]
+    results = run_experiment(config)
     workers = resolve_workers(config.workers)
     if args.format == "json":
         payload = {

@@ -79,7 +79,6 @@ class PolicyConfig:
 
     kind: str
     t: int
-    css_two_stage: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -216,12 +215,12 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
 
 
 class _Policy:
-    """Shared stepping logic: accumulate syndromes, delegate to the pure rule."""
+    """A stopping policy as a state machine: accumulate syndromes and
+    delegate each decision to the pure rule. Built by :func:`make_policy`."""
 
-    kind: str
-
-    def __init__(self, t: int):
-        self.t = t
+    def __init__(self, config: PolicyConfig):
+        self.kind = config.kind
+        self.t = config.t
         self.history = diffvec.SyndromeHistory()
         self.decision: PolicyDecision | None = None
 
@@ -238,38 +237,17 @@ class _Policy:
         return self.decision
 
 
-class ShorPolicy(_Policy):
-    kind = "shor"
-
-
-class StrongPolicy(_Policy):
-    kind = "strong"
-
-
-class WeakPolicy(_Policy):
-    kind = "weak"
-
-
 def make_policy(config: PolicyConfig) -> _Policy:
-    return {"shor": ShorPolicy, "strong": StrongPolicy, "weak": WeakPolicy}[config.kind](
-        config.t
-    )
-
-
-def step_shor(policy: ShorPolicy, syndrome: int) -> PolicyDecision:
-    return policy.step(syndrome)
-
-
-def step_strong(policy: StrongPolicy, syndrome: int) -> PolicyDecision:
-    return policy.step(syndrome)
-
-
-def step_weak(policy: WeakPolicy, syndrome: int) -> PolicyDecision:
-    return policy.step(syndrome)
+    return _Policy(config)
 
 
 # ---------------------------------------------------------------------------
 # CSS two-stage refinement
+
+# Stage 2 with no fault budget left: the first measured syndrome is
+# guaranteed correct, so accept it. The flat tables' budget-0 row holds
+# the same decision.
+BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
 
 
 @dataclass
@@ -307,17 +285,13 @@ class TwoStageState:
                 self.stage = 2
                 if self.stage2_budget > 0:
                     self._policy = make_policy(PolicyConfig(self.kind, self.stage2_budget))
-                else:
-                    self._policy = None  # accept the first stage-2 syndrome
             return decision
         if self.stage2 is not None:
             raise RuntimeError("two-stage policy stepped after both stages stopped")
         if self.stage2_budget == 0:
-            # No remaining fault budget: the first measured syndrome is
-            # guaranteed correct.
-            self.stage2 = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
-            return self.stage2
-        decision = self._policy.step(syndrome)
+            decision = BUDGET_EXHAUSTED
+        else:
+            decision = self._policy.step(syndrome)
         if decision.action != CONTINUE:
             self.stage2 = decision
         return decision
@@ -381,8 +355,8 @@ class FlatDecisionTable:
     three rows hold the stop-reason code (:data:`CODE_CONTINUE` while the
     policy continues), the 1-based round whose syndrome corrects (0 for
     none), and ``diffvec.min_faults`` of the difference vector, which the
-    two-stage rule subtracts from the stage-2 budget. Budget 0 is
-    :class:`TwoStageState`'s exhausted budget: accept the first syndrome.
+    two-stage rule subtracts from the stage-2 budget. Budget 0 holds
+    :data:`BUDGET_EXHAUSTED` for the first round.
     Lengths a budget never reaches point past the end, so indexing them
     raises.
     """
@@ -400,7 +374,8 @@ def flat_decision_table(kind: str, t: int) -> FlatDecisionTable:
     if kind not in ("strong", "weak"):
         raise ValueError("flat decision tables cover the strong and weak policies")
     max_rounds = PolicyConfig(kind, t).max_rounds_cap()
-    entries = [(REASONS.index(USABLE_RUN), 1, 0)]  # budget 0, length 0
+    # budget 0, length 0
+    entries = [(REASONS.index(BUDGET_EXHAUSTED.stopped_by), BUDGET_EXHAUSTED.round_index, 0)]
     starts = {(0, s1, 0): 0 for s1 in (0, 1)}
     for budget in range(1, t + 1):
         for s1 in (0, 1):

@@ -62,11 +62,6 @@ class SyndromeHistory:
         self.rounds.append(syndrome)
 
 
-def diff_from_history(history: SyndromeHistory) -> str:
-    """Difference vector of a history; a single round yields the empty string."""
-    return history.delta
-
-
 def _check_delta(delta: str) -> None:
     if any(ch not in "01" for ch in delta):
         raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")

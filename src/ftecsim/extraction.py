@@ -472,13 +472,6 @@ def inject_round(
     return _apply_faults(compiled, frame, fired)
 
 
-def inject_fault(
-    compiled: CompiledSchedule, frame: FrameState, location_id: int, value
-) -> int:
-    """Single-fault convenience wrapper around :func:`inject_round`."""
-    return inject_round(compiled, frame, [(location_id, value)])
-
-
 def legal_values(compiled: CompiledSchedule, location_id: int):
     """Every legal fault value at a location, in the sampler's choice order."""
     kind, _ = compiled.loc_kind[location_id]

@@ -10,9 +10,14 @@ per round in the flattened decision tables (``decoders.FlatDecisionTable``),
 or a vectorised repeat counter for the Shor rule; a shot leaves the active
 set when it stops. In two-stage mode the same loop then runs the
 Z-sector stage with each shot's remaining budget, and the final decode
-and verdict run once over the whole chunk. The scalar reference runner
-below shares the circuit semantics (``inject_round``) and drives the
-``PolicyDecision`` state machines; the tests compare the two.
+and verdict run once over the whole chunk.
+
+The scalar reference runner ``run_shot_reference`` plays one shot through
+the same circuit semantics (``inject_round`` for injected faults,
+``sample_round`` for sampled ones), the ``PolicyDecision`` state machines
+and the scalar decoder; its ``ShotResult`` carries the verdict, the
+residual frame before ideal EC and the stop decision. The tests compare
+it with the engine, and the fault-injection checks are built on it.
 
 Reproducibility: shots are processed in fixed-size chunks and every chunk
 draws from its own counter-based Philox stream keyed by
@@ -44,6 +49,7 @@ from .decoders import (
     STOP_CORRECT,
     FlatDecisionTable,
     PolicyConfig,
+    PolicyDecision,
     ProtocolDefect,
     flat_decision_table,
     make_policy,
@@ -98,6 +104,8 @@ class ExperimentConfig:
         for p in self.p_values:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"physical error rate {p} outside [0, 1]")
+        if self.built_to_weight is not None and self.built_to_weight < 1:
+            raise ValueError(f"built_to_weight must be >= 1, got {self.built_to_weight}")
         if self.css_two_stage and self.decoder == "shor":
             raise ValueError("two-stage mode applies to the strong or weak decoders")
 
@@ -109,8 +117,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ShotResult:
     logical_error: bool
-    rounds: int
-    stopped_by: str
+    residual: PauliOperator  # the frame after the chosen correction, before ideal EC
+    decision: PolicyDecision  # the stop: rounds used, reason, chosen round
 
 
 @dataclass
@@ -418,9 +426,12 @@ def run_shot_reference(
     """One protocol run through the reference policy objects.
 
     ``injected_faults`` maps a round number to (location id, value) pairs
-    applied in that round on top of p = 0 noise; with ``p > 0`` rounds are
-    sampled instead. This path shares the circuit semantics with the fast
-    engine but exercises the PolicyDecision state machines directly.
+    applied in that round on top of p = 0 noise; without it rounds are
+    sampled at rate ``p``. This path shares the circuit semantics with
+    the fast engine but drives the PolicyDecision state machines and the
+    scalar decoder directly. The result carries the frame after the
+    chosen correction and before ideal EC (``residual``) and the stop
+    decision.
     """
     from .recovery import decode, final_verdict
     from .stabilizer import syndrome_of
@@ -432,17 +443,13 @@ def run_shot_reference(
     policy = make_policy(PolicyConfig(kind, t))
     history = []
     decision = None
-    rounds = 0
-    while True:
-        rounds += 1
+    while decision is None or decision.action == CONTINUE:
         if injected_faults is not None:
-            syn = inject_round(compiled, frame, injected_faults.get(rounds, ()))
+            syn = inject_round(compiled, frame, injected_faults.get(len(history) + 1, ()))
         else:
             syn = sample_round(compiled, noise, frame, rng)
         history.append(syn)
         decision = policy.step(syn)
-        if decision.action != CONTINUE:
-            break
     if decision.action == STOP_CORRECT:
         chosen = history[decision.round_index - 1]
         if chosen:
@@ -451,42 +458,11 @@ def run_shot_reference(
             frame.z ^= correction.z_bits
             frame.syndrome ^= syndrome_of(code, correction)
     residual = frame.to_pauli(code.n)
-    verdict = final_verdict(code, table, residual)
     return ShotResult(
-        logical_error=(verdict == "logical_error"),
-        rounds=rounds,
-        stopped_by=decision.stopped_by,
+        logical_error=final_verdict(code, table, residual) == "logical_error",
+        residual=residual,
+        decision=decision,
     )
-
-
-def run_shot_reference_residual(
-    code, table, kind, t, *, initial_error=None, injected_faults=None, compiled=None
-):
-    """Like run_shot_reference but also returns the pre-ideal-EC residual."""
-    from .recovery import decode
-    from .stabilizer import syndrome_of
-
-    if compiled is None:
-        compiled = compile_schedule(code, NoiseModel(0.0))
-    frame = compiled.new_frame(initial_error)
-    policy = make_policy(PolicyConfig(kind, t))
-    history = []
-    rounds = 0
-    while True:
-        rounds += 1
-        syn = inject_round(compiled, frame, (injected_faults or {}).get(rounds, ()))
-        history.append(syn)
-        decision = policy.step(syn)
-        if decision.action != CONTINUE:
-            break
-    if decision.action == STOP_CORRECT:
-        chosen = history[decision.round_index - 1]
-        if chosen:
-            correction = decode(table, code, chosen)
-            frame.x ^= correction.x_bits
-            frame.z ^= correction.z_bits
-            frame.syndrome ^= syndrome_of(code, correction)
-    return frame.to_pauli(code.n), decision, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +485,33 @@ class FaultEnumReport:
         return not self.logical_failures and not self.weight_violations
 
 
+def _fault_injector(d: int, decoder: str):
+    """The set-up the fault-injection checks share: the code, its
+    noiseless schedule, the policy's round cap, and ``run(faults,
+    initial)``, one reference shot with those faults injected."""
+    t = (d - 1) // 2
+    code = build_hex_color_code(d)
+    table = build_table(code, default_built_to_weight(code, t))
+    compiled = compile_schedule(code, NoiseModel(0.0))
+    cap = PolicyConfig(decoder, t).max_rounds_cap()
+
+    def run(faults, initial=None) -> ShotResult:
+        return run_shot_reference(code, table, decoder, t, initial_error=initial,
+                                  injected_faults=faults, compiled=compiled)
+
+    return code, compiled, cap, run
+
+
+def _record(report: FaultEnumReport, case: str, result: ShotResult,
+            max_failures_recorded: int) -> None:
+    if len(report.failures) < max_failures_recorded:
+        report.failures.append(
+            {"case": case, "residual": result.residual.to_string(),
+             "rounds": result.decision.rounds_used,
+             "stopped_by": result.decision.stopped_by}
+        )
+
+
 def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = True,
                             max_failures_recorded: int = 20) -> FaultEnumReport:
     """Exhaustive order-1 fault injection for one decoder.
@@ -516,64 +519,43 @@ def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = T
     Every input error of weight 1 and every (round, location, value)
     circuit fault runs the full protocol; the verdict must be
     no_logical_error and the pre-ideal-EC residual weight at most the
-    number of circuit faults that actually landed.
+    number of circuit faults that landed. A fault in a round after the
+    noiseless run stops never fires, so those rounds are only counted,
+    as ``skipped_unreached``.
     """
-    t = (d - 1) // 2
-    code = build_hex_color_code(d)
-    table = build_table(code, default_built_to_weight(code, t))
-    compiled = compile_schedule(code, NoiseModel(0.0))
-    cap = PolicyConfig(decoder, t).max_rounds_cap()
+    code, compiled, cap, run = _fault_injector(d, decoder)
     report = FaultEnumReport(d, decoder, 1, 0, 0, 0, 0)
 
-    from .recovery import final_verdict
-
-    def check(initial, faults, label, fault_round=0):
-        residual, decision, rounds = run_shot_reference_residual(
-            code, table, decoder, t, initial_error=initial,
-            injected_faults=faults, compiled=compiled,
-        )
-        if fault_round > rounds:
-            # The noiseless prefix stopped earlier, so this fault never
-            # fires; the scenario is vacuous for single-fault coverage.
-            report.skipped_unreached += 1
-            return
+    def check(label, faults, initial=None, landed=1):
+        result = run(faults, initial)
         report.cases += 1
-        landed = sum(
-            len(v) for r, v in (faults or {}).items() if r <= rounds
-        )
-        weight_bad = residual.weight() > landed
-        logical_bad = final_verdict(code, table, residual) == "logical_error"
+        weight_bad = result.residual.weight() > landed
         if weight_bad:
             report.weight_violations += 1
-        if logical_bad:
+        if result.logical_error:
             report.logical_failures += 1
-        if (weight_bad or logical_bad) and len(report.failures) < max_failures_recorded:
-            report.failures.append(
-                {"case": label, "residual": residual.to_string(),
-                 "rounds": rounds, "stopped_by": decision.stopped_by}
-            )
+        if weight_bad or result.logical_error:
+            _record(report, label, result, max_failures_recorded)
 
     if include_input_errors:
         for q in range(code.n):
             for kind in ("X", "Y", "Z"):
-                check(PauliOperator.single(code.n, q, kind), None, f"input {kind}{q}")
+                check(f"input {kind}{q}", {}, PauliOperator.single(code.n, q, kind), landed=0)
 
-    for rho in range(1, cap + 1):
-        for lid in range(compiled.n_locations):
-            for value in legal_values(compiled, lid):
-                check(None, {rho: [(lid, value)]},
-                      f"round {rho} loc {lid} {value}", fault_round=rho)
+    faults = [(lid, value) for lid in range(compiled.n_locations)
+              for value in legal_values(compiled, lid)]
+    reached = run({}).decision.rounds_used
+    report.skipped_unreached = (cap - reached) * len(faults)
+    for rho in range(1, reached + 1):
+        for lid, value in faults:
+            check(f"round {rho} loc {lid} {value}", {rho: [(lid, value)]})
     return report
 
 
 def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0,
                        max_failures_recorded: int = 20) -> FaultEnumReport:
     """Order-2 fault injection: uniformly sampled ordered pairs."""
-    t = (d - 1) // 2
-    code = build_hex_color_code(d)
-    table = build_table(code, default_built_to_weight(code, t))
-    compiled = compile_schedule(code, NoiseModel(0.0))
-    cap = PolicyConfig(decoder, t).max_rounds_cap()
+    _, compiled, cap, run = _fault_injector(d, decoder)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     report = FaultEnumReport(d, decoder, 2, 0, 0, 0, 0)
     n_loc = compiled.n_locations
@@ -587,19 +569,11 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0,
             value = values[int(rng.integers(len(values)))]
             faults.setdefault(rho, []).append((lid, value))
             desc.append((rho, lid, value))
-        residual, decision, rounds = run_shot_reference_residual(
-            code, table, decoder, t, injected_faults=faults, compiled=compiled
-        )
-        from .recovery import final_verdict
-
+        result = run(faults)
         report.cases += 1
-        if final_verdict(code, table, residual) == "logical_error":
+        if result.logical_error:
             report.logical_failures += 1
-            if len(report.failures) < max_failures_recorded:
-                report.failures.append(
-                    {"case": repr(desc), "residual": residual.to_string(),
-                     "rounds": rounds, "stopped_by": decision.stopped_by}
-                )
+            _record(report, repr(desc), result, max_failures_recorded)
     return report
 
 

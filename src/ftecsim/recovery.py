@@ -12,7 +12,6 @@ arise past the fault budget, where no fault-tolerance guarantee applies.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,6 @@ import numpy as np
 from .stabilizer import PauliOperator, StabilizerCode, logical_class, multiply, syndrome_of
 
 DEFAULT_BUDGET = 2_000_000
-
-_MAGIC = b"FTSY"
-_VERSION = 1
 
 
 def _sector_columns(code: StabilizerCode, sector: tuple[int, ...]) -> list[int]:
@@ -222,53 +218,3 @@ def final_verdict(
     if logical_class(code, residual) == "logical":
         return "logical_error"
     return "no_logical_error"
-
-
-# ---------------------------------------------------------------------------
-# Cache file: magic, version, n, d, max_weight, then per sector a tag byte,
-# an entry count, and (syndrome, pauli mask) u64 pairs. Everything is
-# little-endian and therefore bit-exact across platforms.
-
-
-def save_table(table: SyndromeTable, path) -> None:
-    code = table.code
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HIII", _VERSION, code.n, code.distance, table.built_to_weight))
-        for tag, entries in ((b"X", table.x_corrections), (b"Z", table.z_corrections)):
-            fh.write(tag)
-            fh.write(struct.pack("<Q", len(entries)))
-            for syn in sorted(entries):
-                fh.write(struct.pack("<QQ", syn, entries[syn]))
-
-
-def load_table(path, code: StabilizerCode) -> SyndromeTable:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a syndrome table cache")
-        version, n, d, max_weight = struct.unpack("<HIII", fh.read(14))
-        if version != _VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        if n != code.n or d != code.distance:
-            raise ValueError(
-                f"cache is for n={n}, d={d}; code has n={code.n}, d={code.distance}"
-            )
-        sectors = {}
-        for _ in range(2):
-            tag = fh.read(1)
-            (count,) = struct.unpack("<Q", fh.read(8))
-            entries = {}
-            for _ in range(count):
-                syn, mask = struct.unpack("<QQ", fh.read(16))
-                entries[syn] = mask
-            sectors[tag] = entries
-    cols_z = _sector_columns(code, code.z_sector)
-    cols_x = _sector_columns(code, code.x_sector)
-    return SyndromeTable(
-        code=code,
-        built_to_weight=max_weight,
-        x_corrections=sectors[b"X"],
-        z_corrections=sectors[b"Z"],
-        _x_solver=_Gf2Solver(cols_z, code.n, len(code.z_sector)),
-        _z_solver=_Gf2Solver(cols_x, code.n, len(code.x_sector)),
-    )

@@ -10,7 +10,7 @@ import time
 
 from conftest import record_criterion
 from ftecsim.cli import run_cli
-from ftecsim.decoders import StrongPolicy, CONTINUE
+from ftecsim.decoders import CONTINUE, PolicyConfig, make_policy
 from ftecsim.diffvec import decompose, find_usable, operation_count
 from ftecsim.harness import (
     ExperimentConfig,
@@ -127,7 +127,7 @@ def test_criterion_04_single_fault_ft():
         "II(3)": ([a, a, a], 1),
     }
     for name, (stream, expected_round) in rows.items():
-        policy = StrongPolicy(1)
+        policy = make_policy(PolicyConfig("strong", 1))
         decision = None
         for syn in stream:
             decision = policy.step(syn)

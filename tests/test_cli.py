@@ -65,6 +65,7 @@ def test_simulate_requires_rates(capsys):
 def test_usage_errors_exit_one():
     assert run_cli(["simulate", "--d", "3", "--decoder", "nonsense"]) == 1
     assert run_cli(["no-such-command"]) == 1
+    assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--built-to-weight", "0"]) == 1
 
 
 def test_dump_code(tmp_path):

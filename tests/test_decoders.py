@@ -4,6 +4,7 @@ import pytest
 from ftecsim.decoders import (
     CONTINUE,
     PAIR_COUNT,
+    REASONS,
     SHOR_CAP,
     SHOR_REPEAT,
     STOP_CORRECT,
@@ -12,11 +13,9 @@ from ftecsim.decoders import (
     WEAK_NO_CORRECTION,
     PolicyConfig,
     ProtocolDefect,
-    ShorPolicy,
-    StrongPolicy,
     TwoStageState,
-    WeakPolicy,
     decision_table,
+    flat_decision_table,
     make_policy,
     policy_decision,
     worst_case_rounds,
@@ -48,20 +47,20 @@ def test_worst_case_rounds_full_table():
 
 
 def test_shor_examples():
-    d = run_stream(ShorPolicy(1), [7, 7])
+    d = run_stream(make_policy(PolicyConfig("shor", 1)), [7, 7])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 2, 2, SHOR_REPEAT)
-    d = run_stream(ShorPolicy(1), [1, 2, 3, 4])
+    d = run_stream(make_policy(PolicyConfig("shor", 1)), [1, 2, 3, 4])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 4, 4, SHOR_CAP)
-    d = run_stream(ShorPolicy(2), [5, 5, 5])
+    d = run_stream(make_policy(PolicyConfig("shor", 2)), [5, 5, 5])
     assert (d.action, d.rounds_used, d.round_index) == (STOP_CORRECT, 3, 3)
 
 
 def test_strong_protocol1_examples():
-    d = run_stream(StrongPolicy(1), [9, 9])
+    d = run_stream(make_policy(PolicyConfig("strong", 1)), [9, 9])
     assert (d.action, d.round_index, d.stopped_by) == (STOP_CORRECT, 1, USABLE_RUN)
-    d = run_stream(StrongPolicy(1), [1, 2, 3])
+    d = run_stream(make_policy(PolicyConfig("strong", 1)), [1, 2, 3])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 3, 3, PAIR_COUNT)
 
@@ -87,7 +86,7 @@ def test_table2_syndrome_selection_rows():
         "II(3)": ([a, a, a], 1),
     }
     for name, (stream, expected_round) in rows.items():
-        decision = run_stream(StrongPolicy(1), stream)
+        decision = run_stream(make_policy(PolicyConfig("strong", 1)), stream)
         assert decision.action == STOP_CORRECT, name
         assert decision.round_index == expected_round, name
         # chosen syndrome equals the tabulated one
@@ -95,40 +94,40 @@ def test_table2_syndrome_selection_rows():
 
 
 def test_weak_t1_examples():
-    d = run_stream(WeakPolicy(1), [0])
+    d = run_stream(make_policy(PolicyConfig("weak", 1)), [0])
     assert (d.action, d.rounds_used, d.stopped_by) == (
         STOP_NO_CORRECTION, 1, WEAK_NO_CORRECTION)
-    d = run_stream(WeakPolicy(1), [4, 4])
+    d = run_stream(make_policy(PolicyConfig("weak", 1)), [4, 4])
     assert (d.action, d.round_index) == (STOP_CORRECT, 1)
-    d = run_stream(WeakPolicy(1), [4, 6])
+    d = run_stream(make_policy(PolicyConfig("weak", 1)), [4, 6])
     assert (d.action, d.rounds_used) == (STOP_NO_CORRECTION, 2)
 
 
 def test_weak_t2_spec_example():
     # s1 != 0, delta' = "0" after round 3: usable at budget 1, corrected
     # with round 2 after the index shift
-    d = run_stream(WeakPolicy(2), [4, 5, 5])
+    d = run_stream(make_policy(PolicyConfig("weak", 2)), [4, 5, 5])
     assert (d.action, d.rounds_used, d.round_index) == (STOP_CORRECT, 3, 2)
 
 
 def test_weak_zero_branch_mapping():
     # noiseless: stops after round 2 without correction (prepended zero run)
-    d = run_stream(WeakPolicy(2), [0, 0])
+    d = run_stream(make_policy(PolicyConfig("weak", 2)), [0, 0])
     assert (d.action, d.rounds_used) == (STOP_NO_CORRECTION, 2)
     # s1 = 0, s2 = s3 = s4 nonzero: deltaderived run maps back to round 2
-    d = run_stream(WeakPolicy(2), [0, 7, 7, 7])
+    d = run_stream(make_policy(PolicyConfig("weak", 2)), [0, 7, 7, 7])
     assert (d.action, d.rounds_used, d.round_index) == (STOP_CORRECT, 4, 2)
 
 
 def test_weak_pair_count_stop_uses_latest():
     # s1 != 0, all syndromes distinct: delta' all ones, pairs hit t-1
-    d = run_stream(WeakPolicy(2), [1, 2, 3, 4])
+    d = run_stream(make_policy(PolicyConfig("weak", 2)), [1, 2, 3, 4])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 4, 4, PAIR_COUNT)
 
 
 def test_step_after_stop_raises():
-    p = StrongPolicy(1)
+    p = make_policy(PolicyConfig("strong", 1))
     p.step(3)
     p.step(3)
     with pytest.raises(RuntimeError):
@@ -191,6 +190,12 @@ def test_two_stage_budget_arithmetic():
     assert ts.stage == 2 and ts.stage2_budget == 0
     d = ts.step(9)
     assert d.action == STOP_CORRECT and d.round_index == 1 and ts.stage2 is not None
+    # the engine's flat tables hold the same decision in their budget-0 row
+    for kind in ("strong", "weak"):
+        flat = flat_decision_table(kind, 2)
+        for s1 in (0, 1):
+            code, pick, _ = flat.entries[:, flat.offset[0, s1, 0]]
+            assert (REASONS[code], pick) == (d.stopped_by, d.round_index)
 
 
 def test_two_stage_rejects_shor():

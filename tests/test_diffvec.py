@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ftecsim.diffvec import (
     SyndromeHistory,
     decompose,
-    diff_from_history,
     find_usable,
     min_faults,
     operation_count,
@@ -32,7 +31,6 @@ def test_history_incremental_matches_batch():
         "0" if syndromes[i + 1] == syndromes[i] else "1" for i in range(len(syndromes) - 1)
     )
     assert h.delta == expected == "101001"
-    assert diff_from_history(h) == expected
 
 
 def test_decompose_paper_example():

@@ -13,7 +13,6 @@ from ftecsim.extraction import (
     NoiseModel,
     build_round_schedule,
     compile_schedule,
-    inject_fault,
     inject_round,
     legal_values,
     sample_round,
@@ -85,7 +84,7 @@ def test_measurement_flip_is_type_one(code3, compiled3):
     for ci, circ in enumerate(sched):
         meas0 = offset + 3 * circ.w
         frame = compiled3.new_frame()
-        syn = inject_fault(compiled3, frame, meas0, "flip")
+        syn = inject_round(compiled3, frame, [(meas0, "flip")])
         assert syn == 1 << ci
         assert frame.weight() == 0
         offset += 4 * circ.w
@@ -97,7 +96,7 @@ def test_cat_fault_deposits_generator_letter(code3, compiled3):
     sched = build_round_schedule(code3)
     circ = sched[0]  # X-type plaquette
     frame = compiled3.new_frame()
-    syn = inject_fault(compiled3, frame, 0, "X")  # cat qubit 0 of circuit 0
+    syn = inject_round(compiled3, frame, [(0, "X")])  # cat qubit 0 of circuit 0
     assert frame.weight() == 1
     q = circ.support[0]
     assert frame.x == (1 << q) and frame.z == 0
@@ -113,7 +112,7 @@ def test_two_qubit_data_side_weight(code3, compiled3):
     sched = build_round_schedule(code3)
     lid = sched[0].w  # first two-qubit gate of circuit 0
     frame = compiled3.new_frame()
-    inject_fault(compiled3, frame, lid, ("X", "I"))
+    inject_round(compiled3, frame, [(lid, ("X", "I"))])
     assert frame.weight() == 1
 
 
@@ -132,7 +131,7 @@ def test_single_fault_weight_bound(d):
     for lid in range(compiled.n_locations):
         for value in legal_values(compiled, lid):
             frame = compiled.new_frame()
-            inject_fault(compiled, frame, lid, value)
+            inject_round(compiled, frame, [(lid, value)])
             assert frame.weight() <= 1
             assert frame.syndrome == compiled.syndrome_of_frame(frame)
 
@@ -182,9 +181,9 @@ def test_mechanism_flags_limit_locations(code3):
 
 def test_illegal_injections_rejected(compiled3):
     with pytest.raises(ValueError):
-        inject_fault(compiled3, compiled3.new_frame(), 0, "flip")  # cat loc
+        inject_round(compiled3, compiled3.new_frame(), [(0, "flip")])  # cat loc
     with pytest.raises(ValueError):
-        inject_fault(compiled3, compiled3.new_frame(), 10_000, "X")
+        inject_round(compiled3, compiled3.new_frame(), [(10_000, "X")])
     with pytest.raises(ValueError):
         inject_round(compiled3, compiled3.new_frame(), [(4, ("I", "I"))])
 

@@ -215,11 +215,10 @@ def test_two_stage_engine_matches_reference_distribution(code5, table5):
 
 def test_threshold_lower_bound_examples():
     assert threshold_lower_bound(2, 1, 1) == pytest.approx(1.0)
-    assert threshold_lower_bound(100, 2, 5) == pytest.approx(
-        threshold_lower_bound(100, 2, 5)
-    )
-    # r1 = r2 gives identical bounds
-    assert threshold_lower_bound(64, 3, 7) == threshold_lower_bound(64, 3, 7)
+    # C(500, 3) = 20708500 and C(448, 4) = 1656033680
+    assert threshold_lower_bound(100, 2, 5) == pytest.approx(20708500 ** (-1 / 2), rel=1e-12)
+    assert threshold_lower_bound(64, 3, 7) == pytest.approx(1656033680 ** (-1 / 3), rel=1e-12)
+    assert threshold_lower_bound(64, 3, 7) < threshold_lower_bound(64, 3, 6)
     with pytest.raises(ValueError):
         threshold_lower_bound(1, 3, 1)
     with pytest.raises(ValueError):
@@ -328,6 +327,31 @@ def test_fault_enum_quick(code3):
     assert report.ok and report.cases == 500
 
 
+def test_fault_enum_counts_unreached_rounds(code3, table3, compiled3):
+    """Single-fault enumeration runs the rounds up to the noiseless stop and
+    only counts the later ones: a fault there never fires, so the shot is
+    the noiseless one."""
+    from ftecsim.decoders import KINDS
+    from ftecsim.extraction import legal_values
+
+    faults = [(lid, value) for lid in range(compiled3.n_locations)
+              for value in legal_values(compiled3, lid)]
+    assert len(faults) == 528
+    for decoder in KINDS:
+        report = enumerate_single_faults(3, decoder, include_input_errors=False)
+        noiseless = run_shot_reference(code3, table3, decoder, 1, injected_faults={},
+                                       compiled=compiled3)
+        reached = noiseless.decision.rounds_used
+        cap = PolicyConfig(decoder, 1).max_rounds_cap()
+        assert report.cases == reached * len(faults)
+        assert report.skipped_unreached == (cap - reached) * len(faults)
+        for late_round in range(reached + 1, cap + 1):
+            for lid, value in faults[::7]:
+                late = run_shot_reference(code3, table3, decoder, 1, compiled=compiled3,
+                                          injected_faults={late_round: [(lid, value)]})
+                assert late == noiseless, (decoder, late_round, lid, value)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(d=4, decoder="shor")
@@ -337,6 +361,10 @@ def test_config_validation():
         ExperimentConfig(d=3, decoder="shor", css_two_stage=True)
     with pytest.raises(ValueError):
         ExperimentConfig(d=3, decoder="shor", shots=0)
+    for weight in (0, -3):
+        with pytest.raises(ValueError, match="built_to_weight"):
+            ExperimentConfig(d=3, decoder="strong", built_to_weight=weight)
+    assert ExperimentConfig(d=3, decoder="strong", built_to_weight=1).built_to_weight == 1
 
 
 def test_worker_env_override(monkeypatch):

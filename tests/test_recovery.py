@@ -9,8 +9,6 @@ from ftecsim.recovery import (
     decode_sector_masks,
     enumeration_count,
     final_verdict,
-    load_table,
-    save_table,
     split_sectors,
 )
 from ftecsim.stabilizer import PauliOperator, multiply, syndrome_of
@@ -104,29 +102,6 @@ def test_non_css_rejected():
     )
     with pytest.raises(ValueError, match="CSS"):
         build_table(code, 1)
-
-
-def test_cache_round_trip(tmp_path, code3, table3):
-    path = tmp_path / "d3.table"
-    save_table(table3, path)
-    loaded = load_table(path, code3)
-    assert loaded.x_corrections == table3.x_corrections
-    assert loaded.z_corrections == table3.z_corrections
-    assert loaded.built_to_weight == table3.built_to_weight
-    # byte-exact layout: saving the loaded table reproduces the file
-    path2 = tmp_path / "again.table"
-    save_table(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_cache_rejects_mismatched_code(tmp_path, code3, code5, table3):
-    path = tmp_path / "d3.table"
-    save_table(table3, path)
-    with pytest.raises(ValueError, match="cache is for"):
-        load_table(path, code5)
-    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-    with pytest.raises(ValueError, match="not a syndrome table"):
-        load_table(path, code3)
 
 
 def test_array_decode_matches_scalar(code5):

@@ -1,6 +1,12 @@
 import pytest
 
-from ftecsim.decoders import CONTINUE, PAIR_COUNT, StrongPolicy, policy_decision
+from ftecsim.decoders import (
+    CONTINUE,
+    PAIR_COUNT,
+    PolicyConfig,
+    make_policy,
+    policy_decision,
+)
 from ftecsim.diffvec import decompose, find_usable
 from ftecsim.worstcase import (
     appendix_extremal_delta,
@@ -79,7 +85,7 @@ def test_max_unusable_length_examples():
 
 def test_all_ones_stream_stops_at_2t_plus_1():
     for t in (1, 2, 3, 4, 5):
-        policy = StrongPolicy(t)
+        policy = make_policy(PolicyConfig("strong", t))
         decision = policy.step(1)
         syn = 1
         while decision.action == CONTINUE:
