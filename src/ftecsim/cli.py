@@ -49,14 +49,8 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _parse_rates(values: list[str]) -> tuple[float, ...]:
-    rates: list[float] = []
-    for chunk in values:
-        for piece in chunk.split(","):
-            piece = piece.strip()
-            if piece:
-                rates.append(float(piece))
-    return tuple(rates)
+def _parse_rates(chunk: str) -> list[float]:
+    return [float(piece) for piece in chunk.split(",") if piece.strip()]
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -69,25 +63,31 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_simulate(args) -> int:
-    overrides = {}
+def _simulate_config(args) -> ExperimentConfig:
+    """Each field from its flag, else from the --config file, else the default."""
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    from_file = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    merged = {
-        "d": args.d if args.d is not None else overrides.get("d", 3),
-        "decoder": args.decoder or overrides.get("decoder", "strong"),
-        "p_values": _parse_rates(args.p) if args.p else tuple(overrides.get("p_values", ())),
-        "shots": args.shots if args.shots is not None else overrides.get("shots", 10_000),
-        "seed": args.seed if args.seed is not None else overrides.get("seed", 0),
-        "css_two_stage": args.css_two_stage or overrides.get("css_two_stage", False),
-        "max_errors": args.max_errors if args.max_errors is not None else overrides.get("max_errors"),
-        "workers": args.workers if args.workers is not None else overrides.get("workers"),
-        "built_to_weight": args.built_to_weight
-        if args.built_to_weight is not None
-        else overrides.get("built_to_weight"),
-    }
-    config = ExperimentConfig(**merged)
+            from_file = json.load(fh)
+        if not isinstance(from_file, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(from_file) - set(fields))
+        if unknown:
+            raise ValueError(f"config file {args.config}: unknown keys {unknown}, "
+                             f"expected some of {fields}")
+    merged = {"d": 3, "decoder": "strong"}
+    for name in fields:
+        if getattr(args, name) is not None:
+            merged[name] = getattr(args, name)
+        elif name in from_file:
+            merged[name] = from_file[name]
+    merged["p_values"] = tuple(merged.get("p_values", ()))
+    return ExperimentConfig(**merged)
+
+
+def _cmd_simulate(args) -> int:
+    config = _simulate_config(args)
     if not config.p_values:
         print("simulate: no physical error rates given (use --p)", file=sys.stderr)
         return 1
@@ -181,7 +181,6 @@ def _cmd_verify_bounds(args) -> int:
             "formula_rounds": c.formula_rounds,
             "table_rounds": c.table_rounds,
             "ok": c.ok,
-            "counterexample": c.counterexample,
         }
         for c in report["checks"]
     ]
@@ -290,15 +289,15 @@ def build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="Monte Carlo logical error rates")
     sim.add_argument("--d", type=int, default=None, help="code distance (3, 5, 7, 9)")
     sim.add_argument("--decoder", choices=KINDS, default=None)
-    sim.add_argument("--p", action="append", default=None,
-                     help="physical error rate(s), repeatable or comma separated")
+    sim.add_argument("--p", dest="p_values", action="extend", type=_parse_rates,
+                     metavar="P", help="physical error rate(s), repeatable or comma separated")
     sim.add_argument("--shots", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--max-errors", type=int, default=None,
                      help="stop a point after this many logical errors")
     sim.add_argument("--workers", type=int, default=None,
                      help="worker processes (default 1 or FTECSIM_WORKERS)")
-    sim.add_argument("--css-two-stage", action="store_true")
+    sim.add_argument("--css-two-stage", action="store_true", default=None)
     sim.add_argument("--built-to-weight", type=int, default=None)
     sim.add_argument("--config", default=None, help="JSON file with ExperimentConfig fields")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")

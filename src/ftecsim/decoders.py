@@ -18,7 +18,7 @@ growing syndrome history:
 Every policy decision is computed by one pure function of the observed
 difference vector (plus the first-syndrome branch for the weak policy),
 so the state machines, the exhaustive verifiers, and the Monte Carlo
-engine's precomputed decision tables cannot drift apart.
+engine's transition tables (:func:`policy_table`) cannot drift apart.
 
 Tie-breaking is fixed: among usable runs the earliest wins, and within a
 run the syndrome of its first round is used. All rounds of a run share one
@@ -86,15 +86,11 @@ class PolicyConfig:
         if self.t < 1:
             raise ValueError(f"fault budget t must be >= 1, got {self.t}")
 
-    def max_rounds_cap(self, s1_branch: str = "worst") -> int:
+    def max_rounds_cap(self) -> int:
+        """The most rounds the policy can take, over both first-syndrome branches."""
         if self.kind != "weak":
             return worst_case_rounds(self.kind, self.t)
-        if s1_branch == "worst":
-            return max(
-                worst_case_rounds("weak", self.t, "nonzero"),
-                worst_case_rounds("weak", self.t, "zero"),
-            )
-        return worst_case_rounds("weak", self.t, s1_branch)
+        return max(worst_case_rounds("weak", self.t, branch) for branch in ("nonzero", "zero"))
 
 
 def worst_case_rounds(kind: str, t: int, s1_branch: str = "n/a") -> int:
@@ -245,8 +241,8 @@ def make_policy(config: PolicyConfig) -> _Policy:
 # CSS two-stage refinement
 
 # Stage 2 with no fault budget left: the first measured syndrome is
-# guaranteed correct, so accept it. The flat tables' budget-0 row holds
-# the same decision.
+# guaranteed correct, so accept it. The policy tables' budget-0 root
+# leads to the same decision.
 BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
 
 
@@ -300,8 +296,6 @@ class TwoStageState:
 # ---------------------------------------------------------------------------
 # Precomputed decision tables for the Monte Carlo engine
 
-_TABLE_CACHE: dict = {}
-
 
 def decision_table(kind: str, t: int, s1_nonzero: bool):
     """Map reachable (length, packed delta) states to compact decisions.
@@ -310,13 +304,9 @@ def decision_table(kind: str, t: int, s1_nonzero: bool):
     states unreachable without an earlier stop, or a tuple
     ``(action, round_index, stopped_by)``. Delta bits pack little-endian:
     position i (1-based) lives at bit i-1. Intended for the strong and
-    weak policies whose caps are small; the Shor rule is cheap enough to
-    evaluate inline.
+    weak policies, whose caps are small; :func:`policy_table` keys the
+    Shor states by their repeat count instead.
     """
-    key = (kind, t, s1_nonzero)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if kind == "weak":
         cap = worst_case_rounds(kind, t, "nonzero" if s1_nonzero else "zero")
     else:
@@ -333,63 +323,95 @@ def decision_table(kind: str, t: int, s1_nonzero: bool):
             fill(length + 1, bits | (b << length), delta + str(b))
 
     fill(0, 0, "")
-    _TABLE_CACHE[key] = tables
     return tables
 
 
-# Stop-reason codes of the flat tables: an index into REASONS, or one of two
-# non-stopping codes.
+# Stop-reason codes of the policy tables: an index into REASONS, or
+# CODE_CONTINUE while the policy continues.
 REASONS = (USABLE_RUN, PAIR_COUNT, SHOR_REPEAT, SHOR_CAP, WEAK_NO_CORRECTION)
 CODE_CONTINUE = -1
-CODE_UNREACHABLE = -2
 
 
 @dataclass(frozen=True, eq=False)
-class FlatDecisionTable:
-    """The decision tables of one policy for every budget 0..t, as int arrays.
+class PolicyTable:
+    """One stopping policy for every fault budget 0..t as a transition table.
 
-    The state after ``length + 1`` rounds with packed difference vector
-    ``delta`` (as in :func:`decision_table`) under fault budget ``budget``
-    and first-syndrome branch ``s1_nonzero`` is column
-    ``offset[budget, s1_nonzero, length] + delta`` of ``entries``. The
-    three rows hold the stop-reason code (:data:`CODE_CONTINUE` while the
-    policy continues), the 1-based round whose syndrome corrects (0 for
-    none), and ``diffvec.min_faults`` of the difference vector, which the
-    two-stage rule subtracts from the stage-2 budget. Budget 0 holds
-    :data:`BUDGET_EXHAUSTED` for the first round.
-    Lengths a budget never reaches point past the end, so indexing them
-    raises.
+    A shot with budget b starts in state ``root[b]``, before its first
+    round. Each round moves it along ``successor[2 * state + changed]``,
+    where ``changed`` is 1 when the round's syndrome differs from the one
+    before (for the first round: when it is nonzero). The new state's
+    column of ``entries`` holds the stop-reason code, the 1-based round
+    whose syndrome corrects (0 for none), and ``diffvec.min_faults`` of
+    the difference vector, which the two-stage rule subtracts from the
+    stage-2 budget (0 for the Shor rule). A stop state's successors point
+    past the last state, so advancing a stopped shot raises IndexError.
     """
 
-    offset: np.ndarray  # (t + 1, 2, max rounds) int64
+    root: np.ndarray  # (t + 1,) int64
+    successor: np.ndarray  # (2 * states,) int64
     entries: np.ndarray  # (3, states) int64
+    max_rounds: int
 
-    @property
-    def max_rounds(self) -> int:
-        return self.offset.shape[2]
+    def advance(self, state, changed):
+        """The states after one more round, and their entry rows."""
+        state = self.successor[2 * state + changed]
+        return state, np.take(self.entries, state, axis=1)
 
 
-def flat_decision_table(kind: str, t: int) -> FlatDecisionTable:
-    """Flatten :func:`decision_table` for budgets 1..t plus the budget-0 rule."""
-    if kind not in ("strong", "weak"):
-        raise ValueError("flat decision tables cover the strong and weak policies")
-    max_rounds = PolicyConfig(kind, t).max_rounds_cap()
-    # budget 0, length 0
-    entries = [(REASONS.index(BUDGET_EXHAUSTED.stopped_by), BUDGET_EXHAUSTED.round_index, 0)]
-    starts = {(0, s1, 0): 0 for s1 in (0, 1)}
-    for budget in range(1, t + 1):
-        for s1 in (0, 1):
-            for length, row in enumerate(decision_table(kind, budget, bool(s1))):
-                starts[budget, s1, length] = len(entries)
-                for bits, entry in enumerate(row):
-                    if entry is None:
-                        entries.append((CODE_UNREACHABLE, 0, 0))
-                        continue
-                    action, round_index, reason = entry
-                    delta = "".join(str((bits >> i) & 1) for i in range(length))
-                    code = CODE_CONTINUE if action == CONTINUE else REASONS.index(reason)
-                    entries.append((code, round_index or 0, min_faults(delta)))
-    offset = np.full((t + 1, 2, max_rounds), len(entries), dtype=np.int64)
-    for key, start in starts.items():
-        offset[key] = start
-    return FlatDecisionTable(offset, np.array(entries, dtype=np.int64).T.copy())
+def policy_table(kind: str, t: int) -> PolicyTable:
+    """Build the transition table of one policy for budgets 0..t.
+
+    Strong and weak states are the reachable entries of
+    :func:`decision_table`, one tree per budget and first-syndrome
+    branch. A Shor decision depends only on the rounds so far and the
+    trailing repeats, so its states are keyed by (budget, rounds,
+    repeats) and come from :func:`policy_decision`. Budget 0 accepts
+    the first syndrome (:data:`BUDGET_EXHAUSTED`).
+    """
+    entries: list[tuple] = []
+    successor: list[list] = []
+
+    def state(action, round_index, reason, faults: int) -> int:
+        code = CODE_CONTINUE if action == CONTINUE else REASONS.index(reason)
+        entries.append((code, round_index or 0, faults))
+        successor.append([None, None])  # a stop state's, resolved below
+        return len(entries) - 1
+
+    def tree(tables, delta: str, bits: int) -> int:
+        entry = tables[len(delta)][bits]
+        i = state(*entry, min_faults(delta))
+        if entry[0] == CONTINUE:
+            successor[i] = [tree(tables, delta + str(b), bits | b << len(delta)) for b in (0, 1)]
+        return i
+
+    def shor(budget: int, rounds: int, repeats: int, seen: dict) -> int:
+        if (rounds, repeats) not in seen:
+            delta = "1" * (rounds - 1 - repeats) + "0" * repeats
+            decision = policy_decision("shor", budget, False, delta)
+            i = seen[rounds, repeats] = state(
+                decision.action, decision.round_index, decision.stopped_by, 0)
+            if decision.action == CONTINUE:
+                successor[i] = [shor(budget, rounds + 1, repeats + 1, seen),
+                                shor(budget, rounds + 1, 0, seen)]
+        return seen[rounds, repeats]
+
+    exhausted = state(BUDGET_EXHAUSTED.action, BUDGET_EXHAUSTED.round_index,
+                      BUDGET_EXHAUSTED.stopped_by, 0)
+    root = []
+    for budget in range(t + 1):
+        root.append(state(CONTINUE, None, None, 0))
+        if budget == 0:
+            successor[root[-1]] = [exhausted] * 2
+        elif kind == "shor":
+            successor[root[-1]] = [shor(budget, 1, 0, {})] * 2
+        else:
+            successor[root[-1]] = [tree(decision_table(kind, budget, s1), "", 0)
+                                   for s1 in (False, True)]
+    end = len(entries)
+    return PolicyTable(
+        root=np.array(root, dtype=np.int64),
+        successor=np.array([end if s is None else s for row in successor for s in row],
+                           dtype=np.int64),
+        entries=np.array(entries, dtype=np.int64).T.copy(),
+        max_rounds=PolicyConfig(kind, t).max_rounds_cap(),
+    )

@@ -204,11 +204,11 @@ class CompiledSchedule:
                 if enabled[kind]:
                     self.enabled_ids.append(flat)
         self.n_locations = len(self.loc_effects)
-        # Our schedules measure a contiguous generator range, which makes
+        # A schedule measures a contiguous generator range, which makes
         # projecting the true syndrome onto reported bits a shift + mask.
-        base = self.gen_bit[0] if self.gen_bit else 0
-        contiguous = self.gen_bit == list(range(base, base + self.n_circuits))
-        self.contiguous_base = base if contiguous else None
+        self.base = self.gen_bit[0] if self.gen_bit else 0
+        if self.gen_bit != list(range(self.base, self.base + self.n_circuits)):
+            raise ValueError(f"the {sector!r} generators must be a contiguous range")
         self.local_mask = (1 << self.n_circuits) - 1
 
     def _effect(self, flip: bool, deposit: str | None, qubit: int):
@@ -242,12 +242,7 @@ class CompiledSchedule:
 
     def reported_bits(self, full_syndrome: int) -> int:
         """Project a full true syndrome onto this schedule's measured bits."""
-        if self.contiguous_base is not None:
-            return (full_syndrome >> self.contiguous_base) & self.local_mask
-        out = 0
-        for local, g in enumerate(self.gen_bit):
-            out |= ((full_syndrome >> g) & 1) << local
-        return out
+        return (full_syndrome >> self.base) & self.local_mask
 
     def flags(self) -> tuple[bool, bool, bool, bool]:
         n = self.noise
@@ -368,8 +363,8 @@ class FaultEffects:
 
     def __init__(self, compiled: CompiledSchedule):
         code = compiled.code
-        if code.n > 64 or code.r > 64 or compiled.contiguous_base is None:
-            raise ValueError("batched rounds need n, r <= 64 and a contiguous schedule")
+        if code.n > 64 or code.r > 64:
+            raise ValueError("batched rounds need n, r <= 64")
         rows = []
         first_row = []
         for flat, choices in enumerate(compiled.loc_effects):
@@ -386,7 +381,7 @@ class FaultEffects:
         self.enabled_first_row = self.first_row[enabled]
         self.enabled_choices = n_choices[enabled]
         self.n_enabled = len(enabled)
-        self.base = np.uint64(compiled.contiguous_base)
+        self.base = np.uint64(compiled.base)
         self.mask = np.uint64(compiled.local_mask)
 
     def draw(self, p: float, shots: int, rng: np.random.Generator):

@@ -5,12 +5,13 @@ arrays in the manner of a Pauli-frame simulator: every shot's frame and
 syndromes are uint64 words, and all shots still running take each round
 in step. A round draws the failing locations of the whole
 shots x locations grid and folds each fault's four-word XOR effect into
-its shot (``extraction.FaultEffects``). The stopping policy is one lookup
-per round in the flattened decision tables (``decoders.FlatDecisionTable``),
-or a vectorised repeat counter for the Shor rule; a shot leaves the active
-set when it stops. In two-stage mode the same loop then runs the
-Z-sector stage with each shot's remaining budget, and the final decode
-and verdict run once over the whole chunk.
+its shot (``extraction.FaultEffects``). Every stopping rule is one
+transition table (``decoders.PolicyTable``): per round, each shot moves
+to its state's successor for "syndrome changed or not" and reads that
+state's decision; a shot leaves the active set when it stops. In
+two-stage mode the same loop then runs the Z-sector stage with each
+shot's remaining budget, and the final decode and verdict run once over
+the whole chunk.
 
 The scalar reference runner ``run_shot_reference`` plays one shot through
 the same circuit semantics (``inject_round`` for injected faults,
@@ -41,18 +42,14 @@ from . import decoders
 from .colorcode import build_hex_color_code
 from .decoders import (
     CODE_CONTINUE,
-    CODE_UNREACHABLE,
     CONTINUE,
     REASONS,
-    SHOR_CAP,
-    SHOR_REPEAT,
     STOP_CORRECT,
-    FlatDecisionTable,
     PolicyConfig,
     PolicyDecision,
-    ProtocolDefect,
-    flat_decision_table,
+    PolicyTable,
     make_policy,
+    policy_table,
 )
 from .extraction import (
     CompiledSchedule,
@@ -104,8 +101,10 @@ class ExperimentConfig:
         for p in self.p_values:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"physical error rate {p} outside [0, 1]")
-        if self.built_to_weight is not None and self.built_to_weight < 1:
-            raise ValueError(f"built_to_weight must be >= 1, got {self.built_to_weight}")
+        for name in ("max_errors", "workers", "built_to_weight"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.css_two_stage and self.decoder == "shor":
             raise ValueError("two-stage mode applies to the strong or weak decoders")
 
@@ -186,8 +185,8 @@ class _Context:
         # an X error flips logical Z, a Z error flips logical X
         self.x_logical = np.uint64(self.code.logical_z[0].z_bits)
         self.z_logical = np.uint64(self.code.logical_x[0].x_bits)
-        self.policy = None if self.kind == "shor" else flat_decision_table(self.kind, self.t)
-        self.cap = PolicyConfig(self.kind, self.t).max_rounds_cap() * len(self.stages)
+        self.policy = policy_table(self.kind, self.t)
+        self.cap = self.policy.max_rounds * len(self.stages)
 
 
 _CTX_CACHE: dict[tuple, _Context] = {}
@@ -201,71 +200,43 @@ def _context(key: tuple) -> _Context:
     return ctx
 
 
-_SHOR_REPEAT = REASONS.index(SHOR_REPEAT)
-_SHOR_CAP = REASONS.index(SHOR_CAP)
-
-
-def _run_policy(t: int, table: FlatDecisionTable | None, next_round, budget: np.ndarray):
+def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
     """Drive one stopping policy over a batch of shots, all rounds in step.
 
-    The policy is the flat ``table`` (strong or weak), or the Shor rule
-    when ``table`` is None. ``next_round(active)`` runs one round on the
-    shots ``active`` (an index array) and returns their reported
-    syndromes. ``budget`` holds each shot's fault budget for the table
-    policies; the Shor rule counts repeats against ``t``. Returns, per
-    shot, the chosen syndrome (0 for no correction), the 1-based round it
-    came from (0 for none), the rounds used, the stop-reason code (an
-    index into ``REASONS``) and the minimum fault count of the final
-    difference vector (0 for the Shor rule).
+    ``next_round(active)`` runs one round on the shots ``active`` (an
+    index array) and returns their reported syndromes; each shot starts
+    in ``table.root`` at its own fault ``budget``. Returns, per shot, the
+    chosen syndrome (0 for no correction), the 1-based round it came from
+    (0 for none), the rounds used, the stop-reason code (an index into
+    ``REASONS``) and the minimum fault count of the final difference
+    vector.
     """
     n = len(budget)
-    max_rounds = (t + 1) ** 2 if table is None else table.max_rounds
-    history = np.zeros((max_rounds, n), np.uint64)
+    history = np.zeros((table.max_rounds, n), np.uint64)
     chosen_round = np.zeros(n, np.int64)
     rounds = np.zeros(n, np.int64)
     reason = np.zeros(n, np.int64)
     faults = np.zeros(n, np.int64)
     active = np.arange(n)
     prev = np.zeros(n, np.uint64)
-    # Shor: consecutive equal rounds; tables: the packed difference vector
-    key = np.zeros(n, np.int64)
-    for r in range(max_rounds):
+    state = table.root[budget]
+    r = 0
+    while active.size:
         syn = next_round(active)
         history[r, active] = syn
-        changed = syn != prev
+        r += 1
+        state, (code, pick, evidenced) = table.advance(state, syn != prev)
         prev = syn
-        if table is None:
-            key = np.where(changed, 1, key + 1)
-            last = _SHOR_CAP if r + 1 == max_rounds else CODE_CONTINUE
-            code = np.where(key > t, _SHOR_REPEAT, last)
-            pick = np.full(len(active), r + 1)
-            evidenced = np.zeros_like(key)
-        else:
-            if r == 0:
-                offsets = table.offset.reshape(-1, max_rounds)
-                state = 2 * budget + changed  # the shot's row of offsets
-            else:
-                key |= changed.astype(np.int64) << (r - 1)
-            column = offsets[:, r][state] + key
-            code, pick, evidenced = np.take(table.entries, column, axis=1)
-            if (code == CODE_UNREACHABLE).any():
-                raise ProtocolDefect("a decision table reached a state it marks unreachable")
         stop = code != CODE_CONTINUE
         if not stop.any():
             continue
         done = active[stop]
         chosen_round[done] = pick[stop]
-        rounds[done] = r + 1
+        rounds[done] = r
         reason[done] = code[stop]
         faults[done] = evidenced[stop]
         keep = ~stop
-        active, prev, key = active[keep], prev[keep], key[keep]
-        if table is not None:
-            state = state[keep]
-        if not active.size:
-            break
-    if active.size:
-        raise ProtocolDefect("policy undecided at its round cap")
+        active, prev, state = active[keep], prev[keep], state[keep]
     chosen = history[chosen_round - 1, np.arange(n)]
     chosen[chosen_round == 0] = 0
     return chosen, chosen_round, rounds, reason, faults
@@ -313,7 +284,7 @@ def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generato
                 for part in effects.slices(p, active)
             ])
 
-        syn, _, used, reason, faults = _run_policy(ctx.t, ctx.policy, next_round, budget)
+        syn, _, used, reason, faults = _run_policy(ctx.policy, next_round, budget)
         chosen |= syn << shift
         rounds += used
         budget = np.maximum(ctx.t - faults, 0)

@@ -242,7 +242,6 @@ class BoundCheck:
     formula_rounds: int
     table_rounds: int
     ok: bool
-    counterexample: str | None = None
 
 
 _TABLE_ROUNDS = {
@@ -253,28 +252,15 @@ _TABLE_ROUNDS = {
 }
 
 
-def _all_stop_at_critical_length(kind: str, t: int, s1_branch: str, critical: int) -> str | None:
-    """Counterexample delta of the critical length the policy survives, if any."""
-    s1_nonzero = s1_branch != "zero"
-    frontier = [d for d in ("",) if _policy_live(kind, t, s1_nonzero, d)]
-    for _ in range(critical):
-        frontier = [
-            d + b for d in frontier for b in "01" if _policy_live(kind, t, s1_nonzero, d + b)
-        ]
-        if not frontier:
-            return None
-    return frontier[0] if frontier else None
-
-
 def verify_round_bounds(t_max: int = 5) -> dict:
     """Exhaustively confirm the worst-case round counts for t = 1..t_max.
 
     For the strong policy and both weak branches the search maximum must
     satisfy rounds = max_length + 2, match the closed form, and match the
-    published table; additionally no difference vector one bit past the
-    maximum may survive. The Shor row is checked against its closed form
-    (its stopping rule is a trailing-repeat counter, so the quadratic cap
-    needs no search).
+    published table. The search returns only once no difference vector
+    one bit past the maximum survives. The Shor row is checked against its
+    closed form (its stopping rule is a trailing-repeat counter, so the
+    quadratic cap needs no search).
     """
     if t_max > _EXHAUSTIVE_MAX_T:
         raise ValueError(f"t_max too large for exhaustive search: {t_max}")
@@ -285,11 +271,8 @@ def verify_round_bounds(t_max: int = 5) -> dict:
             implied = max_len + 2
             formula = worst_case_rounds(kind, t, branch)
             table = _TABLE_ROUNDS[(kind, branch)].get(t, formula)
-            counter = _all_stop_at_critical_length(kind, t, branch, max_len + 1)
-            ok = implied == formula == table and counter is None
-            checks.append(
-                BoundCheck(kind, t, branch, max_len, implied, formula, table, ok, counter)
-            )
+            ok = implied == formula == table
+            checks.append(BoundCheck(kind, t, branch, max_len, implied, formula, table, ok))
     for t in range(1, t_max + 1):
         formula = worst_case_rounds("shor", t)
         table = _TABLE_ROUNDS[("shor", "n/a")].get(t, formula)

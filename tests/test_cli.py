@@ -55,17 +55,40 @@ def test_simulate_flag_overrides_config(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(["simulate", "--config", str(cfg), "--shots", "100",
                     "--format", "json", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["results"][0]["shots"] == 100
+    payload = json.loads(out.read_text())
+    assert payload["results"][0]["shots"] == 100
+    # flags over file values, file values over the defaults
+    assert payload["config"]["decoder"] == "shor" and payload["config"]["seed"] == 3
+    assert payload["config"]["css_two_stage"] is False
+    assert run_cli(["simulate", "--config", str(cfg), "--decoder", "weak", "--p", "0.01",
+                    "--p", "0.02,0.03", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["decoder"] == "weak"
+    assert payload["config"]["p_values"] == [0.01, 0.02, 0.03]
+    assert payload["config"]["shots"] == 2000
 
 
 def test_simulate_requires_rates(capsys):
     assert run_cli(["simulate", "--d", "3", "--decoder", "shor"]) == 1
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["simulate", "--d", "3", "--decoder", "nonsense"]) == 1
     assert run_cli(["no-such-command"]) == 1
     assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--built-to-weight", "0"]) == 1
+    assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--workers", "-5"]) == 1
+    assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--max-errors", "0"]) == 1
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    # misspelled keys are named, not ignored
+    cfg.write_text(json.dumps({"d": 3, "decoder": "weak", "p_values": [0.01],
+                               "shot": 5, "sed": 4}))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown keys ['sed', 'shot']" in err
+    cfg.write_text("[3]")
+    assert run_cli(["simulate", "--config", str(cfg)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_dump_code(tmp_path):

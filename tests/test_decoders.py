@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ftecsim.decoders import (
+    CODE_CONTINUE,
     CONTINUE,
+    KINDS,
     PAIR_COUNT,
     REASONS,
     SHOR_CAP,
@@ -15,9 +17,9 @@ from ftecsim.decoders import (
     ProtocolDefect,
     TwoStageState,
     decision_table,
-    flat_decision_table,
     make_policy,
     policy_decision,
+    policy_table,
     worst_case_rounds,
 )
 
@@ -190,12 +192,25 @@ def test_two_stage_budget_arithmetic():
     assert ts.stage == 2 and ts.stage2_budget == 0
     d = ts.step(9)
     assert d.action == STOP_CORRECT and d.round_index == 1 and ts.stage2 is not None
-    # the engine's flat tables hold the same decision in their budget-0 row
+    # the engine's policy tables lead from the budget-0 root to the same
+    # decision, whatever the first syndrome
     for kind in ("strong", "weak"):
-        flat = flat_decision_table(kind, 2)
-        for s1 in (0, 1):
-            code, pick, _ = flat.entries[:, flat.offset[0, s1, 0]]
+        table = policy_table(kind, 2)
+        for changed in (False, True):
+            _, (code, pick, _) = table.advance(table.root[0], changed)
             assert (REASONS[code], pick) == (d.stopped_by, d.round_index)
+
+
+def test_policy_table_stop_state_has_no_successor():
+    # a stopped shot cannot be advanced: its successor is past the table
+    for kind in KINDS:
+        table = policy_table(kind, 2)
+        for changed in (False, True):
+            state, code = table.root[2], CODE_CONTINUE
+            while code == CODE_CONTINUE:
+                state, (code, _, _) = table.advance(state, changed)
+            with pytest.raises(IndexError):
+                table.advance(state, changed)
 
 
 def test_two_stage_rejects_shor():
@@ -209,4 +224,4 @@ def test_policy_config_validation():
     with pytest.raises(ValueError):
         PolicyConfig("shor", 0)
     assert PolicyConfig("weak", 2).max_rounds_cap() == 4
-    assert PolicyConfig("weak", 3).max_rounds_cap("zero") == 7
+    assert PolicyConfig("weak", 3).max_rounds_cap() == 7

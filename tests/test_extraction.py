@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -198,6 +199,18 @@ def test_sector_schedules(code5):
     full = syndrome_of(code5, PauliOperator.single(19, 0, "X"))
     assert syn_z == full >> 9
     assert sample_round(cs_x, NOISELESS, frame, _rng()) == 0
+
+
+def test_sector_schedule_needs_contiguous_generators(code3):
+    # X and Z generators interleaved: the X sector is not one bit range
+    gens = code3.generators
+    interleaved = dataclasses.replace(
+        code3, generators=tuple(gens[i] for pair in zip((0, 1, 2), (3, 4, 5)) for i in pair),
+        x_sector=(0, 2, 4), z_sector=(1, 3, 5))
+    for sector in ("x", "z"):
+        with pytest.raises(ValueError, match="contiguous"):
+            compile_schedule(interleaved, NOISELESS, sector)
+    assert compile_schedule(interleaved, NOISELESS, "all").n_circuits == 6
 
 
 def _random_frames(compiled, rng, shots):

@@ -8,10 +8,16 @@ from ftecsim import harness
 from ftecsim.decoders import (
     CODE_CONTINUE,
     CONTINUE,
+    KINDS,
+    PAIR_COUNT,
     REASONS,
+    SHOR_CAP,
+    SHOR_REPEAT,
+    USABLE_RUN,
+    WEAK_NO_CORRECTION,
     PolicyConfig,
-    flat_decision_table,
     make_policy,
+    policy_table,
 )
 from ftecsim.diffvec import min_faults
 from ftecsim.harness import (
@@ -43,18 +49,30 @@ class _Replay:
         return syn
 
 
+def _random_stream(rng, length):
+    """A syndrome stream that changes each round with a per-stream
+    probability, so both long repeat runs and busy vectors occur."""
+    change = rng.uniform(0.05, 0.95)
+    stream = [int(rng.integers(0, 2))]
+    for _ in range(length - 1):
+        flip = int(rng.integers(1, 4)) if rng.random() < change else 0
+        stream.append(stream[-1] ^ flip)
+    return stream
+
+
 def test_engine_policy_stream_matches_state_machines():
-    """The engine's batched policy stepping (flat tables + Shor counters)
-    must agree with the reference PolicyDecision state machines on random
-    syndrome streams."""
+    """The engine's batched policy stepping (one transition table per
+    kind) must agree with the reference PolicyDecision state machines on
+    random syndrome streams, for every kind and t = 1..4."""
     rng = np.random.default_rng(123)
-    for kind in ("shor", "strong", "weak"):
-        for t in (1, 2):
-            table = None if kind == "shor" else flat_decision_table(kind, t)
+    seen = {kind: set() for kind in KINDS}
+    for kind in KINDS:
+        for t in (1, 2, 3, 4):
+            table = policy_table(kind, t)
             cap = PolicyConfig(kind, t).max_rounds_cap()
-            streams = [rng.integers(0, 3, size=cap + 1).tolist() for _ in range(300)]
+            streams = [_random_stream(rng, cap + 1) for _ in range(300)]
             chosen, chosen_round, rounds, reason, faults = _run_policy(
-                t, table, _Replay(streams), np.full(len(streams), t)
+                table, _Replay(streams), np.full(len(streams), t)
             )
             for i, stream in enumerate(streams):
                 policy = make_policy(PolicyConfig(kind, t))
@@ -72,28 +90,29 @@ def test_engine_policy_stream_matches_state_machines():
                     assert chosen_round[i] == 0 and chosen[i] == 0
                 if kind != "shor":
                     assert faults[i] == min_faults(policy.history.delta)
+            seen[kind] |= {REASONS[code] for code in reason}
+    # every stop reason of every kind occurred
+    assert seen == {"shor": {SHOR_REPEAT, SHOR_CAP}, "strong": {USABLE_RUN, PAIR_COUNT},
+                    "weak": {USABLE_RUN, PAIR_COUNT, WEAK_NO_CORRECTION}}
 
 
 def test_history_min_faults_matches_diffvec():
-    """The min-faults column along every reachable prefix of random
-    histories, for every budget up to t=4."""
+    """The min-faults row along every reachable prefix of random
+    histories, walking the successors for every budget up to t=4."""
     from ftecsim.diffvec import SyndromeHistory
 
-    tables = [flat_decision_table(kind, 4) for kind in ("strong", "weak")]
+    tables = [policy_table(kind, 4) for kind in ("strong", "weak")]
     rng = np.random.default_rng(5)
     for _ in range(200):
         rounds = int(rng.integers(1, 12))
         stream = rng.integers(0, 3, size=rounds).tolist()
         delta = SyndromeHistory(stream).delta
-        s1_nonzero = int(stream[0] != 0)
         for table in tables:
             for budget in range(1, 5):
-                bits = 0
-                for length in range(rounds):
-                    if length:
-                        bits |= int(delta[length - 1]) << (length - 1)
-                    column = table.offset[budget, s1_nonzero, length] + bits
-                    code, _, faults = table.entries[:, column]
+                state, prev = table.root[budget], 0
+                for length, syn in enumerate(stream):
+                    state, (code, _, faults) = table.advance(state, syn != prev)
+                    prev = syn
                     assert faults == min_faults(delta[:length])
                     if code != CODE_CONTINUE:
                         break
@@ -331,7 +350,6 @@ def test_fault_enum_counts_unreached_rounds(code3, table3, compiled3):
     """Single-fault enumeration runs the rounds up to the noiseless stop and
     only counts the later ones: a fault there never fires, so the shot is
     the noiseless one."""
-    from ftecsim.decoders import KINDS
     from ftecsim.extraction import legal_values
 
     faults = [(lid, value) for lid in range(compiled3.n_locations)
@@ -361,10 +379,11 @@ def test_config_validation():
         ExperimentConfig(d=3, decoder="shor", css_two_stage=True)
     with pytest.raises(ValueError):
         ExperimentConfig(d=3, decoder="shor", shots=0)
-    for weight in (0, -3):
-        with pytest.raises(ValueError, match="built_to_weight"):
-            ExperimentConfig(d=3, decoder="strong", built_to_weight=weight)
-    assert ExperimentConfig(d=3, decoder="strong", built_to_weight=1).built_to_weight == 1
+    for name in ("built_to_weight", "workers", "max_errors"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(d=3, decoder="strong", **{name: value})
+        assert getattr(ExperimentConfig(d=3, decoder="strong", **{name: 1}), name) == 1
 
 
 def test_worker_env_override(monkeypatch):

@@ -1,16 +1,18 @@
-"""The benchmark's traced run wraps module attributes by name
-(``perfbench/spans.py``, ``WRAPPED``); every name it lists must exist, or
-``perfbench/run.py --trace 1`` fails on the first lookup."""
+"""The benchmark reaches into ftecsim by name: its traced run wraps module
+attributes (``perfbench/spans.py``, ``WRAPPED``), and its scripts import
+names from the package. Every such name must exist, or the benchmark
+fails on the first lookup instead of this test."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_traced_names_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.WRAPPED
@@ -19,3 +21,23 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing
+
+
+def test_imported_names_resolve():
+    """Every ``from ftecsim... import name`` and ``import ftecsim...`` in
+    ``perfbench/*.py``, read with ``ast`` so no script runs."""
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ftecsim"):
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(path.name, alias.name, None) for alias in node.names
+                             if alias.name.startswith("ftecsim")]
+    assert imported
+    names = {name for _, _, name in imported}
+    assert {"decision_table", "compile_schedule", "default_built_to_weight", "build_table",
+            "PolicyConfig"} <= names
+    for script, module, name in imported:
+        loaded = importlib.import_module(module)  # raises for a missing module
+        assert name is None or hasattr(loaded, name), (script, module, name)
