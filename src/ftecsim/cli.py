@@ -19,6 +19,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
+import typing
 
 from . import __version__
 from .colorcode import build_hex_color_code
@@ -63,6 +65,19 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _json_has_type(value, hint) -> bool:
+    """Whether a JSON value fits an ``ExperimentConfig`` field annotation
+    (a list stands for a tuple; a bool is not a number)."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_json_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_json_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _simulate_config(args) -> ExperimentConfig:
     """Each field from its flag, else from the --config file, else the default."""
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -76,6 +91,11 @@ def _simulate_config(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"config file {args.config}: unknown keys {unknown}, "
                              f"expected some of {fields}")
+        hints = typing.get_type_hints(ExperimentConfig)
+        for name, value in from_file.items():
+            if not _json_has_type(value, hints[name]):
+                raise ValueError(f"config file {args.config}: {name} must be "
+                                 f"{ExperimentConfig.__annotations__[name]}, got {value!r}")
     merged = {"d": 3, "decoder": "strong"}
     for name in fields:
         if getattr(args, name) is not None:

@@ -62,6 +62,7 @@ from .extraction import (
     sample_round,
 )
 from .recovery import (
+    DEFAULT_BUDGET,
     SyndromeTable,
     build_table,
     decode_sector_masks,
@@ -148,10 +149,10 @@ def wilson_interval(errors: int, shots: int, z: float = _WILSON_Z) -> tuple[floa
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def default_built_to_weight(code: StabilizerCode, t: int, budget: int = 2_000_000) -> int:
-    """Deepest table weight within the enumeration budget, at most t + 1."""
+def default_built_to_weight(code: StabilizerCode, t: int) -> int:
+    """Deepest table weight within ``recovery.DEFAULT_BUDGET``, at most t + 1."""
     w = t + 1
-    while w > 1 and enumeration_count(code.n, w) > budget:
+    while w > 1 and enumeration_count(code.n, w) > DEFAULT_BUDGET:
         w -= 1
     return w
 
@@ -306,15 +307,20 @@ def _run_chunk(args) -> tuple:
 
 
 def resolve_workers(workers: int | None) -> int:
+    """The configured worker count (``ExperimentConfig`` keeps it >= 1),
+    else ``FTECSIM_WORKERS``, else 1."""
     if workers is not None:
-        return max(1, workers)
+        return workers
     env = os.environ.get(WORKER_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{WORKER_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0  # reported below, as any value under 1 is
+    if value < 1:
+        raise ValueError(f"{WORKER_ENV_VAR} must be an integer >= 1, got {env!r}")
+    return value
 
 
 def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> ExperimentStats:

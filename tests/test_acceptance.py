@@ -247,12 +247,14 @@ def test_criterion_09_pseudothresholds():
     """Pseudothreshold orderings are exact; values carry a factor-2
     tolerance against the published table.
 
-    The d=3 value checks are expected to fail with this noise convention:
-    this package's circuit convention (cat-preparation faults propagate onto data
-    through the controlled-Pauli gates) yields a second-order logical
-    coefficient about 2.2x the one implied by the published d=3 crossings,
-    and at d=3 the minimum-weight decoder is provably unique, so no
-    decoder choice can close the gap. See the Known red section of the README.
+    The d=3 value checks are expected to fail with this noise convention.
+    At d=3 the minimum-weight decoder is provably unique, so no decoder
+    choice can close the gap; the suspected cause is this package's
+    circuit convention (cat-preparation faults propagate onto data through
+    the controlled-Pauli gates). How much larger its second-order logical
+    coefficient is than the one the published d=3 crossings imply is
+    unverified until an exact coefficient is computed (ROADMAP open item
+    1). See the Known red section of the README.
     """
     estimates = {}
     for (d, decoder), anchor in PAPER_PSEUDOTHRESHOLDS.items():

@@ -89,6 +89,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     cfg.write_text("[3]")
     assert run_cli(["simulate", "--config", str(cfg)]) == 1
     assert "must hold a JSON object" in capsys.readouterr().err
+    # wrongly typed values are named, not a TypeError traceback
+    for body, field in (({"p_values": 0.01}, "p_values"),
+                        ({"p_values": [0.01], "shots": "5"}, "shots")):
+        cfg.write_text(json.dumps(body))
+        assert run_cli(["simulate", "--config", str(cfg)]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
 
 
 def test_dump_code(tmp_path):

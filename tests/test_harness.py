@@ -212,9 +212,10 @@ def test_two_stage_engine_matches_reference_distribution(code5, table5):
             decision2 = ts.step(syn)
         sx = hist1[decision1.round_index - 1] if decision1.action == "stop_correct" else 0
         sz = hist2[decision2.round_index - 1] if decision2.action == "stop_correct" else 0
-        cx_mask, cz_mask = decode_sector_masks(table5, sx, sz)
-        frame.x ^= cx_mask
-        frame.z ^= cz_mask
+        cx, cz = decode_sector_masks(table5, np.array([sx], np.uint64),
+                                     np.array([sz], np.uint64))
+        frame.x ^= int(cx[0])
+        frame.z ^= int(cz[0])
         residual = frame.to_pauli(code5.n)
         rounds = len(hist1) + len(hist2)
         return final_verdict(code5, table5, residual) == "logical_error", rounds
@@ -392,6 +393,7 @@ def test_worker_env_override(monkeypatch):
     monkeypatch.setenv("FTECSIM_WORKERS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
-    monkeypatch.setenv("FTECSIM_WORKERS", "zebra")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
+    for bad in ("zebra", "0", "-3"):
+        monkeypatch.setenv("FTECSIM_WORKERS", bad)
+        with pytest.raises(ValueError, match="FTECSIM_WORKERS"):
+            resolve_workers(None)

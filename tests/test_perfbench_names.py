@@ -41,3 +41,15 @@ def test_imported_names_resolve():
     for script, module, name in imported:
         loaded = importlib.import_module(module)  # raises for a missing module
         assert name is None or hasattr(loaded, name), (script, module, name)
+
+
+def test_setup_reads_table_entries():
+    """``build_all`` measures the benchmark's set-up and reads the recovery
+    table's attributes by name: the d=3 table holds 8 syndromes, counted
+    once per sector."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = workloads.build_all(3, ("strong",), (1,), ("all",))
+    assert out["recovery.table_entries"] == 16
