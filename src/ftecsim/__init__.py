@@ -9,10 +9,12 @@ Library layout:
 - ``diffvec``: difference vectors, zero-substring decomposition, and the
   usable-substring search.
 - ``decoders``: the Shor, adaptive strong, and adaptive weak stopping
-  policies plus the CSS two-stage refinement.
+  policies and their transition tables.
 - ``recovery``: minimum-weight lookup decoding and logical verdicts.
 - ``worstcase``: brute-force oracles and exhaustive round-bound verifiers.
-- ``harness``: Monte Carlo experiments, statistics, threshold analysis.
+- ``harness``: Monte Carlo experiments (single-stage and CSS two-stage),
+  the reference shot runner, fault injection, statistics, threshold
+  analysis.
 - ``cli``: the ``ftecsim`` command line.
 """
 

@@ -239,6 +239,9 @@ def _cmd_oracle_check(args) -> int:
         _write_output(json.dumps({"delta": args.delta, "t": args.t, "runs": rows,
                                   "ok": ok}, indent=2), args.out)
         return 0 if ok else 2
+    if min(args.max_len, args.t_max) < 1:
+        raise ValueError(f"--max-len and --t-max must be >= 1, got {args.max_len} "
+                         f"and {args.t_max}")
     checked = 0
     mismatches = []
     for length in range(1, args.max_len + 1):
@@ -383,3 +386,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

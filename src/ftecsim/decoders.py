@@ -27,7 +27,7 @@ syndrome, so the choice only pins determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,59 +238,12 @@ def make_policy(config: PolicyConfig) -> _Policy:
 
 
 # ---------------------------------------------------------------------------
-# CSS two-stage refinement
+# CSS two-stage mode
 
 # Stage 2 with no fault budget left: the first measured syndrome is
 # guaranteed correct, so accept it. The policy tables' budget-0 root
-# leads to the same decision.
+# leads to the same decision; ``harness.run_shot_reference`` returns it.
 BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
-
-
-@dataclass
-class TwoStageState:
-    """Sector-by-sector stopping for CSS codes.
-
-    Stage 1 repeats X-generator rounds under the full budget t and fixes
-    the syndrome for Z-type correction. The minimum fault count already
-    evidenced by the stage-1 difference vector is then subtracted from the
-    budget for stage 2's Z-generator rounds; a zero remaining budget means
-    stage 2 accepts its first syndrome immediately.
-    """
-
-    kind: str
-    t: int
-    stage: int = 1
-    stage1: PolicyDecision | None = None
-    stage2: PolicyDecision | None = None
-    t_oc: int = 0
-    stage2_budget: int | None = None
-    _policy: _Policy = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("strong", "weak"):
-            raise ValueError("two-stage mode applies to the strong or weak policies")
-        self._policy = make_policy(PolicyConfig(self.kind, self.t))
-
-    def step(self, syndrome: int) -> PolicyDecision:
-        if self.stage == 1:
-            decision = self._policy.step(syndrome)
-            if decision.action != CONTINUE:
-                self.stage1 = decision
-                self.t_oc = min_faults(self._policy.history.delta)
-                self.stage2_budget = max(self.t - self.t_oc, 0)
-                self.stage = 2
-                if self.stage2_budget > 0:
-                    self._policy = make_policy(PolicyConfig(self.kind, self.stage2_budget))
-            return decision
-        if self.stage2 is not None:
-            raise RuntimeError("two-stage policy stepped after both stages stopped")
-        if self.stage2_budget == 0:
-            decision = BUDGET_EXHAUSTED
-        else:
-            decision = self._policy.step(syndrome)
-        if decision.action != CONTINUE:
-            self.stage2 = decision
-        return decision
 
 
 # ---------------------------------------------------------------------------

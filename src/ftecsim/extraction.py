@@ -51,13 +51,9 @@ TWO_QUBIT_FAULTS = tuple(
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Physical error rate and per-mechanism enable flags."""
+    """The physical error rate p of every location."""
 
     p: float
-    one_qubit: bool = True
-    two_qubit: bool = True
-    cat_qubit: bool = True
-    measurement: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -126,16 +122,16 @@ class CompiledSchedule:
     """Flattened location/effect tables for one measurement schedule.
 
     ``sector`` selects which circuits the schedule contains: "all" for a
-    full round, "x"/"z" for the two-stage CSS refinement. Reported
+    full round, "x"/"z" for the two stages of CSS two-stage mode. Reported
     syndromes pack the measured circuits' bits from zero upward in
     measurement order; the frame's true syndrome always spans the full
-    generator list.
+    generator list, and ``base`` is where the reported bits sit in it.
+    Rounds on this schedule are sampled at ``noise.p``.
     """
 
     def __init__(self, code: StabilizerCode, noise: NoiseModel, sector: str = "all"):
         self.code = code
         self.noise = noise
-        self.sector = sector
         if sector == "all":
             gen_ids = list(range(code.r))
         elif sector in ("x", "z"):
@@ -165,16 +161,8 @@ class CompiledSchedule:
         self.loc_circuit: list[int] = []
         self.loc_kind: list[tuple[str, int]] = []
         self.loc_effects: list[tuple] = []
-        enabled = {
-            CAT_PREP: noise.cat_qubit,
-            TWO_QUBIT: noise.two_qubit,
-            ONE_QUBIT: noise.one_qubit,
-            MEASUREMENT: noise.measurement,
-        }
-        self.enabled_ids: list[int] = []
         for ci, circ in enumerate(self.circuits):
             for kind, j in circ.locations:
-                flat = len(self.loc_effects)
                 q = circ.support[j]
                 letter = circ.letters[j]
                 if kind == CAT_PREP:
@@ -201,8 +189,6 @@ class CompiledSchedule:
                 self.loc_circuit.append(ci)
                 self.loc_kind.append((kind, j))
                 self.loc_effects.append(choices)
-                if enabled[kind]:
-                    self.enabled_ids.append(flat)
         self.n_locations = len(self.loc_effects)
         # A schedule measures a contiguous generator range, which makes
         # projecting the true syndrome onto reported bits a shift + mask.
@@ -243,10 +229,6 @@ class CompiledSchedule:
     def reported_bits(self, full_syndrome: int) -> int:
         """Project a full true syndrome onto this schedule's measured bits."""
         return (full_syndrome >> self.base) & self.local_mask
-
-    def flags(self) -> tuple[bool, bool, bool, bool]:
-        n = self.noise
-        return (n.one_qubit, n.two_qubit, n.cat_qubit, n.measurement)
 
 
 def compile_schedule(
@@ -294,31 +276,22 @@ def _apply_faults(compiled: CompiledSchedule, frame: FrameState, fired) -> int:
 
 
 def sample_round(
-    compiled: CompiledSchedule,
-    noise: NoiseModel,
-    frame: FrameState,
-    rng: np.random.Generator,
+    compiled: CompiledSchedule, frame: FrameState, rng: np.random.Generator
 ) -> int:
-    """Sample one noisy round; mutates the frame, returns the syndrome.
+    """Sample one noisy round at the schedule's ``noise.p``; mutates the
+    frame, returns the syndrome.
 
     Locations fail independently with probability p, so the number of
     failures is binomial and the failing set is uniform; with zero
     failures the round reports the frame's exact syndrome.
     """
-    my_flags = (noise.one_qubit, noise.two_qubit, noise.cat_qubit, noise.measurement)
-    if my_flags != compiled.flags():
-        raise ValueError("noise mechanism flags do not match the compiled schedule")
-    n_enabled = len(compiled.enabled_ids)
-    k = int(rng.binomial(n_enabled, noise.p)) if (n_enabled and noise.p > 0) else 0
+    n, p = compiled.n_locations, compiled.noise.p
+    k = int(rng.binomial(n, p)) if (n and p > 0) else 0
     if k == 0:
         return compiled.reported_bits(frame.syndrome)
-    if k == n_enabled:
-        idx = range(n_enabled)
-    else:
-        idx = sorted(rng.choice(n_enabled, size=k, replace=False).tolist())
+    idx = range(n) if k == n else sorted(rng.choice(n, size=k, replace=False).tolist())
     fired = []
-    for i in idx:
-        flat = compiled.enabled_ids[i]
+    for flat in idx:
         n_choices = len(compiled.loc_effects[flat])
         choice = int(rng.integers(n_choices)) if n_choices > 1 else 0
         fired.append((flat, choice))
@@ -376,23 +349,20 @@ class FaultEffects:
                 rows.append((report, dep_x, dep_z, syn_delta))
         self.words = np.array(rows, dtype=np.uint64).reshape(-1, 4)
         self.first_row = np.array(first_row, dtype=np.int64)
-        enabled = np.array(compiled.enabled_ids, dtype=np.int64)
-        n_choices = np.array([len(e) for e in compiled.loc_effects], dtype=np.float64)
-        self.enabled_first_row = self.first_row[enabled]
-        self.enabled_choices = n_choices[enabled]
-        self.n_enabled = len(enabled)
+        self.n_choices = np.array([len(e) for e in compiled.loc_effects], dtype=np.float64)
+        self.n_locations = compiled.n_locations
         self.base = np.uint64(compiled.base)
         self.mask = np.uint64(compiled.local_mask)
 
     def draw(self, p: float, shots: int, rng: np.random.Generator):
         """(shot, row) of the faults of one round over ``shots`` shots.
 
-        Every enabled location of every shot fails independently with
+        Every location of every shot fails independently with
         probability p: the failing cells of the shots x locations grid are
         found by geometric gaps, in increasing order, so ``shot`` is
         sorted. Each failure then takes a uniform fault value.
         """
-        cells = shots * self.n_enabled
+        cells = shots * self.n_locations
         if p <= 0.0 or cells == 0:
             empty = np.zeros(0, np.int64)
             return empty, empty
@@ -402,9 +372,9 @@ class FaultEffects:
         while pos[-1] < cells:
             pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, block))))
         pos = pos[: np.searchsorted(pos, cells)]
-        shot, loc = np.divmod(pos, self.n_enabled)
-        choice = (rng.random(len(pos)) * self.enabled_choices[loc]).astype(np.int64)
-        return shot, self.enabled_first_row[loc] + choice
+        shot, loc = np.divmod(pos, self.n_locations)
+        choice = (rng.random(len(pos)) * self.n_choices[loc]).astype(np.int64)
+        return shot, self.first_row[loc] + choice
 
     def fold(self, frames: FrameBatch, active: np.ndarray, shot: np.ndarray,
              row: np.ndarray) -> np.ndarray:
@@ -429,7 +399,7 @@ class FaultEffects:
         """``active`` cut into slices of about ``_FAULTS_PER_DRAW`` expected
         faults, to draw and fold one at a time; this bounds the size of a
         round's arrays at high p."""
-        step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_enabled, 1.0)))
+        step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_locations, 1.0)))
         return np.split(active, range(step, len(active), step))
 
 

@@ -13,12 +13,13 @@ two-stage mode the same loop then runs the Z-sector stage with each
 shot's remaining budget, and the final decode and verdict run once over
 the whole chunk.
 
-The scalar reference runner ``run_shot_reference`` plays one shot through
-the same circuit semantics (``inject_round`` for injected faults,
-``sample_round`` for sampled ones), the ``PolicyDecision`` state machines
-and the scalar decoder; its ``ShotResult`` carries the verdict, the
-residual frame before ideal EC and the stop decision. The tests compare
-it with the engine, and the fault-injection checks are built on it.
+The scalar reference runner ``run_shot_reference`` plays one shot, in
+either mode, through the same circuit semantics (``inject_round`` for
+injected faults, ``sample_round`` for sampled ones), the
+``PolicyDecision`` state machines and the scalar decoder; its
+``ShotResult`` carries the verdict, the residual frame before ideal EC
+and each stage's stop decision. The tests compare it with the engine,
+and the fault-injection checks are built on it.
 
 Reproducibility: shots are processed in fixed-size chunks and every chunk
 draws from its own counter-based Philox stream keyed by
@@ -41,6 +42,7 @@ import numpy as np
 from . import decoders
 from .colorcode import build_hex_color_code
 from .decoders import (
+    BUDGET_EXHAUSTED,
     CODE_CONTINUE,
     CONTINUE,
     REASONS,
@@ -51,6 +53,7 @@ from .decoders import (
     make_policy,
     policy_table,
 )
+from .diffvec import min_faults
 from .extraction import (
     CompiledSchedule,
     FaultEffects,
@@ -118,7 +121,8 @@ class ExperimentConfig:
 class ShotResult:
     logical_error: bool
     residual: PauliOperator  # the frame after the chosen correction, before ideal EC
-    decision: PolicyDecision  # the stop: rounds used, reason, chosen round
+    decisions: tuple[PolicyDecision, ...]  # each stage's stop: rounds, reason, chosen round
+    rounds_used: int  # over all stages
 
 
 @dataclass
@@ -175,13 +179,12 @@ class _Context:
         self.table = build_table(self.code, weight)
         self.m = len(self.code.x_sector)
         self.x_mask = np.uint64((1 << self.m) - 1)
-        # per stage: its schedule's fault effects, and the shift that places
-        # its reported bits in the full syndrome
-        flags = NoiseModel(0.0)
-        sectors = (("x", 0), ("z", self.m)) if css_two_stage else (("all", 0),)
+        # per stage, its schedule's fault effects; their ``base`` places the
+        # stage's reported bits in the full syndrome
+        sectors = ("x", "z") if css_two_stage else ("all",)
         self.stages = [
-            (FaultEffects(compile_schedule(self.code, flags, sector)), np.uint64(shift))
-            for sector, shift in sectors
+            FaultEffects(compile_schedule(self.code, NoiseModel(0.0), sector))
+            for sector in sectors
         ]
         # an X error flips logical Z, a Z error flips logical X
         self.x_logical = np.uint64(self.code.logical_z[0].z_bits)
@@ -273,12 +276,13 @@ def _logical_errors(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> np
 def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generator) -> tuple:
     """All shots of one chunk: stage 1, then stage 2 in two-stage mode, then
     the verdicts. Stage 2 runs with each shot's budget t minus the faults
-    evidenced by its stage-1 difference vector (``TwoStageState``)."""
+    evidenced by its stage-1 difference vector, the rule
+    ``run_shot_reference`` also follows."""
     frames = FrameBatch(shots)
     chosen = np.zeros(shots, np.uint64)
     rounds = np.zeros(shots, np.int64)
     budget = np.full(shots, ctx.t, np.int64)
-    for effects, shift in ctx.stages:
+    for effects in ctx.stages:
         def next_round(active, effects=effects):
             return np.concatenate([
                 _apply_faults(effects, frames, *effects.draw(p, len(part), rng), part)
@@ -286,7 +290,7 @@ def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generato
             ])
 
         syn, _, used, reason, faults = _run_policy(ctx.policy, next_round, budget)
-        chosen |= syn << shift
+        chosen |= syn << effects.base
         rounds += used
         budget = np.maximum(ctx.t - faults, 0)
     errors = int(_logical_errors(ctx, frames, chosen).sum())
@@ -394,51 +398,64 @@ def run_shot_reference(
     kind: str,
     t: int,
     *,
-    p: float = 0.0,
+    schedules: tuple[CompiledSchedule, ...] | None = None,
     rng: np.random.Generator | None = None,
     initial_error: PauliOperator | None = None,
     injected_faults: dict[int, list] | None = None,
-    compiled: CompiledSchedule | None = None,
 ) -> ShotResult:
     """One protocol run through the reference policy objects.
 
-    ``injected_faults`` maps a round number to (location id, value) pairs
-    applied in that round on top of p = 0 noise; without it rounds are
-    sampled at rate ``p``. This path shares the circuit semantics with
-    the fast engine but drives the PolicyDecision state machines and the
-    scalar decoder directly. The result carries the frame after the
-    chosen correction and before ideal EC (``residual``) and the stop
+    ``schedules`` holds one compiled schedule per stage: the noiseless
+    "all" schedule by default, the "x" and "z" schedules in two-stage
+    mode. Each stage after the first runs with budget t minus the faults
+    evidenced by the previous stage's difference vector; at budget 0 it
+    takes one round and stops with ``BUDGET_EXHAUSTED``. Each stage's
+    chosen syndrome goes into the full syndrome at its schedule's
+    ``base``. ``injected_faults`` maps a round number, counted across
+    the stages, to (location id, value) pairs applied in that round on
+    top of zero noise; without it rounds are sampled at each schedule's
+    ``noise.p``. The result carries the frame after the chosen
+    correction and before ideal EC (``residual``) and each stage's stop
     decision.
     """
     from .recovery import decode, final_verdict
     from .stabilizer import syndrome_of
 
-    noise = NoiseModel(p)
-    if compiled is None:
-        compiled = compile_schedule(code, noise)
-    frame = compiled.new_frame(initial_error)
-    policy = make_policy(PolicyConfig(kind, t))
-    history = []
-    decision = None
-    while decision is None or decision.action == CONTINUE:
-        if injected_faults is not None:
-            syn = inject_round(compiled, frame, injected_faults.get(len(history) + 1, ()))
-        else:
-            syn = sample_round(compiled, noise, frame, rng)
-        history.append(syn)
-        decision = policy.step(syn)
-    if decision.action == STOP_CORRECT:
-        chosen = history[decision.round_index - 1]
-        if chosen:
-            correction = decode(table, code, chosen)
-            frame.x ^= correction.x_bits
-            frame.z ^= correction.z_bits
-            frame.syndrome ^= syndrome_of(code, correction)
+    if schedules is None:
+        schedules = (compile_schedule(code, NoiseModel(0.0)),)
+    if kind == "shor" and len(schedules) > 1:
+        raise ValueError("two-stage mode applies to the strong or weak decoders")
+    frame = schedules[0].new_frame(initial_error)
+    chosen = rounds = 0
+    budget = t
+    decisions = []
+    for compiled in schedules:
+        policy = make_policy(PolicyConfig(kind, budget)) if budget else None
+        history = []
+        decision = None
+        while decision is None or decision.action == CONTINUE:
+            rounds += 1
+            if injected_faults is not None:
+                syn = inject_round(compiled, frame, injected_faults.get(rounds, ()))
+            else:
+                syn = sample_round(compiled, frame, rng)
+            history.append(syn)
+            decision = policy.step(syn) if policy else BUDGET_EXHAUSTED
+        decisions.append(decision)
+        if decision.action == STOP_CORRECT:
+            chosen |= history[decision.round_index - 1] << compiled.base
+        budget = max(t - min_faults(policy.history.delta), 0) if policy else t
+    if chosen:
+        correction = decode(table, code, chosen)
+        frame.x ^= correction.x_bits
+        frame.z ^= correction.z_bits
+        frame.syndrome ^= syndrome_of(code, correction)
     residual = frame.to_pauli(code.n)
     return ShotResult(
         logical_error=final_verdict(code, table, residual) == "logical_error",
         residual=residual,
-        decision=decision,
+        decisions=tuple(decisions),
+        rounds_used=rounds,
     )
 
 
@@ -473,8 +490,8 @@ def _fault_injector(d: int, decoder: str):
     cap = PolicyConfig(decoder, t).max_rounds_cap()
 
     def run(faults, initial=None) -> ShotResult:
-        return run_shot_reference(code, table, decoder, t, initial_error=initial,
-                                  injected_faults=faults, compiled=compiled)
+        return run_shot_reference(code, table, decoder, t, schedules=(compiled,),
+                                  initial_error=initial, injected_faults=faults)
 
     return code, compiled, cap, run
 
@@ -484,8 +501,8 @@ def _record(report: FaultEnumReport, case: str, result: ShotResult,
     if len(report.failures) < max_failures_recorded:
         report.failures.append(
             {"case": case, "residual": result.residual.to_string(),
-             "rounds": result.decision.rounds_used,
-             "stopped_by": result.decision.stopped_by}
+             "rounds": result.rounds_used,
+             "stopped_by": result.decisions[-1].stopped_by}
         )
 
 
@@ -521,7 +538,7 @@ def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = T
 
     faults = [(lid, value) for lid in range(compiled.n_locations)
               for value in legal_values(compiled, lid)]
-    reached = run({}).decision.rounds_used
+    reached = run({}).rounds_used
     report.skipped_unreached = (cap - reached) * len(faults)
     for rho in range(1, reached + 1):
         for lid, value in faults:
@@ -532,6 +549,8 @@ def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = T
 def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0,
                        max_failures_recorded: int = 20) -> FaultEnumReport:
     """Order-2 fault injection: uniformly sampled ordered pairs."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     _, compiled, cap, run = _fault_injector(d, decoder)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     report = FaultEnumReport(d, decoder, 2, 0, 0, 0, 0)

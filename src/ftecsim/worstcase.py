@@ -262,6 +262,8 @@ def verify_round_bounds(t_max: int = 5) -> dict:
     closed form (its stopping rule is a trailing-repeat counter, so the
     quadratic cap needs no search).
     """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     if t_max > _EXHAUSTIVE_MAX_T:
         raise ValueError(f"t_max too large for exhaustive search: {t_max}")
     checks: list[BoundCheck] = []

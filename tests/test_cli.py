@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ftecsim.cli import run_cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_verify_bounds_ok(capsys):
@@ -79,6 +85,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--workers", "-5"]) == 1
     assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--max-errors", "0"]) == 1
     capsys.readouterr()
+    # verification commands that would check nothing
+    for argv in (["fault-enum", "--order", "2", "--samples", "0"],
+                 ["fault-enum", "--order", "2", "--samples", "-5"],
+                 ["verify-bounds", "--t-max", "0"], ["verify-bounds", "--t-max", "-2"],
+                 ["oracle-check", "--max-len", "0"], ["oracle-check", "--t-max", "0"]):
+        assert run_cli(argv) == 1, argv
+        assert "must be >= 1" in capsys.readouterr().err, argv
     cfg = tmp_path / "cfg.json"
     # misspelled keys are named, not ignored
     cfg.write_text(json.dumps({"d": 3, "decoder": "weak", "p_values": [0.01],
@@ -148,6 +161,22 @@ def test_pseudothreshold_cli(tmp_path):
     assert 2e-4 < payload["pseudothreshold"] < 5e-3
     assert payload["ci_low"] <= payload["pseudothreshold"] <= payload["ci_high"]
     assert len(payload["probes"]) >= 6
+
+
+def test_module_entry_point():
+    """``python -m ftecsim.cli`` runs the command line and passes on its
+    exit status."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "ftecsim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    too_deep = cli("verify-bounds", "--t-max", "9")
+    assert too_deep.returncode == 1 and "too large" in too_deep.stderr
+    ok = cli("verify-bounds", "--t-max", "1")
+    assert ok.returncode == 0 and "all bounds confirmed" in ok.stdout
 
 
 def test_version_flag(capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ftecsim.colorcode import build_hex_color_code
 from ftecsim.decoders import (
+    BUDGET_EXHAUSTED,
     CODE_CONTINUE,
     CONTINUE,
     KINDS,
@@ -15,13 +17,15 @@ from ftecsim.decoders import (
     WEAK_NO_CORRECTION,
     PolicyConfig,
     ProtocolDefect,
-    TwoStageState,
     decision_table,
     make_policy,
     policy_decision,
     policy_table,
     worst_case_rounds,
 )
+from ftecsim.extraction import MEASUREMENT, NoiseModel, compile_schedule
+from ftecsim.harness import run_shot_reference
+from ftecsim.recovery import build_table
 
 PAPER_TABLE = {
     "strong": [3, 5, 8, 11, 15, 19, 24, 29, 35],
@@ -170,35 +174,39 @@ def test_decision_tables_match_state_machines():
                         ) == entry
 
 
+def _two_stage_shot(d, kind, flip=False, sectors=("x", "z")):
+    """One noiseless shot through the reference runner; with ``flip``, the
+    first measurement of round 1 (in stage 1's first circuit) flips."""
+    code = build_hex_color_code(d)
+    t = (d - 1) // 2
+    schedules = tuple(compile_schedule(code, NoiseModel(0.0), s) for s in sectors)
+    first_meas = schedules[0].loc_kind.index((MEASUREMENT, 0))
+    faults = {1: [(first_meas, "flip")]} if flip else {}
+    return run_shot_reference(code, build_table(code, 1), kind, t, schedules=schedules,
+                              injected_faults=faults)
+
+
 def test_two_stage_budget_arithmetic():
-    # stage 1 ends with delta_x = "0": t_oc = 0, stage 2 runs with budget 2
-    ts = TwoStageState("strong", 2)
-    ts.step(3)
-    ts.step(3)
-    d = ts.step(3)  # delta "00", gamma=2 >= 2 usable
-    assert ts.stage == 2 and ts.t_oc == 0 and ts.stage2_budget == 2
-    # stage 1 sees one 11 pair: t_oc = 1, budget 1
-    ts = TwoStageState("strong", 2)
-    for s in (1, 2, 3, 3):
-        d = ts.step(s)
-        if ts.stage == 2:
-            break
-    assert ts.t_oc == 1 and ts.stage2_budget == 1
-    # zero remaining budget accepts the first stage-2 syndrome
-    ts = TwoStageState("strong", 1)
-    ts.step(1)
-    ts.step(2)
-    d = ts.step(2)  # delta "10": usable run, stop; t_oc = 1 -> budget 0
-    assert ts.stage == 2 and ts.stage2_budget == 0
-    d = ts.step(9)
-    assert d.action == STOP_CORRECT and d.round_index == 1 and ts.stage2 is not None
+    # noiseless d=5 strong: both stages at the full budget 2, three rounds each
+    noiseless = _two_stage_shot(5, "strong")
+    assert [d.rounds_used for d in noiseless.decisions] == [3, 3]
+    # the flip gives the stage-1 difference vector "100": one fault
+    # evidenced, so stage 2 runs at budget 1
+    result = _two_stage_shot(5, "strong", flip=True)
+    assert [d.rounds_used for d in result.decisions] == [4, 2]
+    assert result.rounds_used == 6 and not result.logical_error
+    # at d=3 (t = 1) the same fault leaves stage 2 no budget: one round
+    result = _two_stage_shot(3, "strong", flip=True)
+    assert [d.rounds_used for d in result.decisions] == [3, 1]
+    assert result.decisions[1] == BUDGET_EXHAUSTED and not result.logical_error
     # the engine's policy tables lead from the budget-0 root to the same
     # decision, whatever the first syndrome
     for kind in ("strong", "weak"):
         table = policy_table(kind, 2)
         for changed in (False, True):
             _, (code, pick, _) = table.advance(table.root[0], changed)
-            assert (REASONS[code], pick) == (d.stopped_by, d.round_index)
+            assert (REASONS[code], pick) == (BUDGET_EXHAUSTED.stopped_by,
+                                             BUDGET_EXHAUSTED.round_index)
 
 
 def test_policy_table_stop_state_has_no_successor():
@@ -214,8 +222,9 @@ def test_policy_table_stop_state_has_no_successor():
 
 
 def test_two_stage_rejects_shor():
-    with pytest.raises(ValueError):
-        TwoStageState("shor", 2)
+    with pytest.raises(ValueError, match="two-stage"):
+        _two_stage_shot(3, "shor")
+    assert _two_stage_shot(3, "shor", sectors=("all",)).rounds_used == 2
 
 
 def test_policy_config_validation():

@@ -74,7 +74,7 @@ def test_noiseless_soundness_exhaustive(code3, compiled3):
                 for q, L in zip(support, letters):
                     e = e * PauliOperator.single(7, q, L)
                 frame = compiled3.new_frame(e)
-                syn = sample_round(compiled3, NOISELESS, frame, rng)
+                syn = sample_round(compiled3, frame, rng)
                 assert syn == syndrome_of(code3, e)
                 assert (frame.x, frame.z) == (e.x_bits, e.z_bits)
 
@@ -157,27 +157,13 @@ def test_fault_type_catalog(code3, compiled3):
 
 
 def test_sampling_determinism(code3, compiled3):
-    noise = NoiseModel(0.05)
-    compiled = compile_schedule(code3, noise)
+    compiled = compile_schedule(code3, NoiseModel(0.05))
     runs = []
     for _ in range(2):
         rng = _rng(42)
         frame = compiled.new_frame()
-        runs.append([sample_round(compiled, noise, frame, rng) for _ in range(50)])
+        runs.append([sample_round(compiled, frame, rng) for _ in range(50)])
     assert runs[0] == runs[1]
-
-
-def test_sample_round_flag_mismatch(code3):
-    compiled = compile_schedule(code3, NoiseModel(0.0, measurement=False))
-    with pytest.raises(ValueError):
-        sample_round(compiled, NoiseModel(0.0), compiled.new_frame(), _rng())
-
-
-def test_mechanism_flags_limit_locations(code3):
-    full = compile_schedule(code3, NoiseModel(0.0))
-    no_meas = compile_schedule(code3, NoiseModel(0.0, measurement=False))
-    w_total = sum(c.w for c in build_round_schedule(code3))
-    assert len(full.enabled_ids) - len(no_meas.enabled_ids) == w_total
 
 
 def test_illegal_injections_rejected(compiled3):
@@ -194,11 +180,11 @@ def test_sector_schedules(code5):
     cs_z = compile_schedule(code5, NOISELESS, "z")
     assert cs_x.n_circuits == cs_z.n_circuits == 9
     frame = cs_z.new_frame(PauliOperator.single(19, 0, "X"))
-    syn_z = sample_round(cs_z, NOISELESS, frame, _rng())
+    syn_z = sample_round(cs_z, frame, _rng())
     # X errors are seen by the Z sector only, reported in stage-local bits
     full = syndrome_of(code5, PauliOperator.single(19, 0, "X"))
     assert syn_z == full >> 9
-    assert sample_round(cs_x, NOISELESS, frame, _rng()) == 0
+    assert sample_round(cs_x, frame, _rng()) == 0
 
 
 def test_sector_schedule_needs_contiguous_generators(code3):
@@ -267,18 +253,15 @@ def test_batched_round_noise_extremes(code5):
     # p = 1: a chunk goes in slices of at most 2^18 expected faults
     parts = effects.slices(1.0, np.arange(4096))
     assert len(parts) > 1 and np.array_equal(np.concatenate(parts), np.arange(4096))
-    assert max(len(part) for part in parts) * effects.n_enabled <= 1 << 18
+    assert max(len(part) for part in parts) * effects.n_locations <= 1 << 18
     report = effects.fold(batch, active, *effects.draw(0.0, 50, rng))
     assert report.tolist() == [compiled.reported_bits(f.syndrome) for f in refs]
     assert batch.syndrome.tolist() == [f.syndrome for f in refs]
-    # p = 1: every enabled location fails exactly once in every shot
-    partial = compile_schedule(code5, NoiseModel(0.0, two_qubit=False, cat_qubit=False))
-    for comp in (compiled, partial):
-        eff = FaultEffects(comp)
-        shot, row = eff.draw(1.0, 50, rng)
-        loc = np.searchsorted(eff.first_row, row, side="right") - 1
-        assert np.array_equal(shot, np.repeat(np.arange(50), len(comp.enabled_ids)))
-        assert np.array_equal(loc, np.tile(comp.enabled_ids, 50))
+    # p = 1: every location fails exactly once in every shot
+    shot, row = effects.draw(1.0, 50, rng)
+    loc = np.searchsorted(effects.first_row, row, side="right") - 1
+    assert np.array_equal(shot, np.repeat(np.arange(50), compiled.n_locations))
+    assert np.array_equal(loc, np.tile(np.arange(compiled.n_locations), 50))
     # 0 < p < 1: the failing fraction of the grid is p
     shot, _ = effects.draw(0.25, 2000, rng)
-    assert abs(len(shot) / (2000 * effects.n_enabled) - 0.25) < 0.005
+    assert abs(len(shot) / (2000 * effects.n_locations) - 0.25) < 0.005

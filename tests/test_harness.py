@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ftecsim import harness
+from ftecsim.colorcode import build_hex_color_code
 from ftecsim.decoders import (
     CODE_CONTINUE,
     CONTINUE,
@@ -20,11 +21,13 @@ from ftecsim.decoders import (
     policy_table,
 )
 from ftecsim.diffvec import min_faults
+from ftecsim.extraction import NoiseModel, compile_schedule, legal_values
 from ftecsim.harness import (
     BracketError,
     ExperimentConfig,
     ExperimentStats,
     _run_policy,
+    default_built_to_weight,
     enumerate_single_faults,
     estimate_pseudothreshold,
     run_point,
@@ -33,6 +36,8 @@ from ftecsim.harness import (
     threshold_lower_bound,
     wilson_interval,
 )
+from ftecsim.recovery import build_table
+from ftecsim.stabilizer import PauliOperator
 
 
 class _Replay:
@@ -168,9 +173,11 @@ def test_reference_runner_agrees_with_engine_distribution(code3, table3):
     cfg = ExperimentConfig(d=3, decoder="strong", shots=30_000, seed=77)
     engine = run_point(cfg, p)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=99)))
+    schedules = (compile_schedule(code3, NoiseModel(p)),)
     shots = 3000
     errors = sum(
-        run_shot_reference(code3, table3, "strong", 1, p=p, rng=rng).logical_error
+        run_shot_reference(code3, table3, "strong", 1, schedules=schedules,
+                           rng=rng).logical_error
         for _ in range(shots)
     )
     low, high = wilson_interval(errors, shots)
@@ -185,45 +192,16 @@ def test_two_stage_runs_and_preserves_distance_at_zero_noise():
 
 
 def test_two_stage_engine_matches_reference_distribution(code5, table5):
-    """The engine's inline two-stage loop against an independent runner
-    built from TwoStageState and the public sector samplers."""
-    from ftecsim.decoders import TwoStageState
-    from ftecsim.extraction import NoiseModel, compile_schedule, sample_round
-    from ftecsim.recovery import decode_sector_masks, final_verdict
-
+    """The engine's two-stage loop against the reference runner on the
+    X- and Z-sector schedules."""
     p = 2e-3
-    noise = NoiseModel(p)
-    cs_x = compile_schedule(code5, noise, "x")
-    cs_z = compile_schedule(code5, noise, "z")
+    schedules = tuple(compile_schedule(code5, NoiseModel(p), s) for s in ("x", "z"))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=321)))
-
-    def reference_shot():
-        frame = cs_x.new_frame()
-        ts = TwoStageState("strong", 2)
-        hist1, hist2 = [], []
-        decision1 = decision2 = None
-        while ts.stage == 1:
-            syn = sample_round(cs_x, noise, frame, rng)
-            hist1.append(syn)
-            decision1 = ts.step(syn)
-        while ts.stage2 is None:
-            syn = sample_round(cs_z, noise, frame, rng)
-            hist2.append(syn)
-            decision2 = ts.step(syn)
-        sx = hist1[decision1.round_index - 1] if decision1.action == "stop_correct" else 0
-        sz = hist2[decision2.round_index - 1] if decision2.action == "stop_correct" else 0
-        cx, cz = decode_sector_masks(table5, np.array([sx], np.uint64),
-                                     np.array([sz], np.uint64))
-        frame.x ^= int(cx[0])
-        frame.z ^= int(cz[0])
-        residual = frame.to_pauli(code5.n)
-        rounds = len(hist1) + len(hist2)
-        return final_verdict(code5, table5, residual) == "logical_error", rounds
-
     shots = 2500
-    results = [reference_shot() for _ in range(shots)]
-    ref_errors = sum(err for err, _ in results)
-    ref_rounds = sum(r for _, r in results) / shots
+    results = [run_shot_reference(code5, table5, "strong", 2, schedules=schedules, rng=rng)
+               for _ in range(shots)]
+    ref_errors = sum(r.logical_error for r in results)
+    ref_rounds = sum(r.rounds_used for r in results) / shots
 
     cfg = ExperimentConfig(d=5, decoder="strong", shots=25_000, seed=555,
                            css_two_stage=True)
@@ -231,6 +209,40 @@ def test_two_stage_engine_matches_reference_distribution(code5, table5):
     low, high = wilson_interval(ref_errors, shots)
     assert low <= engine.ci_high and engine.ci_low <= high
     assert abs(engine.avg_rounds - ref_rounds) < 0.15
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("decoder", ["strong", "weak"])
+def test_two_stage_single_faults(d, decoder):
+    """Exhaustive order-1 fault injection into two-stage mode: every
+    weight-1 input error, and every fault in every round the noiseless
+    shot reaches, at a location of that round's stage schedule. No
+    logical error, and a residual weight of at most the faults landed."""
+    code = build_hex_color_code(d)
+    t = (d - 1) // 2
+    table = build_table(code, default_built_to_weight(code, t))
+    schedules = tuple(compile_schedule(code, NoiseModel(0.0), s) for s in ("x", "z"))
+
+    def run(faults, initial=None):
+        return run_shot_reference(code, table, decoder, t, schedules=schedules,
+                                  initial_error=initial, injected_faults=faults)
+
+    cases = []
+    for q in range(code.n):
+        for kind in "XYZ":
+            cases.append(({}, PauliOperator.single(code.n, q, kind), 0))
+    rho = 0
+    for decision, compiled in zip(run({}).decisions, schedules):
+        for rho in range(rho + 1, rho + decision.rounds_used + 1):
+            cases += [({rho: [(lid, value)]}, None, 1)
+                      for lid in range(compiled.n_locations)
+                      for value in legal_values(compiled, lid)]
+    for faults, initial, landed in cases:
+        result = run(faults, initial)
+        assert not result.logical_error, (faults, initial)
+        assert result.residual.weight() <= landed, (faults, initial)
+    assert len(cases) == {(3, "strong"): 1077, (3, "weak"): 549,
+                          (5, "strong"): 5601, (5, "weak"): 3753}[d, decoder]
 
 
 def test_threshold_lower_bound_examples():
@@ -289,7 +301,7 @@ def test_eccp_noiseless_input_errors_d5(code5, table5, compiled5):
     the protocol must finish with no logical error."""
     import itertools
 
-    from ftecsim.stabilizer import PauliOperator, multiply
+    from ftecsim.stabilizer import multiply
 
     cases = []
     for w in (1, 2):
@@ -302,8 +314,8 @@ def test_eccp_noiseless_input_errors_d5(code5, table5, compiled5):
     for decoder in ("shor", "strong", "weak"):
         for e in cases:
             result = run_shot_reference(
-                code5, table5, decoder, 2, injected_faults={}, initial_error=e,
-                compiled=compiled5,
+                code5, table5, decoder, 2, schedules=(compiled5,), injected_faults={},
+                initial_error=e,
             )
             assert not result.logical_error, (decoder, e.to_string())
 
@@ -312,7 +324,7 @@ def test_correct_round_guarantee_exhaustive(code3, compiled3):
     """For every single injected fault on d=3, the syndrome the strong
     policy selects equals the true syndrome of the data frame at the end
     of the selected round (the defining property of a usable syndrome)."""
-    from ftecsim.extraction import inject_round, legal_values
+    from ftecsim.extraction import inject_round
 
     cap = PolicyConfig("strong", 1).max_rounds_cap()
     for fault_round in range(1, cap + 1):
@@ -351,22 +363,20 @@ def test_fault_enum_counts_unreached_rounds(code3, table3, compiled3):
     """Single-fault enumeration runs the rounds up to the noiseless stop and
     only counts the later ones: a fault there never fires, so the shot is
     the noiseless one."""
-    from ftecsim.extraction import legal_values
-
     faults = [(lid, value) for lid in range(compiled3.n_locations)
               for value in legal_values(compiled3, lid)]
     assert len(faults) == 528
     for decoder in KINDS:
         report = enumerate_single_faults(3, decoder, include_input_errors=False)
-        noiseless = run_shot_reference(code3, table3, decoder, 1, injected_faults={},
-                                       compiled=compiled3)
-        reached = noiseless.decision.rounds_used
+        noiseless = run_shot_reference(code3, table3, decoder, 1, schedules=(compiled3,),
+                                       injected_faults={})
+        reached = noiseless.rounds_used
         cap = PolicyConfig(decoder, 1).max_rounds_cap()
         assert report.cases == reached * len(faults)
         assert report.skipped_unreached == (cap - reached) * len(faults)
         for late_round in range(reached + 1, cap + 1):
             for lid, value in faults[::7]:
-                late = run_shot_reference(code3, table3, decoder, 1, compiled=compiled3,
+                late = run_shot_reference(code3, table3, decoder, 1, schedules=(compiled3,),
                                           injected_faults={late_round: [(lid, value)]})
                 assert late == noiseless, (decoder, late_round, lid, value)
 
