@@ -35,7 +35,12 @@ from .harness import (
     run_experiment,
     sample_fault_pairs,
 )
-from .worstcase import oracle_unusable_runs, verify_round_bounds
+from .worstcase import (
+    _EXHAUSTIVE_MAX_M,
+    _EXHAUSTIVE_MAX_T,
+    oracle_unusable_runs,
+    verify_round_bounds,
+)
 
 CSV_HEADER = "d,decoder,p,shots,logical_errors,p_l,ci_low,ci_high,avg_rounds,max_rounds_seen"
 
@@ -242,6 +247,9 @@ def _cmd_oracle_check(args) -> int:
     if min(args.max_len, args.t_max) < 1:
         raise ValueError(f"--max-len and --t-max must be >= 1, got {args.max_len} "
                          f"and {args.t_max}")
+    if args.max_len > _EXHAUSTIVE_MAX_M - 1 or args.t_max > _EXHAUSTIVE_MAX_T:
+        raise ValueError(f"--max-len and --t-max must be <= {_EXHAUSTIVE_MAX_M - 1} and "
+                         f"<= {_EXHAUSTIVE_MAX_T}, got {args.max_len} and {args.t_max}")
     checked = 0
     mismatches = []
     for length in range(1, args.max_len + 1):

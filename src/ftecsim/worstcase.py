@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .decoders import CONTINUE, ProtocolDefect, policy_decision, worst_case_rounds
 from .diffvec import ZeroSubstring, decompose
 
@@ -65,6 +67,8 @@ def _contribution(kind: str, i: int, m: int) -> int:
 
 
 def _check_regime(m: int, t: int) -> None:
+    if t < 0:
+        raise ValueError(f"fault budget must be >= 0, got {t}")
     if m > _EXHAUSTIVE_MAX_M or t > _EXHAUSTIVE_MAX_T:
         raise ValueError(
             f"exhaustive regime exceeded (m={m}, t={t}; "
@@ -99,6 +103,20 @@ def _combination_masks(m: int, t: int) -> Iterator[tuple[tuple, int, int]]:
                 )
 
     yield from rec(1, t, (), 0, 0)
+
+
+_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _combination_table(m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(once, twice)`` of every ``_combination_masks(m, t)`` row as uint64
+    arrays, built once per (m, t)."""
+    table = _TABLES.get((m, t))
+    if table is None:
+        rows = [(once, twice) for _faults, once, twice in _combination_masks(m, t)]
+        table = tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
+        _TABLES[(m, t)] = table
+    return table
 
 
 def consistent_combinations(delta: str, t: int) -> Iterator[FaultCombination]:
@@ -138,34 +156,17 @@ def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
     """(start, end) of every zero run certified unusable by enumeration."""
     m = len(delta) + 1
     _check_regime(m, t)
-    target = 0
-    for pos, ch in enumerate(delta):
-        if ch == "1":
-            target |= 1 << pos
-    full = (1 << len(delta)) - 1
     runs = decompose(delta)
-    run_masks = []
-    for run in runs:
-        mask = 0
-        for pos in range(run.start - 1, run.end):
-            mask |= 1 << pos
-        run_masks.append(mask)
-    pending = set(range(len(runs)))
-    unusable: set[tuple[int, int]] = set()
-    for _faults, once, twice in _combination_masks(m, t):
-        if not pending:
-            break
-        if (~once & full) & target:
-            continue
-        if (once & ~twice) & ~target:
-            continue
-        # OR zeros of this combination are the uncovered positions.
-        or_zeros = ~once & full
-        for idx in list(pending):
-            if not (run_masks[idx] & or_zeros):
-                unusable.add((runs[idx].start, runs[idx].end))
-                pending.discard(idx)
-    return unusable
+    once, twice = _combination_table(m, t)
+    target = np.uint64(int(delta[::-1], 2) if delta else 0)
+    # consistent: every 1 of delta is covered and no 0 is covered exactly once
+    consistent = ((target & ~once) == 0) & ((once & ~twice & ~target) == 0)
+    covered = once[consistent]
+    # A run is unusable when some consistent combination covers all of it,
+    # leaving it no OR zero (a position no fault contributes to).
+    masks = np.array([(1 << r.end) - (1 << (r.start - 1)) for r in runs], dtype=np.uint64)
+    hit = ((covered[:, None] & masks) == masks).any(axis=0)
+    return {(r.start, r.end) for r, h in zip(runs, hit) if h}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ftecsim import cli
 from ftecsim.cli import run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -78,7 +79,7 @@ def test_simulate_requires_rates(capsys):
     assert run_cli(["simulate", "--d", "3", "--decoder", "shor"]) == 1
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
+def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert run_cli(["simulate", "--d", "3", "--decoder", "nonsense"]) == 1
     assert run_cli(["no-such-command"]) == 1
     assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--built-to-weight", "0"]) == 1
@@ -92,6 +93,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  ["oracle-check", "--max-len", "0"], ["oracle-check", "--t-max", "0"]):
         assert run_cli(argv) == 1, argv
         assert "must be >= 1" in capsys.readouterr().err, argv
+    # bounds past the exhaustive regime are refused before any oracle call
+    calls = []
+    monkeypatch.setattr(cli, "oracle_unusable_runs", lambda *a: calls.append(a))
+    for argv in (["oracle-check", "--max-len", "16", "--t-max", "1"],
+                 ["oracle-check", "--max-len", "2", "--t-max", "6"]):
+        assert run_cli(argv) == 1, argv
+        assert "must be <= 15 and <= 5" in capsys.readouterr().err, argv
+    assert calls == []
     cfg = tmp_path / "cfg.json"
     # misspelled keys are named, not ignored
     cfg.write_text(json.dumps({"d": 3, "decoder": "weak", "p_values": [0.01],

@@ -54,6 +54,8 @@ def test_oracle_regime_refusal():
         oracle_unusable_runs("0" * 20, 3)
     with pytest.raises(ValueError, match="regime"):
         max_unusable_length("strong", 7)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        oracle_unusable_runs("0100", -1)
 
 
 def test_extremal_family_construction():
@@ -115,6 +117,44 @@ def test_theorem1_equivalence_small_sweep():
             if not runs:
                 continue
             for t in (1, 2, 3):
+                search = {(r.start, r.end) for r in find_usable(t, delta)}
+                oracle = {(r.start, r.end) for r in runs} - oracle_unusable_runs(delta, t)
+                assert search == oracle, (delta, t)
+
+
+def definition_unusable_runs(delta, t):
+    """Plain-loop usability from ``consistent_combinations``: a run is
+    unusable iff some consistent combination covers every position of it.
+    A type I fault on round i covers positions i-1 and i, a type II fault
+    position i (positions outside 1..len(delta) do not exist)."""
+    runs = decompose(delta)
+    unusable = set()
+    for combo in consistent_combinations(delta, t):
+        covered = set()
+        for kind, i in combo.faults:
+            covered.update((i - 1, i) if kind == "I" else (i,))
+        for r in runs:
+            if all(pos in covered for pos in range(r.start, r.end + 1)):
+                unusable.add((r.start, r.end))
+    return unusable
+
+
+def test_oracle_matches_definition():
+    cases = [(format(bits, f"0{length}b"), t)
+             for length in range(1, 9) for bits in range(1 << length) for t in range(1, 6)]
+    cases += [(appendix_extremal_delta(t), t) for t in (4, 5)]
+    cases += [(delta, t) for delta in ("0" * 15, "010" * 5, "001000100010000", "100000000000001")
+              for t in (1, 2)]
+    for delta, t in cases:
+        assert oracle_unusable_runs(delta, t) == definition_unusable_runs(delta, t), (delta, t)
+
+
+def test_search_matches_oracle_t4_t5():
+    for length in range(1, 10):
+        for bits in range(1 << length):
+            delta = format(bits, f"0{length}b")
+            runs = decompose(delta)
+            for t in (4, 5):
                 search = {(r.start, r.end) for r in find_usable(t, delta)}
                 oracle = {(r.start, r.end) for r in runs} - oracle_unusable_runs(delta, t)
                 assert search == oracle, (delta, t)
