@@ -27,6 +27,8 @@ Locations are numbered consecutively through the round: circuit 0's 4w
 locations first (cat preparations, two-qubit gates, Hadamards,
 measurements, w of each in that order), then circuit 1's, and so on.
 These flat ids are stable and used by the fault-injection harness.
+``CompiledSchedule`` numbers every (location, fault value) pair as one
+row of its fault table, which the scalar and the batched rounds share.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import PauliOperator, StabilizerCode
+from .stabilizer import PauliOperator, StabilizerCode, syndrome_of
 
 CAT_PREP = "cat_qubit_prep"
 TWO_QUBIT = "two_qubit_gate"
@@ -118,8 +120,48 @@ class FrameState:
         return PauliOperator(n, self.x, self.z)
 
 
+class FrameBatch:
+    """The Pauli frames of a batch of shots, one uint64 word per shot.
+
+    The array form of :class:`FrameState`; it needs n <= 64 data qubits
+    and r <= 64 generators, which holds for every supported distance.
+    """
+
+    __slots__ = ("x", "z", "syndrome")
+
+    def __init__(self, shots: int):
+        self.x = np.zeros(shots, np.uint64)
+        self.z = np.zeros(shots, np.uint64)
+        self.syndrome = np.zeros(shots, np.uint64)
+
+
+# Faults drawn per batched slice of a round (see CompiledSchedule.slices).
+_FAULTS_PER_DRAW = 1 << 18
+
+# Each location kind's fault values, in the sampler's choice order; a
+# uniform choice over them realizes the p/3, p/15, p/3 and p distributions.
+_VALUES = {
+    CAT_PREP: ("X", "Y", "Z"),
+    TWO_QUBIT: TWO_QUBIT_FAULTS,
+    ONE_QUBIT: ("X", "Y", "Z"),
+    MEASUREMENT: ("flip",),
+}
+
+
+def _flip_and_deposit(kind: str, value, letter: str) -> tuple[bool, str]:
+    """Whether a fault value flips its circuit's reported bit, and the Pauli
+    it leaves on the data partner ("I" for none); ``letter`` is the
+    generator's letter on that qubit."""
+    if kind == CAT_PREP:
+        return value in ("Y", "Z"), letter if value in ("X", "Y") else "I"
+    if kind == TWO_QUBIT:
+        data, ancilla = value
+        return ancilla in ("Y", "Z"), data
+    return kind == MEASUREMENT or value in ("X", "Y"), "I"
+
+
 class CompiledSchedule:
-    """Flattened location/effect tables for one measurement schedule.
+    """One measurement schedule and its fault table.
 
     ``sector`` selects which circuits the schedule contains: "all" for a
     full round, "x"/"z" for the two stages of CSS two-stage mode. Reported
@@ -127,9 +169,18 @@ class CompiledSchedule:
     measurement order; the frame's true syndrome always spans the full
     generator list, and ``base`` is where the reported bits sit in it.
     Rounds on this schedule are sampled at ``noise.p``.
+
+    Location ``lid`` has the fault values ``values[lid]`` and owns table
+    rows ``first_row[lid] + choice``, one per value in that order. Row
+    ``row`` holds the fault twice: ``effects[row]`` is (flip, X deposit, Z
+    deposit, true-syndrome change) for the scalar round
+    (:func:`_apply_faults`), and ``words[row]`` is the same fault as four
+    uint64 XOR words for batched rounds (:meth:`fold`).
     """
 
     def __init__(self, code: StabilizerCode, noise: NoiseModel, sector: str = "all"):
+        if code.n > 64 or code.r > 64:
+            raise ValueError("a compiled schedule needs n, r <= 64: its fault words are uint64")
         self.code = code
         self.noise = noise
         if sector == "all":
@@ -144,6 +195,12 @@ class CompiledSchedule:
         self.circuits = [full[g] for g in gen_ids]
         self.n_circuits = len(self.circuits)
         self.gen_bit = [c.generator_index for c in self.circuits]
+        # A schedule measures a contiguous generator range, which makes
+        # projecting the true syndrome onto reported bits a shift + mask.
+        self.base = self.gen_bit[0] if self.gen_bit else 0
+        if self.gen_bit != list(range(self.base, self.base + self.n_circuits)):
+            raise ValueError(f"the {sector!r} generators must be a contiguous range")
+        self.local_mask = (1 << self.n_circuits) - 1
 
         # Syndrome contribution of a single-qubit X (resp. Z) deposit.
         self.syn_x = [0] * code.n
@@ -155,57 +212,42 @@ class CompiledSchedule:
                 if (g.x_bits >> q) & 1:
                     self.syn_z[q] |= 1 << gi
 
-        # Per-location effect tables: loc_effects[flat_id][choice] is
-        # (flip, dep_x, dep_z, syn_delta). Uniform choice over each table
-        # row realizes the p/3, p/15, p/3, p location distributions.
         self.loc_circuit: list[int] = []
         self.loc_kind: list[tuple[str, int]] = []
-        self.loc_effects: list[tuple] = []
+        self.values: list[tuple] = []
+        self.effects: list[tuple[int, int, int, int]] = []
+        first_row = []
         for ci, circ in enumerate(self.circuits):
             for kind, j in circ.locations:
-                q = circ.support[j]
-                letter = circ.letters[j]
-                if kind == CAT_PREP:
-                    choices = tuple(
-                        self._effect(flip="Z" in val or val == "Y",
-                                     deposit=letter if val in ("X", "Y") else None,
-                                     qubit=q)
-                        for val in ("X", "Y", "Z")
-                    )
-                elif kind == TWO_QUBIT:
-                    choices = tuple(
-                        self._effect(flip=a in ("Y", "Z"),
-                                     deposit=d if d != "I" else None,
-                                     qubit=q)
-                        for d, a in TWO_QUBIT_FAULTS
-                    )
-                elif kind == ONE_QUBIT:
-                    choices = tuple(
-                        self._effect(flip=val in ("X", "Y"), deposit=None, qubit=q)
-                        for val in ("X", "Y", "Z")
-                    )
-                else:
-                    choices = (self._effect(flip=True, deposit=None, qubit=q),)
                 self.loc_circuit.append(ci)
                 self.loc_kind.append((kind, j))
-                self.loc_effects.append(choices)
-        self.n_locations = len(self.loc_effects)
-        # A schedule measures a contiguous generator range, which makes
-        # projecting the true syndrome onto reported bits a shift + mask.
-        self.base = self.gen_bit[0] if self.gen_bit else 0
-        if self.gen_bit != list(range(self.base, self.base + self.n_circuits)):
-            raise ValueError(f"the {sector!r} generators must be a contiguous range")
-        self.local_mask = (1 << self.n_circuits) - 1
+                self.values.append(_VALUES[kind])
+                first_row.append(len(self.effects))
+                for value in _VALUES[kind]:
+                    flip, deposit = _flip_and_deposit(kind, value, circ.letters[j])
+                    self.effects.append(self._effect(flip, deposit, circ.support[j]))
+        self.n_locations = len(self.values)
+        self.first_row = np.array(first_row, dtype=np.int64)
+        self.n_choices = np.array([len(v) for v in self.values], dtype=np.float64)
 
-    def _effect(self, flip: bool, deposit: str | None, qubit: int):
+        # A deposit in circuit c is seen by the circuits after c only, so a
+        # row's reported-syndrome word is (proj(syn_delta) & later[c]) ^
+        # (flip << c). No word depends on the round's other faults, so a
+        # round's faults fold into each shot by XOR in any order.
+        flip, dep_x, dep_z, syn = np.array(self.effects, np.uint64).reshape(-1, 4).T
+        c = np.repeat(np.array(self.loc_circuit, np.uint64), self.n_choices.astype(np.int64))
+        later = np.uint64(self.local_mask) & ~((np.uint64(2) << c) - np.uint64(1))
+        report = ((syn >> np.uint64(self.base)) & later) ^ (flip << c)
+        self.words = np.stack((report, dep_x, dep_z, syn), axis=1)
+
+    def _effect(self, flip: bool, deposit: str, qubit: int):
         dep_x = dep_z = syn_delta = 0
-        if deposit is not None:
-            if deposit in ("X", "Y"):
-                dep_x = 1 << qubit
-                syn_delta ^= self.syn_x[qubit]
-            if deposit in ("Z", "Y"):
-                dep_z = 1 << qubit
-                syn_delta ^= self.syn_z[qubit]
+        if deposit in ("X", "Y"):
+            dep_x = 1 << qubit
+            syn_delta ^= self.syn_x[qubit]
+        if deposit in ("Z", "Y"):
+            dep_z = 1 << qubit
+            syn_delta ^= self.syn_z[qubit]
         return (1 if flip else 0, dep_x, dep_z, syn_delta)
 
     # -- frame helpers ----------------------------------------------------
@@ -213,22 +255,62 @@ class CompiledSchedule:
     def new_frame(self, pauli: PauliOperator | None = None) -> FrameState:
         if pauli is None:
             return FrameState()
-        frame = FrameState(pauli.x_bits, pauli.z_bits)
-        frame.syndrome = self.syndrome_of_frame(frame)
-        return frame
-
-    def syndrome_of_frame(self, frame: FrameState) -> int:
-        syn = 0
-        for q in range(self.code.n):
-            if (frame.x >> q) & 1:
-                syn ^= self.syn_x[q]
-            if (frame.z >> q) & 1:
-                syn ^= self.syn_z[q]
-        return syn
+        return FrameState(pauli.x_bits, pauli.z_bits, syndrome_of(self.code, pauli))
 
     def reported_bits(self, full_syndrome: int) -> int:
         """Project a full true syndrome onto this schedule's measured bits."""
         return (full_syndrome >> self.base) & self.local_mask
+
+    # -- batched rounds ---------------------------------------------------
+
+    def draw(self, p: float, shots: int, rng: np.random.Generator):
+        """(shot, row) of the faults of one round over ``shots`` shots.
+
+        Every location of every shot fails independently with
+        probability p: the failing cells of the shots x locations grid are
+        found by geometric gaps, in increasing order, so ``shot`` is
+        sorted. Each failure then takes a uniform fault value.
+        """
+        cells = shots * self.n_locations
+        if p <= 0.0 or cells == 0:
+            empty = np.zeros(0, np.int64)
+            return empty, empty
+        mean = cells * p
+        block = int(mean + 6.0 * mean ** 0.5) + 16
+        pos = np.cumsum(rng.geometric(p, block)) - 1
+        while pos[-1] < cells:
+            pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, block))))
+        pos = pos[: np.searchsorted(pos, cells)]
+        shot, loc = np.divmod(pos, self.n_locations)
+        choice = (rng.random(len(pos)) * self.n_choices[loc]).astype(np.int64)
+        return shot, self.first_row[loc] + choice
+
+    def fold(self, frames: FrameBatch, active: np.ndarray, shot: np.ndarray,
+             row: np.ndarray) -> np.ndarray:
+        """Run one round on the shots ``active``; return their reported syndromes.
+
+        Fault i (table row ``row[i]``) lands on shot ``active[shot[i]]``;
+        ``shot`` must be sorted. The frames are updated in place, and the
+        result equals :func:`_apply_faults` on the same faults.
+        """
+        report = (frames.syndrome[active] >> np.uint64(self.base)) & np.uint64(self.local_mask)
+        if len(shot):
+            starts = np.flatnonzero(np.diff(shot, prepend=-1))
+            folded = np.bitwise_xor.reduceat(np.take(self.words, row, axis=0), starts, axis=0)
+            hit = shot[starts]
+            report[hit] ^= folded[:, 0]
+            hit = active[hit]
+            frames.x[hit] ^= folded[:, 1]
+            frames.z[hit] ^= folded[:, 2]
+            frames.syndrome[hit] ^= folded[:, 3]
+        return report
+
+    def slices(self, p: float, active: np.ndarray) -> list[np.ndarray]:
+        """``active`` cut into slices of about ``_FAULTS_PER_DRAW`` expected
+        faults, to draw and fold one at a time; this bounds the size of a
+        round's arrays at high p."""
+        step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_locations, 1.0)))
+        return np.split(active, range(step, len(active), step))
 
 
 def compile_schedule(
@@ -238,7 +320,8 @@ def compile_schedule(
 
 
 def _apply_faults(compiled: CompiledSchedule, frame: FrameState, fired) -> int:
-    """Run one round with the given (flat_id, choice_index) faults.
+    """Run one round with the given (flat_id, choice_index) faults, reading
+    each fault's ``effects`` row.
 
     ``fired`` must be sorted by flat id, which equals circuit order. The
     reported bit of each circuit is its true-syndrome bit before that
@@ -246,7 +329,8 @@ def _apply_faults(compiled: CompiledSchedule, frame: FrameState, fired) -> int:
     """
     x, z, tsyn = frame.x, frame.z, frame.syndrome
     loc_circuit = compiled.loc_circuit
-    loc_effects = compiled.loc_effects
+    first_row = compiled.first_row
+    effects = compiled.effects
     gen_bit = compiled.gen_bit
     report = 0
     prev = 0
@@ -261,7 +345,7 @@ def _apply_faults(compiled: CompiledSchedule, frame: FrameState, fired) -> int:
         flips = 0
         while i < nf and loc_circuit[fired[i][0]] == ci:
             flat, choice = fired[i]
-            fl, dx, dz, sd = loc_effects[flat][choice]
+            fl, dx, dz, sd = effects[first_row[flat] + choice]
             flips ^= fl
             x ^= dx
             z ^= dz
@@ -292,131 +376,10 @@ def sample_round(
     idx = range(n) if k == n else sorted(rng.choice(n, size=k, replace=False).tolist())
     fired = []
     for flat in idx:
-        n_choices = len(compiled.loc_effects[flat])
+        n_choices = len(compiled.values[flat])
         choice = int(rng.integers(n_choices)) if n_choices > 1 else 0
         fired.append((flat, choice))
     return _apply_faults(compiled, frame, fired)
-
-
-# ---------------------------------------------------------------------------
-# Batched rounds: many shots per numpy operation
-
-
-_FAULTS_PER_DRAW = 1 << 18
-
-
-class FrameBatch:
-    """The Pauli frames of a batch of shots, one uint64 word per shot.
-
-    The array form of :class:`FrameState`; it needs n <= 64 data qubits
-    and r <= 64 generators, which holds for every supported distance.
-    """
-
-    __slots__ = ("x", "z", "syndrome")
-
-    def __init__(self, shots: int):
-        self.x = np.zeros(shots, np.uint64)
-        self.z = np.zeros(shots, np.uint64)
-        self.syndrome = np.zeros(shots, np.uint64)
-
-
-class FaultEffects:
-    """One schedule's faults as four-word XOR effects, for batched rounds.
-
-    Row ``first_row[location_id] + choice`` of ``words`` holds, for the
-    fault value with that choice index, the change to the reported
-    syndrome, the X and Z deposits on the data, and the change to the true
-    syndrome. A deposit in circuit c is seen by the circuits after c only,
-    so the reported-syndrome word is ``(proj(syn_delta) & later[c]) ^
-    (flip << c)``. No word depends on the round's other faults, so a
-    round's faults fold into each shot by XOR in any order, and the result
-    equals :func:`_apply_faults` on the same faults. A noisy round on a
-    batch of shots is :meth:`draw`, then :meth:`fold`, per :meth:`slices`.
-    """
-
-    def __init__(self, compiled: CompiledSchedule):
-        code = compiled.code
-        if code.n > 64 or code.r > 64:
-            raise ValueError("batched rounds need n, r <= 64")
-        rows = []
-        first_row = []
-        for flat, choices in enumerate(compiled.loc_effects):
-            c = compiled.loc_circuit[flat]
-            later = compiled.local_mask & ~((2 << c) - 1)
-            first_row.append(len(rows))
-            for flip, dep_x, dep_z, syn_delta in choices:
-                report = (compiled.reported_bits(syn_delta) & later) ^ (flip << c)
-                rows.append((report, dep_x, dep_z, syn_delta))
-        self.words = np.array(rows, dtype=np.uint64).reshape(-1, 4)
-        self.first_row = np.array(first_row, dtype=np.int64)
-        self.n_choices = np.array([len(e) for e in compiled.loc_effects], dtype=np.float64)
-        self.n_locations = compiled.n_locations
-        self.base = np.uint64(compiled.base)
-        self.mask = np.uint64(compiled.local_mask)
-
-    def draw(self, p: float, shots: int, rng: np.random.Generator):
-        """(shot, row) of the faults of one round over ``shots`` shots.
-
-        Every location of every shot fails independently with
-        probability p: the failing cells of the shots x locations grid are
-        found by geometric gaps, in increasing order, so ``shot`` is
-        sorted. Each failure then takes a uniform fault value.
-        """
-        cells = shots * self.n_locations
-        if p <= 0.0 or cells == 0:
-            empty = np.zeros(0, np.int64)
-            return empty, empty
-        mean = cells * p
-        block = int(mean + 6.0 * mean ** 0.5) + 16
-        pos = np.cumsum(rng.geometric(p, block)) - 1
-        while pos[-1] < cells:
-            pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, block))))
-        pos = pos[: np.searchsorted(pos, cells)]
-        shot, loc = np.divmod(pos, self.n_locations)
-        choice = (rng.random(len(pos)) * self.n_choices[loc]).astype(np.int64)
-        return shot, self.first_row[loc] + choice
-
-    def fold(self, frames: FrameBatch, active: np.ndarray, shot: np.ndarray,
-             row: np.ndarray) -> np.ndarray:
-        """Run one round on the shots ``active``; return their reported syndromes.
-
-        Fault i (effect row ``row[i]``) lands on shot ``active[shot[i]]``;
-        ``shot`` must be sorted. The frames are updated in place.
-        """
-        report = (frames.syndrome[active] >> self.base) & self.mask
-        if len(shot):
-            starts = np.flatnonzero(np.diff(shot, prepend=-1))
-            folded = np.bitwise_xor.reduceat(np.take(self.words, row, axis=0), starts, axis=0)
-            hit = shot[starts]
-            report[hit] ^= folded[:, 0]
-            hit = active[hit]
-            frames.x[hit] ^= folded[:, 1]
-            frames.z[hit] ^= folded[:, 2]
-            frames.syndrome[hit] ^= folded[:, 3]
-        return report
-
-    def slices(self, p: float, active: np.ndarray) -> list[np.ndarray]:
-        """``active`` cut into slices of about ``_FAULTS_PER_DRAW`` expected
-        faults, to draw and fold one at a time; this bounds the size of a
-        round's arrays at high p."""
-        step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_locations, 1.0)))
-        return np.split(active, range(step, len(active), step))
-
-
-def _choice_index(compiled: CompiledSchedule, location_id: int, value) -> int:
-    kind, _ = compiled.loc_kind[location_id]
-    try:
-        if kind == CAT_PREP or kind == ONE_QUBIT:
-            return ("X", "Y", "Z").index(value)
-        if kind == TWO_QUBIT:
-            return TWO_QUBIT_FAULTS.index(tuple(value))
-        if value == "flip":
-            return 0
-        raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"fault value {value!r} is not legal for a {kind} location"
-        ) from None
 
 
 def inject_round(
@@ -432,16 +395,14 @@ def inject_round(
     for location_id, value in faults:
         if not 0 <= location_id < compiled.n_locations:
             raise ValueError(f"location id {location_id} out of range")
-        fired.append((location_id, _choice_index(compiled, location_id, value)))
+        kind, _ = compiled.loc_kind[location_id]
+        try:
+            choice = compiled.values[location_id].index(
+                tuple(value) if kind == TWO_QUBIT else value)
+        except ValueError:
+            raise ValueError(
+                f"fault value {value!r} is not legal for a {kind} location"
+            ) from None
+        fired.append((location_id, choice))
     fired.sort()
     return _apply_faults(compiled, frame, fired)
-
-
-def legal_values(compiled: CompiledSchedule, location_id: int):
-    """Every legal fault value at a location, in the sampler's choice order."""
-    kind, _ = compiled.loc_kind[location_id]
-    if kind in (CAT_PREP, ONE_QUBIT):
-        return ("X", "Y", "Z")
-    if kind == TWO_QUBIT:
-        return TWO_QUBIT_FAULTS
-    return ("flip",)

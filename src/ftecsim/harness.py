@@ -5,7 +5,7 @@ arrays in the manner of a Pauli-frame simulator: every shot's frame and
 syndromes are uint64 words, and all shots still running take each round
 in step. A round draws the failing locations of the whole
 shots x locations grid and folds each fault's four-word XOR effect into
-its shot (``extraction.FaultEffects``). Every stopping rule is one
+its shot (``CompiledSchedule.fold``). Every stopping rule is one
 transition table (``decoders.PolicyTable``): per round, each shot moves
 to its state's successor for "syndrome changed or not" and reads that
 state's decision; a shot leaves the active set when it stops. In
@@ -56,12 +56,10 @@ from .decoders import (
 from .diffvec import min_faults
 from .extraction import (
     CompiledSchedule,
-    FaultEffects,
     FrameBatch,
     NoiseModel,
     compile_schedule,
     inject_round,
-    legal_values,
     sample_round,
 )
 from .recovery import (
@@ -136,6 +134,7 @@ class ExperimentStats:
     avg_rounds: float
     rounds_histogram: dict[int, int]
     max_rounds_seen: int
+    # stop reason -> shots; in two-stage mode, each shot's stage-2 stop
     stopped_by: dict[str, int]
     seed: int
 
@@ -179,13 +178,10 @@ class _Context:
         self.table = build_table(self.code, weight)
         self.m = len(self.code.x_sector)
         self.x_mask = np.uint64((1 << self.m) - 1)
-        # per stage, its schedule's fault effects; their ``base`` places the
-        # stage's reported bits in the full syndrome
+        # per stage, its compiled schedule; its ``base`` places the stage's
+        # reported bits in the full syndrome
         sectors = ("x", "z") if css_two_stage else ("all",)
-        self.stages = [
-            FaultEffects(compile_schedule(self.code, NoiseModel(0.0), sector))
-            for sector in sectors
-        ]
+        self.stages = [compile_schedule(self.code, NoiseModel(0.0), s) for s in sectors]
         # an X error flips logical Z, a Z error flips logical X
         self.x_logical = np.uint64(self.code.logical_z[0].z_bits)
         self.z_logical = np.uint64(self.code.logical_x[0].x_bits)
@@ -246,17 +242,17 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
     return chosen, chosen_round, rounds, reason, faults
 
 
-def _apply_faults(effects: FaultEffects, frames: FrameBatch, shot: np.ndarray,
+def _apply_faults(compiled: CompiledSchedule, frames: FrameBatch, shot: np.ndarray,
                   row: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Fold one round's faults into the frames of the shots ``active`` and
-    return their reported syndromes (``FaultEffects.fold``).
+    return their reported syndromes (``CompiledSchedule.fold``).
 
     The batched counterpart of ``extraction._apply_faults``: the engine
     applies every round's faults through this one module-level name, so a
     tracer that replaces it sees each batched round and its fault count
     ``len(shot)``, as it sees each round of the scalar path.
     """
-    return effects.fold(frames, active, shot, row)
+    return compiled.fold(frames, active, shot, row)
 
 
 def _logical_errors(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> np.ndarray:
@@ -282,15 +278,15 @@ def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generato
     chosen = np.zeros(shots, np.uint64)
     rounds = np.zeros(shots, np.int64)
     budget = np.full(shots, ctx.t, np.int64)
-    for effects in ctx.stages:
-        def next_round(active, effects=effects):
+    for compiled in ctx.stages:
+        def next_round(active, compiled=compiled):
             return np.concatenate([
-                _apply_faults(effects, frames, *effects.draw(p, len(part), rng), part)
-                for part in effects.slices(p, active)
+                _apply_faults(compiled, frames, *compiled.draw(p, len(part), rng), part)
+                for part in compiled.slices(p, active)
             ])
 
         syn, _, used, reason, faults = _run_policy(ctx.policy, next_round, budget)
-        chosen |= syn << effects.base
+        chosen |= syn << np.uint64(compiled.base)
         rounds += used
         budget = np.maximum(ctx.t - faults, 0)
     errors = int(_logical_errors(ctx, frames, chosen).sum())
@@ -419,7 +415,6 @@ def run_shot_reference(
     decision.
     """
     from .recovery import decode, final_verdict
-    from .stabilizer import syndrome_of
 
     if schedules is None:
         schedules = (compile_schedule(code, NoiseModel(0.0)),)
@@ -449,7 +444,6 @@ def run_shot_reference(
         correction = decode(table, code, chosen)
         frame.x ^= correction.x_bits
         frame.z ^= correction.z_bits
-        frame.syndrome ^= syndrome_of(code, correction)
     residual = frame.to_pauli(code.n)
     return ShotResult(
         logical_error=final_verdict(code, table, residual) == "logical_error",
@@ -480,20 +474,18 @@ class FaultEnumReport:
 
 
 def _fault_injector(d: int, decoder: str):
-    """The set-up the fault-injection checks share: the code, its
-    noiseless schedule, the policy's round cap, and ``run(faults,
-    initial)``, one reference shot with those faults injected."""
-    t = (d - 1) // 2
-    code = build_hex_color_code(d)
-    table = build_table(code, default_built_to_weight(code, t))
-    compiled = compile_schedule(code, NoiseModel(0.0))
-    cap = PolicyConfig(decoder, t).max_rounds_cap()
+    """The set-up the fault-injection checks share, read from the engine's
+    single-stage context: the code, its noiseless schedule, the policy's
+    round cap, and ``run(faults, initial)``, one reference shot with those
+    faults injected."""
+    ctx = _context((d, decoder, False, None))
+    compiled = ctx.stages[0]
 
     def run(faults, initial=None) -> ShotResult:
-        return run_shot_reference(code, table, decoder, t, schedules=(compiled,),
+        return run_shot_reference(ctx.code, ctx.table, decoder, ctx.t, schedules=(compiled,),
                                   initial_error=initial, injected_faults=faults)
 
-    return code, compiled, cap, run
+    return ctx.code, compiled, ctx.cap, run
 
 
 def _record(report: FaultEnumReport, case: str, result: ShotResult,
@@ -536,8 +528,7 @@ def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = T
             for kind in ("X", "Y", "Z"):
                 check(f"input {kind}{q}", {}, PauliOperator.single(code.n, q, kind), landed=0)
 
-    faults = [(lid, value) for lid in range(compiled.n_locations)
-              for value in legal_values(compiled, lid)]
+    faults = [(lid, value) for lid, values in enumerate(compiled.values) for value in values]
     reached = run({}).rounds_used
     report.skipped_unreached = (cap - reached) * len(faults)
     for rho in range(1, reached + 1):
@@ -561,7 +552,7 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0,
         for _ in range(2):
             rho = int(rng.integers(1, cap + 1))
             lid = int(rng.integers(n_loc))
-            values = legal_values(compiled, lid)
+            values = compiled.values[lid]
             value = values[int(rng.integers(len(values)))]
             faults.setdefault(rho, []).append((lid, value))
             desc.append((rho, lid, value))

@@ -25,13 +25,14 @@ one effective fault for worst-case purposes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .decoders import CONTINUE, ProtocolDefect, policy_decision, worst_case_rounds
-from .diffvec import ZeroSubstring, decompose
+from .diffvec import ZeroSubstring
 
 _EXHAUSTIVE_MAX_M = 16
 _EXHAUSTIVE_MAX_T = 5
@@ -153,10 +154,14 @@ def oracle_usable(delta: str, t: int, run: ZeroSubstring) -> bool:
 
 
 def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
-    """(start, end) of every zero run certified unusable by enumeration."""
+    """(start, end) of every maximal zero run certified unusable by
+    enumeration; positions are 1-based and inclusive, as in ``diffvec``."""
     m = len(delta) + 1
     _check_regime(m, t)
-    runs = decompose(delta)
+    if delta.strip("01"):
+        raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")
+    # found here, not by diffvec.decompose: that is the search under test
+    runs = [(zeros.start() + 1, zeros.end()) for zeros in re.finditer("0+", delta)]
     once, twice = _combination_table(m, t)
     target = np.uint64(int(delta[::-1], 2) if delta else 0)
     # consistent: every 1 of delta is covered and no 0 is covered exactly once
@@ -164,9 +169,9 @@ def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
     covered = once[consistent]
     # A run is unusable when some consistent combination covers all of it,
     # leaving it no OR zero (a position no fault contributes to).
-    masks = np.array([(1 << r.end) - (1 << (r.start - 1)) for r in runs], dtype=np.uint64)
+    masks = np.array([(1 << end) - (1 << (start - 1)) for start, end in runs], dtype=np.uint64)
     hit = ((covered[:, None] & masks) == masks).any(axis=0)
-    return {(r.start, r.end) for r, h in zip(runs, hit) if h}
+    return {run for run, h in zip(runs, hit) if h}
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,11 @@ from ftecsim.extraction import (
     MEASUREMENT,
     ONE_QUBIT,
     TWO_QUBIT,
-    FaultEffects,
     FrameBatch,
     NoiseModel,
     build_round_schedule,
     compile_schedule,
     inject_round,
-    legal_values,
     sample_round,
 )
 from ftecsim.colorcode import build_hex_color_code
@@ -129,12 +127,13 @@ def test_single_fault_weight_bound(d):
 
     code = build_hex_color_code(d)
     compiled = compile_schedule(code, NOISELESS)
-    for lid in range(compiled.n_locations):
-        for value in legal_values(compiled, lid):
+    for lid, values in enumerate(compiled.values):
+        for value in values:
             frame = compiled.new_frame()
             inject_round(compiled, frame, [(lid, value)])
             assert frame.weight() <= 1
-            assert frame.syndrome == compiled.syndrome_of_frame(frame)
+            # the incrementally tracked syndrome against stabilizer's parity
+            assert frame.syndrome == syndrome_of(code, frame.to_pauli(code.n))
 
 
 def test_fault_type_catalog(code3, compiled3):
@@ -143,8 +142,8 @@ def test_fault_type_catalog(code3, compiled3):
     rng = _rng(1)
     allowed = {1: {"00", "10"}, 2: {"00", "01", "10", "11"}, 3: {"00", "01"}}
     for fault_round in (1, 2, 3):
-        for lid in range(compiled3.n_locations):
-            for value in legal_values(compiled3, lid):
+        for lid, values in enumerate(compiled3.values):
+            for value in values:
                 frame = compiled3.new_frame()
                 syns = []
                 for r in (1, 2, 3):
@@ -173,6 +172,15 @@ def test_illegal_injections_rejected(compiled3):
         inject_round(compiled3, compiled3.new_frame(), [(10_000, "X")])
     with pytest.raises(ValueError):
         inject_round(compiled3, compiled3.new_frame(), [(4, ("I", "I"))])
+    first = {kind: compiled3.loc_kind.index((kind, 0)) for kind in (CAT_PREP, ONE_QUBIT,
+                                                                    MEASUREMENT)}
+    for kind, value in ((MEASUREMENT, "X"), (CAT_PREP, ("X", "Z")), (ONE_QUBIT, "flip")):
+        with pytest.raises(ValueError, match=f"not legal for a {kind} location"):
+            inject_round(compiled3, compiled3.new_frame(), [(first[kind], value)])
+    # a two-qubit value is read as a letter pair
+    frame = compiled3.new_frame()
+    inject_round(compiled3, frame, [(compiled3.loc_kind.index((TWO_QUBIT, 0)), "XI")])
+    assert frame.weight() == 1
 
 
 def test_sector_schedules(code5):
@@ -212,56 +220,67 @@ def _random_frames(compiled, rng, shots):
     return refs, batch
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
-@pytest.mark.parametrize("sector", ["all", "x", "z"])
-def test_batched_fold_matches_apply_faults(d, sector):
-    """Random fault sets through FaultEffects.fold and through inject_round
-    (which runs _apply_faults) give identical reports and frames."""
-    compiled = compile_schedule(build_hex_color_code(d), NOISELESS, sector)
-    effects = FaultEffects(compiled)
-    rng = _rng(d)
-    shots = 400
-    refs, batch = _random_frames(compiled, rng, shots)
-    active = rng.permutation(shots)[:300]
-    shot_ids, rows, expected = [], [], []
-    for j, i in enumerate(active):
-        faults = []
-        for _ in range(int(rng.integers(0, 7))):
-            lid = int(rng.integers(compiled.n_locations))
-            values = legal_values(compiled, lid)
-            choice = int(rng.integers(len(values)))
-            faults.append((lid, values[choice]))
-            shot_ids.append(j)
-            rows.append(effects.first_row[lid] + choice)
+def _fold_matches_inject_round(compiled, rng, fault_rows):
+    """Fold ``fault_rows[j]`` (table rows) into the j-th active shot through
+    CompiledSchedule.fold, and the same (location, value) faults into the
+    reference frames through inject_round (which runs _apply_faults); the
+    reports and frames must agree."""
+    shots = len(fault_rows)
+    refs, batch = _random_frames(compiled, rng, shots + 100)
+    active = rng.permutation(shots + 100)[:shots]
+    expected = []
+    for i, rows in zip(active, fault_rows):
+        locs = np.searchsorted(compiled.first_row, rows, side="right") - 1
+        faults = [(int(lid), compiled.values[lid][row - compiled.first_row[lid]])
+                  for lid, row in zip(locs, rows)]
         expected.append(inject_round(compiled, refs[i], faults))
-    report = effects.fold(batch, active, np.array(shot_ids, np.int64),
-                          np.array(rows, np.int64))
-    assert report.tolist() == expected
+    shot = np.repeat(np.arange(shots), [len(rows) for rows in fault_rows])
+    row = np.array([r for rows in fault_rows for r in rows], np.int64)
+    assert compiled.fold(batch, active, shot, row).tolist() == expected
     for i, ref in enumerate(refs):
         assert (int(batch.x[i]), int(batch.z[i]), int(batch.syndrome[i])) == (
             ref.x, ref.z, ref.syndrome)
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+@pytest.mark.parametrize("sector", ["all", "x", "z"])
+def test_batched_fold_matches_apply_faults(d, sector):
+    """The batched words and the scalar effects of every table row give the
+    same reports and frames: first random fault sets, then each row alone."""
+    compiled = compile_schedule(build_hex_color_code(d), NOISELESS, sector)
+    n_rows = len(compiled.effects)
+    assert compiled.words.shape == (n_rows, 4)
+    assert n_rows == compiled.first_row[-1] + len(compiled.values[-1])
+    rng = _rng(d)
+    fault_rows = []
+    for _ in range(300):
+        lids = rng.integers(compiled.n_locations, size=int(rng.integers(0, 7)))
+        fault_rows.append([int(compiled.first_row[lid] + rng.integers(len(compiled.values[lid])))
+                           for lid in lids])
+    _fold_matches_inject_round(compiled, rng, fault_rows)
+    # one fault per shot, every row exactly once
+    _fold_matches_inject_round(compiled, rng, [[int(r)] for r in rng.permutation(n_rows)])
+
+
 def test_batched_round_noise_extremes(code5):
     compiled = compile_schedule(code5, NOISELESS)
-    effects = FaultEffects(compiled)
     rng = _rng(3)
     refs, batch = _random_frames(compiled, rng, 50)
     active = np.arange(50)
     # p = 0: the noiseless report, frames untouched
-    assert [len(part) for part in effects.slices(0.0, active)] == [50]
+    assert [len(part) for part in compiled.slices(0.0, active)] == [50]
     # p = 1: a chunk goes in slices of at most 2^18 expected faults
-    parts = effects.slices(1.0, np.arange(4096))
+    parts = compiled.slices(1.0, np.arange(4096))
     assert len(parts) > 1 and np.array_equal(np.concatenate(parts), np.arange(4096))
-    assert max(len(part) for part in parts) * effects.n_locations <= 1 << 18
-    report = effects.fold(batch, active, *effects.draw(0.0, 50, rng))
+    assert max(len(part) for part in parts) * compiled.n_locations <= 1 << 18
+    report = compiled.fold(batch, active, *compiled.draw(0.0, 50, rng))
     assert report.tolist() == [compiled.reported_bits(f.syndrome) for f in refs]
     assert batch.syndrome.tolist() == [f.syndrome for f in refs]
     # p = 1: every location fails exactly once in every shot
-    shot, row = effects.draw(1.0, 50, rng)
-    loc = np.searchsorted(effects.first_row, row, side="right") - 1
+    shot, row = compiled.draw(1.0, 50, rng)
+    loc = np.searchsorted(compiled.first_row, row, side="right") - 1
     assert np.array_equal(shot, np.repeat(np.arange(50), compiled.n_locations))
     assert np.array_equal(loc, np.tile(np.arange(compiled.n_locations), 50))
     # 0 < p < 1: the failing fraction of the grid is p
-    shot, _ = effects.draw(0.25, 2000, rng)
-    assert abs(len(shot) / (2000 * effects.n_locations) - 0.25) < 0.005
+    shot, _ = compiled.draw(0.25, 2000, rng)
+    assert abs(len(shot) / (2000 * compiled.n_locations) - 0.25) < 0.005

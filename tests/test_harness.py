@@ -21,7 +21,7 @@ from ftecsim.decoders import (
     policy_table,
 )
 from ftecsim.diffvec import min_faults
-from ftecsim.extraction import NoiseModel, compile_schedule, legal_values
+from ftecsim.extraction import NoiseModel, compile_schedule
 from ftecsim.harness import (
     BracketError,
     ExperimentConfig,
@@ -235,8 +235,7 @@ def test_two_stage_single_faults(d, decoder):
     for decision, compiled in zip(run({}).decisions, schedules):
         for rho in range(rho + 1, rho + decision.rounds_used + 1):
             cases += [({rho: [(lid, value)]}, None, 1)
-                      for lid in range(compiled.n_locations)
-                      for value in legal_values(compiled, lid)]
+                      for lid, values in enumerate(compiled.values) for value in values]
     for faults, initial, landed in cases:
         result = run(faults, initial)
         assert not result.logical_error, (faults, initial)
@@ -328,8 +327,8 @@ def test_correct_round_guarantee_exhaustive(code3, compiled3):
 
     cap = PolicyConfig("strong", 1).max_rounds_cap()
     for fault_round in range(1, cap + 1):
-        for lid in range(compiled3.n_locations):
-            for value in legal_values(compiled3, lid):
+        for lid, values in enumerate(compiled3.values):
+            for value in values:
                 frame = compiled3.new_frame()
                 policy = make_policy(PolicyConfig("strong", 1))
                 history = []
@@ -363,8 +362,7 @@ def test_fault_enum_counts_unreached_rounds(code3, table3, compiled3):
     """Single-fault enumeration runs the rounds up to the noiseless stop and
     only counts the later ones: a fault there never fires, so the shot is
     the noiseless one."""
-    faults = [(lid, value) for lid in range(compiled3.n_locations)
-              for value in legal_values(compiled3, lid)]
+    faults = [(lid, value) for lid, values in enumerate(compiled3.values) for value in values]
     assert len(faults) == 528
     for decoder in KINDS:
         report = enumerate_single_faults(3, decoder, include_input_errors=False)
