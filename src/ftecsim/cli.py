@@ -307,6 +307,8 @@ def _cmd_fault_enum(args) -> int:
                 "ok": rep.ok, "failures": rep.failures,
             }
         )
+        if rep.landed is not None:  # pairs by how many of their faults landed
+            reports[-1]["landed"] = rep.landed
     _write_output(json.dumps({"ok": ok, "reports": reports}, indent=2), args.out)
     return 0 if ok else 2
 

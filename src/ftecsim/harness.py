@@ -11,15 +11,17 @@ to its state's successor for "syndrome changed or not" and reads that
 state's decision; a shot leaves the active set when it stops. In
 two-stage mode the same loop then runs the Z-sector stage with each
 shot's remaining budget, and the final decode and verdict run once over
-the whole chunk.
+the whole chunk. The fault-injection checks run their cases through the
+same loop: each shot is one case, which starts from its input error and
+folds only its injected faults, each in its own round.
 
 The scalar reference runner ``run_shot_reference`` plays one shot, in
 either mode, through the same circuit semantics (``inject_round`` for
 injected faults, ``sample_round`` for sampled ones), the
 ``PolicyDecision`` state machines and the scalar decoder; its
 ``ShotResult`` carries the verdict, the residual frame before ideal EC
-and each stage's stop decision. The tests compare it with the engine,
-and the fault-injection checks are built on it.
+and each stage's stop decision. The tests check the engine and the
+fault-injection checks against it.
 
 Reproducibility: shots are processed in fixed-size chunks and every chunk
 draws from its own counter-based Philox stream keyed by
@@ -69,6 +71,7 @@ from .recovery import (
     decode_sector_masks,
     enumeration_count,
     parity64,
+    popcount64,
 )
 from .stabilizer import PauliOperator, StabilizerCode
 
@@ -255,17 +258,29 @@ def _apply_faults(compiled: CompiledSchedule, frames: FrameBatch, shot: np.ndarr
     return compiled.fold(frames, active, shot, row)
 
 
-def _logical_errors(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> np.ndarray:
-    """Apply each shot's chosen correction, then ideal EC; True where a
-    logical error remains."""
+def _decode_into(ctx: _Context, frames: FrameBatch, syndrome: np.ndarray) -> None:
+    """XOR the decoded correction of each shot's ``syndrome`` into its frame."""
+    hit = np.flatnonzero(syndrome)
+    part = syndrome[hit]
+    cx, cz = decode_sector_masks(ctx.table, part & ctx.x_mask, part >> np.uint64(ctx.m))
+    frames.x[hit] ^= cx
+    frames.z[hit] ^= cz
+
+
+def _correct(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> np.ndarray:
+    """Apply each shot's chosen correction; its x/z words then hold the
+    residual before ideal EC. Returns the residual's syndrome (the frames'
+    ``syndrome`` words are not updated)."""
     # a correction's syndrome is the syndrome it was decoded from
     residual = frames.syndrome ^ chosen
-    for syndrome in (chosen, residual):
-        hit = np.flatnonzero(syndrome)
-        part = syndrome[hit]
-        cx, cz = decode_sector_masks(ctx.table, part & ctx.x_mask, part >> np.uint64(ctx.m))
-        frames.x[hit] ^= cx
-        frames.z[hit] ^= cz
+    _decode_into(ctx, frames, chosen)
+    return residual
+
+
+def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> np.ndarray:
+    """Ideal EC on the corrected frames (``residual`` from :func:`_correct`);
+    True where a logical error remains."""
+    _decode_into(ctx, frames, residual)
     return parity64(frames.x & ctx.x_logical) | parity64(frames.z & ctx.z_logical)
 
 
@@ -289,7 +304,7 @@ def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generato
         chosen |= syn << np.uint64(compiled.base)
         rounds += used
         budget = np.maximum(ctx.t - faults, 0)
-    errors = int(_logical_errors(ctx, frames, chosen).sum())
+    errors = int(_logical_errors(ctx, frames, _correct(ctx, frames, chosen)).sum())
     hist = np.bincount(rounds, minlength=ctx.cap + 2).tolist()
     stops = np.bincount(reason, minlength=len(REASONS)).tolist()
     stopped_by = {REASONS[i]: c for i, c in enumerate(stops) if c}
@@ -385,7 +400,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentStats]:
 
 
 # ---------------------------------------------------------------------------
-# Reference per-shot runner (used by the fault-injection harness and tests)
+# Reference per-shot runner (the tests' oracle for the engine and the injector)
 
 
 def run_shot_reference(
@@ -457,6 +472,9 @@ def run_shot_reference(
 # Fault-injection verification
 
 
+FAILURES_RECORDED = 20  # failing cases a report lists, the first in case order
+
+
 @dataclass
 class FaultEnumReport:
     d: int
@@ -467,39 +485,69 @@ class FaultEnumReport:
     logical_failures: int
     weight_violations: int
     failures: list = field(default_factory=list)
+    # order 2: landed[k] is the number of pairs of which k faults landed,
+    # that is, came in a round the shot reached
+    landed: list | None = None
 
     @property
     def ok(self) -> bool:
         return not self.logical_failures and not self.weight_violations
 
 
-def _fault_injector(d: int, decoder: str):
-    """The set-up the fault-injection checks share, read from the engine's
-    single-stage context: the code, its noiseless schedule, the policy's
-    round cap, and ``run(faults, initial)``, one reference shot with those
-    faults injected."""
-    ctx = _context((d, decoder, False, None))
+def _run_injected(ctx: _Context, frames: FrameBatch, shot: np.ndarray, rnd: np.ndarray,
+                  row: np.ndarray) -> tuple:
+    """Injected cases through the engine's single-stage loop, one case per
+    shot of ``frames``.
+
+    Each shot starts from its frame in ``frames`` (an input error, or
+    none) and samples no noise. Fault j, row ``row[j]`` of the schedule's
+    fault table, folds into shot ``shot[j]`` in round ``rnd[j]`` if that
+    shot is still running then, so a fault whose round the shot never
+    reaches never folds. Returns, per shot, the logical verdict, the
+    residual x and z words after the chosen correction and before ideal
+    EC, the rounds used and the stop-reason code (an index into
+    ``REASONS``).
+    """
     compiled = ctx.stages[0]
+    order = np.lexsort((shot, rnd))
+    shot, row = shot[order], row[order]
+    # round r's faults, sorted by shot, are shot[edges[r - 1]:edges[r]]
+    edges = np.searchsorted(rnd[order], np.arange(ctx.cap + 1), "right")
+    r = 0
 
-    def run(faults, initial=None) -> ShotResult:
-        return run_shot_reference(ctx.code, ctx.table, decoder, ctx.t, schedules=(compiled,),
-                                  initial_error=initial, injected_faults=faults)
+    def next_round(active):
+        nonlocal r
+        r += 1
+        s, w = shot[edges[r - 1]:edges[r]], row[edges[r - 1]:edges[r]]
+        pos = np.minimum(np.searchsorted(active, s), len(active) - 1)
+        live = active[pos] == s
+        return _apply_faults(compiled, frames, pos[live], w[live], active)
 
-    return ctx.code, compiled, ctx.cap, run
+    budget = np.full(len(frames.x), ctx.t, np.int64)
+    chosen, _, rounds, reason, _ = _run_policy(ctx.policy, next_round, budget)
+    residual = _correct(ctx, frames, chosen)
+    x, z = frames.x.copy(), frames.z.copy()
+    return _logical_errors(ctx, frames, residual), x, z, rounds, reason
 
 
-def _record(report: FaultEnumReport, case: str, result: ShotResult,
-            max_failures_recorded: int) -> None:
-    if len(report.failures) < max_failures_recorded:
+def _tally(report: FaultEnumReport, ctx: _Context, result: tuple, weight_bad: np.ndarray,
+           label) -> None:
+    """Count one chunk of cases (``result`` of :func:`_run_injected`) into
+    the report and record its first failures; ``label(i)`` names case i."""
+    errors, x, z, rounds, reason = result
+    report.cases += len(errors)
+    report.logical_failures += int(errors.sum())
+    report.weight_violations += int(weight_bad.sum())
+    for i in np.flatnonzero(errors | weight_bad)[:FAILURES_RECORDED - len(report.failures)]:
         report.failures.append(
-            {"case": case, "residual": result.residual.to_string(),
-             "rounds": result.rounds_used,
-             "stopped_by": result.decisions[-1].stopped_by}
+            {"case": label(i),
+             "residual": PauliOperator(ctx.code.n, int(x[i]), int(z[i])).to_string(),
+             "rounds": int(rounds[i]),
+             "stopped_by": REASONS[reason[i]]}
         )
 
 
-def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = True,
-                            max_failures_recorded: int = 20) -> FaultEnumReport:
+def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
     """Exhaustive order-1 fault injection for one decoder.
 
     Every input error of weight 1 and every (round, location, value)
@@ -507,60 +555,82 @@ def enumerate_single_faults(d: int, decoder: str, include_input_errors: bool = T
     no_logical_error and the pre-ideal-EC residual weight at most the
     number of circuit faults that landed. A fault in a round after the
     noiseless run stops never fires, so those rounds are only counted,
-    as ``skipped_unreached``.
+    as ``skipped_unreached``. The cases run through the engine in chunks
+    of ``CHUNK_SHOTS``.
     """
-    code, compiled, cap, run = _fault_injector(d, decoder)
-    report = FaultEnumReport(d, decoder, 1, 0, 0, 0, 0)
-
-    def check(label, faults, initial=None, landed=1):
-        result = run(faults, initial)
-        report.cases += 1
-        weight_bad = result.residual.weight() > landed
-        if weight_bad:
-            report.weight_violations += 1
-        if result.logical_error:
-            report.logical_failures += 1
-        if weight_bad or result.logical_error:
-            _record(report, label, result, max_failures_recorded)
-
-    if include_input_errors:
-        for q in range(code.n):
-            for kind in ("X", "Y", "Z"):
-                check(f"input {kind}{q}", {}, PauliOperator.single(code.n, q, kind), landed=0)
-
+    ctx = _context((d, decoder, False, None))
+    compiled = ctx.stages[0]
+    rows = len(compiled.words)
+    no_faults = np.zeros(0, np.int64)
+    reached = int(_run_injected(ctx, FrameBatch(1), no_faults, no_faults, no_faults)[3][0])
+    report = FaultEnumReport(d, decoder, 1, 0, (ctx.cap - reached) * rows, 0, 0)
+    # cases: X, Y and Z on each qubit, then every table row in each reached round
+    inputs = 3 * ctx.code.n
     faults = [(lid, value) for lid, values in enumerate(compiled.values) for value in values]
-    reached = run({}).rounds_used
-    report.skipped_unreached = (cap - reached) * len(faults)
-    for rho in range(1, reached + 1):
-        for lid, value in faults:
-            check(f"round {rho} loc {lid} {value}", {rho: [(lid, value)]})
+    syn_x = np.array(compiled.syn_x, np.uint64)
+    syn_z = np.array(compiled.syn_z, np.uint64)
+
+    def label(case):
+        if case < inputs:
+            return f"input {'XYZ'[case % 3]}{case // 3}"
+        rho, row = divmod(case - inputs, rows)
+        lid, value = faults[row]
+        return f"round {rho + 1} loc {lid} {value}"
+
+    total = inputs + reached * rows
+    for start in range(0, total, CHUNK_SHOTS):
+        case = np.arange(start, min(start + CHUNK_SHOTS, total))
+        frames = FrameBatch(len(case))
+        q, letter = np.divmod(case[case < inputs], 3)
+        has_x, has_z = letter != 2, letter != 0
+        k = len(q)
+        frames.x[:k] = has_x.astype(np.uint64) << q.astype(np.uint64)
+        frames.z[:k] = has_z.astype(np.uint64) << q.astype(np.uint64)
+        frames.syndrome[:k] = np.where(has_x, syn_x[q], 0) ^ np.where(has_z, syn_z[q], 0)
+        rnd, row = np.divmod(case[k:] - inputs, rows)
+        result = _run_injected(ctx, frames, np.arange(k, len(case)), rnd + 1, row)
+        landed = case >= inputs
+        weight_bad = popcount64(result[1] | result[2]) > landed
+        _tally(report, ctx, result, weight_bad, lambda i: label(start + i))
     return report
 
 
-def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0,
-                       max_failures_recorded: int = 20) -> FaultEnumReport:
-    """Order-2 fault injection: uniformly sampled ordered pairs."""
+def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> FaultEnumReport:
+    """Order-2 fault injection: uniformly sampled ordered pairs.
+
+    Each fault's round is uniform over 1 to the policy's round cap, so a
+    fault can come after the shot stops and never land; the pair counts
+    as a case all the same, and ``landed`` counts the pairs by how many
+    of their faults landed. A pair fails on a logical error. The pairs
+    are drawn and run in chunks of ``CHUNK_SHOTS``.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _, compiled, cap, run = _fault_injector(d, decoder)
+    ctx = _context((d, decoder, False, None))
+    compiled = ctx.stages[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     report = FaultEnumReport(d, decoder, 2, 0, 0, 0, 0)
-    n_loc = compiled.n_locations
-    for _ in range(samples):
-        faults: dict[int, list] = {}
-        desc = []
-        for _ in range(2):
-            rho = int(rng.integers(1, cap + 1))
-            lid = int(rng.integers(n_loc))
-            values = compiled.values[lid]
-            value = values[int(rng.integers(len(values)))]
-            faults.setdefault(rho, []).append((lid, value))
-            desc.append((rho, lid, value))
-        result = run(faults)
-        report.cases += 1
-        if result.logical_error:
-            report.logical_failures += 1
-            _record(report, repr(desc), result, max_failures_recorded)
+    landed = np.zeros(3, np.int64)
+    for start in range(0, samples, CHUNK_SHOTS):
+        size = min(CHUNK_SHOTS, samples - start)
+        draws = np.empty((2 * size, 3), np.int64)  # (round, location, value index), two per pair
+        for j in range(2 * size):
+            rho = int(rng.integers(1, ctx.cap + 1))
+            lid = int(rng.integers(compiled.n_locations))
+            draws[j] = rho, lid, int(rng.integers(len(compiled.values[lid])))
+        rnd, lid, choice = draws.T
+        shot = np.arange(2 * size) // 2
+        result = _run_injected(ctx, FrameBatch(size), shot, rnd,
+                               compiled.first_row[lid] + choice)
+        landed += np.bincount((rnd <= result[3][shot]).reshape(size, 2).sum(axis=1),
+                              minlength=3)
+
+        def label(i):
+            pair = draws[2 * i:2 * i + 2].tolist()
+            return repr([(r, loc, compiled.values[loc][c]) for r, loc, c in pair])
+
+        _tally(report, ctx, result, np.zeros(size, bool), label)
+    report.landed = landed.tolist()
     return report
 
 

@@ -158,6 +158,16 @@ def parity64(words: np.ndarray) -> np.ndarray:
     return (words & np.uint64(1)).astype(bool)
 
 
+def popcount64(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, as a uint64 array (a SWAR count, so
+    it runs on numpy releases without ``np.bitwise_count``)."""
+    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    words = (words & np.uint64(0x3333333333333333)) + (
+        (words >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (words * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
 def decode(table: SyndromeTable, code: StabilizerCode, syndrome: int) -> PauliOperator:
     """A Pauli whose syndrome equals the input, minimum weight when covered."""
     x_part, z_part = split_sectors(code, syndrome)

@@ -151,14 +151,17 @@ def test_criterion_04_single_fault_ft():
 
 def test_criterion_05_sampled_pair_ft():
     """1e5 uniformly sampled ordered fault pairs on d=5 cause zero logical
-    errors for the strong and weak decoders."""
+    errors for the strong and weak decoders. A pair counts even when a
+    fault comes after the shot stops; the line reports how many pairs
+    land 0, 1 and 2 faults."""
     start = time.monotonic()
     all_ok = True
     details = []
     for decoder in ("strong", "weak"):
         report = sample_fault_pairs(5, decoder, samples=100_000, seed=20240)
         all_ok = all_ok and report.ok
-        details.append(f"{decoder}:{report.cases} pairs, {report.logical_failures} logical")
+        details.append(f"{decoder}:{report.cases} pairs, {report.logical_failures} logical, "
+                       f"{'/'.join(map(str, report.landed))} landing 0/1/2 faults")
         assert report.logical_failures == 0, report.failures
     elapsed = time.monotonic() - start
     all_ok = all_ok and elapsed < 900

@@ -156,6 +156,11 @@ def test_fault_enum_cli(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["ok"] is True
     assert payload["reports"][0]["logical_failures"] == 0
+    assert "landed" not in payload["reports"][0]
+    # the README's example: pairs landing 0, 1 and 2 of their faults
+    assert run_cli(["fault-enum", "--d", "5", "--decoder", "strong", "--order", "2",
+                    "--samples", "2000", "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["reports"][0]["landed"] == [312, 511, 1177]
 
 
 def test_pseudothreshold_cli(tmp_path):

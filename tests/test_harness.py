@@ -21,7 +21,7 @@ from ftecsim.decoders import (
     policy_table,
 )
 from ftecsim.diffvec import min_faults
-from ftecsim.extraction import NoiseModel, compile_schedule
+from ftecsim.extraction import FrameBatch, NoiseModel, compile_schedule
 from ftecsim.harness import (
     BracketError,
     ExperimentConfig,
@@ -37,7 +37,7 @@ from ftecsim.harness import (
     wilson_interval,
 )
 from ftecsim.recovery import build_table
-from ftecsim.stabilizer import PauliOperator
+from ftecsim.stabilizer import PauliOperator, syndrome_of
 
 
 class _Replay:
@@ -365,18 +365,203 @@ def test_fault_enum_counts_unreached_rounds(code3, table3, compiled3):
     faults = [(lid, value) for lid, values in enumerate(compiled3.values) for value in values]
     assert len(faults) == 528
     for decoder in KINDS:
-        report = enumerate_single_faults(3, decoder, include_input_errors=False)
+        report = enumerate_single_faults(3, decoder)
         noiseless = run_shot_reference(code3, table3, decoder, 1, schedules=(compiled3,),
                                        injected_faults={})
         reached = noiseless.rounds_used
         cap = PolicyConfig(decoder, 1).max_rounds_cap()
-        assert report.cases == reached * len(faults)
+        assert report.cases == 3 * code3.n + reached * len(faults)
         assert report.skipped_unreached == (cap - reached) * len(faults)
         for late_round in range(reached + 1, cap + 1):
             for lid, value in faults[::7]:
                 late = run_shot_reference(code3, table3, decoder, 1, schedules=(compiled3,),
                                           injected_faults={late_round: [(lid, value)]})
                 assert late == noiseless, (decoder, late_round, lid, value)
+
+
+# ---------------------------------------------------------------------------
+# The batched fault injector against the scalar reference runner
+
+
+def _reference_run(ctx, faults, initial=None):
+    return run_shot_reference(ctx.code, ctx.table, ctx.kind, ctx.t, schedules=(ctx.stages[0],),
+                              initial_error=initial, injected_faults=faults)
+
+
+def _draw_pair(rng, ctx):
+    """One sampled pair, drawn in ``sample_fault_pairs``' order: (round,
+    location, value) per fault."""
+    compiled = ctx.stages[0]
+    pair = []
+    for _ in range(2):
+        rho = int(rng.integers(1, ctx.cap + 1))
+        lid = int(rng.integers(compiled.n_locations))
+        pair.append((rho, lid, compiled.values[lid][int(rng.integers(len(compiled.values[lid])))]))
+    return pair
+
+
+def _injected_batch(ctx, cases):
+    """``harness._run_injected``'s input for (input error or None,
+    {round: [(location, value)]}) cases: the initial frames, and the
+    faults as (shot, round, table row)."""
+    compiled = ctx.stages[0]
+    frames = FrameBatch(len(cases))
+    shot, rnd, row = [], [], []
+    for i, (initial, faults) in enumerate(cases):
+        if initial is not None:
+            frames.x[i], frames.z[i] = initial.x_bits, initial.z_bits
+            frames.syndrome[i] = syndrome_of(ctx.code, initial)
+        for rho, placed in faults.items():
+            for lid, value in placed:
+                shot.append(i)
+                rnd.append(rho)
+                row.append(compiled.first_row[lid] + compiled.values[lid].index(value))
+    return (frames, *(np.array(a, np.int64) for a in (shot, rnd, row)))
+
+
+def _assert_injected_match_reference(ctx, cases):
+    errors, x, z, rounds, reason = harness._run_injected(ctx, *_injected_batch(ctx, cases))
+    for i, (initial, faults) in enumerate(cases):
+        ref = _reference_run(ctx, faults, initial)
+        got = (bool(errors[i]), int(x[i]), int(z[i]), int(rounds[i]), REASONS[reason[i]])
+        want = (ref.logical_error, ref.residual.x_bits, ref.residual.z_bits, ref.rounds_used,
+                ref.decisions[-1].stopped_by)
+        assert got == want, (i, initial and initial.to_string(), faults)
+
+
+@pytest.mark.parametrize("decoder", KINDS)
+def test_injected_single_faults_match_reference(decoder):
+    """Every d=3 weight-1 input error and every single fault in every round
+    up to the policy's cap (reached or not): the batched injector gives the
+    reference runner's verdict, residual words, rounds and stop reason."""
+    ctx = harness._context((3, decoder, False, None))
+    n = ctx.code.n
+    cases = [(PauliOperator.single(n, q, kind), {}) for q in range(n) for kind in "XYZ"]
+    cases += [(None, {rho: [(lid, value)]})
+              for rho in range(1, ctx.cap + 1)
+              for lid, values in enumerate(ctx.stages[0].values) for value in values]
+    assert len(cases) == 3 * n + ctx.cap * 528
+    _assert_injected_match_reference(ctx, cases)
+
+
+@pytest.mark.parametrize("d, samples", [(3, 600), (5, 300)])
+@pytest.mark.parametrize("decoder", KINDS)
+def test_injected_pairs_match_reference(d, samples, decoder):
+    """Fixed-seed sampled fault pairs, some in one round and some past
+    the stop, through the batched injector and the reference runner."""
+    ctx = harness._context((d, decoder, False, None))
+    rng = np.random.default_rng(1000 * d + samples)
+    cases = []
+    for _ in range(samples):
+        faults: dict[int, list] = {}
+        for rho, lid, value in _draw_pair(rng, ctx):
+            faults.setdefault(rho, []).append((lid, value))
+        cases.append((None, faults))
+    _assert_injected_match_reference(ctx, cases)
+
+
+def _reference_single_faults(ctx):
+    """Order-1 injection as one reference shot per case: (cases, logical
+    failures, weight violations, skipped, failures recorded)."""
+    compiled = ctx.stages[0]
+    counts = [0, 0, 0]
+    failures = []
+
+    def check(label, faults, initial=None, landed=1):
+        result = _reference_run(ctx, faults, initial)
+        weight_bad = result.residual.weight() > landed
+        counts[0] += 1
+        counts[1] += result.logical_error
+        counts[2] += weight_bad
+        if (weight_bad or result.logical_error) and len(failures) < 20:
+            failures.append({"case": label, "residual": result.residual.to_string(),
+                             "rounds": result.rounds_used,
+                             "stopped_by": result.decisions[-1].stopped_by})
+
+    for q in range(ctx.code.n):
+        for kind in "XYZ":
+            check(f"input {kind}{q}", {}, PauliOperator.single(ctx.code.n, q, kind), landed=0)
+    faults = [(lid, value) for lid, values in enumerate(compiled.values) for value in values]
+    reached = _reference_run(ctx, {}).rounds_used
+    for rho in range(1, reached + 1):
+        for lid, value in faults:
+            check(f"round {rho} loc {lid} {value}", {rho: [(lid, value)]})
+    return (*counts, (ctx.cap - reached) * len(faults), failures)
+
+
+def _reference_pairs(ctx, samples, seed):
+    """Order-2 injection as one reference shot per pair: (logical failures,
+    failures recorded, pairs by faults landed)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    logical = 0
+    failures = []
+    landed = [0, 0, 0]
+    for _ in range(samples):
+        pair = _draw_pair(rng, ctx)
+        faults: dict[int, list] = {}
+        for rho, lid, value in pair:
+            faults.setdefault(rho, []).append((lid, value))
+        result = _reference_run(ctx, faults)
+        landed[sum(rho <= result.rounds_used for rho, _, _ in pair)] += 1
+        logical += result.logical_error
+        if result.logical_error and len(failures) < 20:
+            failures.append({"case": repr(pair), "residual": result.residual.to_string(),
+                             "rounds": result.rounds_used,
+                             "stopped_by": result.decisions[-1].stopped_by})
+    return logical, failures, landed
+
+
+def _corrupt(monkeypatch, ctx):
+    """Give the cached context a table whose every other correction carries
+    the logical operator as well: syndromes still match, verdicts flip."""
+    table = ctx.table
+    masks = table.masks.copy()
+    masks[1::2] ^= np.uint64(ctx.code.logical_x[0].x_bits)
+    monkeypatch.setattr(ctx, "table", dataclasses.replace(table, masks=masks))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("decoder", KINDS)
+def test_single_fault_report_matches_reference_loop(monkeypatch, decoder, corrupt):
+    """``enumerate_single_faults``' counts and failure records (labels,
+    order, the 20-entry cap) equal one reference shot per case; chunks of
+    97 cases put chunk edges inside the run."""
+    ctx = harness._context((3, decoder, False, None))
+    if corrupt:
+        _corrupt(monkeypatch, ctx)
+    monkeypatch.setattr(harness, "CHUNK_SHOTS", 97)
+    report = enumerate_single_faults(3, decoder)
+    cases, logical, weight, skipped, failures = _reference_single_faults(ctx)
+    assert (report.cases, report.logical_failures, report.weight_violations,
+            report.skipped_unreached) == (cases, logical, weight, skipped)
+    assert report.failures == failures
+    assert len(failures) == (20 if corrupt else 0)
+
+
+@pytest.mark.parametrize("d, decoder, samples, seed, corrupt", [
+    (3, "weak", 400, 2, False), (5, "strong", 300, 4, True), (3, "shor", 300, 6, True),
+])
+def test_pair_report_matches_reference_loop(monkeypatch, d, decoder, samples, seed, corrupt):
+    """``sample_fault_pairs`` draws the reference loop's pairs and records
+    its failures and landed counts, across chunk edges."""
+    ctx = harness._context((d, decoder, False, None))
+    if corrupt:
+        _corrupt(monkeypatch, ctx)
+    monkeypatch.setattr(harness, "CHUNK_SHOTS", 97)
+    report = sample_fault_pairs(d, decoder, samples=samples, seed=seed)
+    logical, failures, landed = _reference_pairs(ctx, samples, seed)
+    assert (report.cases, report.logical_failures, report.landed) == (samples, logical, landed)
+    assert report.failures == failures
+    assert len(failures) == 20
+
+
+def test_sampled_pairs_landed_counts():
+    """Of 2000 d=5 strong pairs at seed 0, many land fewer than two faults
+    (a fault's round is drawn up to the cap, the shot often stops sooner);
+    the batched counts equal the reference runner's."""
+    report = sample_fault_pairs(5, "strong", samples=2000, seed=0)
+    ctx = harness._context((5, "strong", False, None))
+    assert report.landed == _reference_pairs(ctx, 2000, 0)[2] == [312, 511, 1177]
 
 
 def test_config_validation():

@@ -11,6 +11,8 @@ from ftecsim.recovery import (
     decode_sector_masks,
     enumeration_count,
     final_verdict,
+    parity64,
+    popcount64,
     split_sectors,
 )
 from ftecsim.stabilizer import PauliOperator, multiply, syndrome_of
@@ -164,3 +166,20 @@ def test_lookup_counts_misses_and_reproduces_syndromes(code5):
     assert type(table.fallback_decodes) is int  # the benchmark writes it to JSON
     for x, z, mx, mz in zip(x_part.tolist(), z_part.tolist(), cx.tolist(), cz.tolist()):
         assert split_sectors(code5, syndrome_of(code5, PauliOperator(19, mx, mz))) == (x, z)
+
+
+def test_popcount64_matches_bit_count():
+    """The SWAR popcount against ``int.bit_count`` on random words and the
+    edge words 0, all ones and the high bit alone; its low bit is the parity."""
+    rng = np.random.default_rng(64)
+    words = np.concatenate((
+        np.array([0, (1 << 64) - 1, 1 << 63], np.uint64),
+        rng.integers(0, 1 << 64, size=2000, dtype=np.uint64),
+        # sparse words, with about eight bits set
+        np.bitwise_and.reduce(rng.integers(0, 1 << 64, size=(3, 2000), dtype=np.uint64)),
+    ))
+    counts = popcount64(words)
+    assert counts.dtype == np.uint64
+    assert counts.tolist() == [w.bit_count() for w in words.tolist()]
+    assert counts[:3].tolist() == [0, 64, 1]
+    assert ((counts & np.uint64(1)).astype(bool) == parity64(words)).all()
