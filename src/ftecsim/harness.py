@@ -8,12 +8,15 @@ shots x locations grid and folds each fault's four-word XOR effect into
 its shot (``CompiledSchedule.fold``). Every stopping rule is one
 transition table (``decoders.PolicyTable``): per round, each shot moves
 to its state's successor for "syndrome changed or not" and reads that
-state's decision; a shot leaves the active set when it stops. In
-two-stage mode the same loop then runs the Z-sector stage with each
-shot's remaining budget, and the final decode and verdict run once over
-the whole chunk. The fault-injection checks run their cases through the
-same loop: each shot is one case, which starts from its input error and
-folds only its injected faults, each in its own round.
+state's decision; a shot leaves the active set when it stops. One
+driver, ``_run_shots``, runs every stage this way (in two-stage mode the
+Z-sector stage starts with each shot's remaining budget) and then applies
+each shot's chosen correction; only the source of each round's faults
+differs between its callers. The Monte Carlo chunk samples them and
+returns its counts as one vector, which ``run_point`` adds up. The
+fault-injection checks give each case one shot, which starts from its
+input error and folds only its injected faults, each in its own round
+counted over all stages.
 
 The scalar reference runner ``run_shot_reference`` plays one shot, in
 either mode, through the same circuit semantics (``inject_round`` for
@@ -169,7 +172,6 @@ def default_built_to_weight(code: StabilizerCode, t: int) -> int:
 
 class _Context:
     def __init__(self, d: int, decoder: str, css_two_stage: bool, built_to_weight: int | None):
-        self.d = d
         self.kind = decoder
         self.t = (d - 1) // 2
         self.code = build_hex_color_code(d)
@@ -206,13 +208,13 @@ def _context(key: tuple) -> _Context:
 def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
     """Drive one stopping policy over a batch of shots, all rounds in step.
 
-    ``next_round(active)`` runs one round on the shots ``active`` (an
-    index array) and returns their reported syndromes; each shot starts
-    in ``table.root`` at its own fault ``budget``. Returns, per shot, the
-    chosen syndrome (0 for no correction), the 1-based round it came from
-    (0 for none), the rounds used, the stop-reason code (an index into
-    ``REASONS``) and the minimum fault count of the final difference
-    vector.
+    ``next_round(active, r)`` runs round r (1-based) on the shots
+    ``active`` (an index array) and returns their reported syndromes; each
+    shot starts in ``table.root`` at its own fault ``budget``. Returns,
+    per shot, the chosen syndrome (0 for no correction), the 1-based round
+    it came from (0 for none), the rounds used, the stop-reason code (an
+    index into ``REASONS``) and the minimum fault count of the final
+    difference vector.
     """
     n = len(budget)
     history = np.zeros((table.max_rounds, n), np.uint64)
@@ -225,7 +227,7 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
     state = table.root[budget]
     r = 0
     while active.size:
-        syn = next_round(active)
+        syn = next_round(active, r + 1)
         history[r, active] = syn
         r += 1
         state, (code, pick, evidenced) = table.advance(state, syn != prev)
@@ -267,48 +269,66 @@ def _decode_into(ctx: _Context, frames: FrameBatch, syndrome: np.ndarray) -> Non
     frames.z[hit] ^= cz
 
 
-def _correct(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> np.ndarray:
-    """Apply each shot's chosen correction; its x/z words then hold the
+def _run_shots(ctx: _Context, frames: FrameBatch, fold_round) -> tuple:
+    """Every stage of a batch of shots, one per frame of ``frames``, then
+    each shot's chosen correction.
+
+    ``fold_round(compiled, active, rnd)`` runs one round of the stage
+    schedule ``compiled`` on the shots ``active``, whose round numbers
+    counted over all stages are ``rnd``, and returns their reported
+    syndromes. Each stage after the first runs with budget t minus the
+    faults evidenced by the previous stage's difference vector, as in
+    ``run_shot_reference``. The frames' x/z words are left holding the
     residual before ideal EC. Returns the residual's syndrome (the frames'
-    ``syndrome`` words are not updated)."""
-    # a correction's syndrome is the syndrome it was decoded from
-    residual = frames.syndrome ^ chosen
-    _decode_into(ctx, frames, chosen)
-    return residual
-
-
-def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> np.ndarray:
-    """Ideal EC on the corrected frames (``residual`` from :func:`_correct`);
-    True where a logical error remains."""
-    _decode_into(ctx, frames, residual)
-    return parity64(frames.x & ctx.x_logical) | parity64(frames.z & ctx.z_logical)
-
-
-def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generator) -> tuple:
-    """All shots of one chunk: stage 1, then stage 2 in two-stage mode, then
-    the verdicts. Stage 2 runs with each shot's budget t minus the faults
-    evidenced by its stage-1 difference vector, the rule
-    ``run_shot_reference`` also follows."""
-    frames = FrameBatch(shots)
-    chosen = np.zeros(shots, np.uint64)
-    rounds = np.zeros(shots, np.int64)
-    budget = np.full(shots, ctx.t, np.int64)
+    ``syndrome`` words are not updated), the rounds used and the last
+    stage's stop-reason codes (indices into ``REASONS``).
+    """
+    n = len(frames.x)
+    chosen = np.zeros(n, np.uint64)
+    rounds = np.zeros(n, np.int64)
+    budget = np.full(n, ctx.t, np.int64)
     for compiled in ctx.stages:
-        def next_round(active, compiled=compiled):
-            return np.concatenate([
-                _apply_faults(compiled, frames, *compiled.draw(p, len(part), rng), part)
-                for part in compiled.slices(p, active)
-            ])
+        # ``rounds`` holds the earlier stages' rounds until this stage ends
+        def next_round(active, r, compiled=compiled):
+            return fold_round(compiled, active, rounds[active] + r)
 
         syn, _, used, reason, faults = _run_policy(ctx.policy, next_round, budget)
         chosen |= syn << np.uint64(compiled.base)
         rounds += used
         budget = np.maximum(ctx.t - faults, 0)
-    errors = int(_logical_errors(ctx, frames, _correct(ctx, frames, chosen)).sum())
-    hist = np.bincount(rounds, minlength=ctx.cap + 2).tolist()
-    stops = np.bincount(reason, minlength=len(REASONS)).tolist()
-    stopped_by = {REASONS[i]: c for i, c in enumerate(stops) if c}
-    return (shots, errors, int(rounds.sum()), hist, int(rounds.max()), stopped_by)
+    # a correction's syndrome is the syndrome it was decoded from
+    residual = frames.syndrome ^ chosen
+    _decode_into(ctx, frames, chosen)
+    return residual, rounds, reason
+
+
+def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> np.ndarray:
+    """Ideal EC on the corrected frames (``residual`` from :func:`_run_shots`);
+    True where a logical error remains."""
+    _decode_into(ctx, frames, residual)
+    return parity64(frames.x & ctx.x_logical) | parity64(frames.z & ctx.z_logical)
+
+
+def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """All shots of one chunk, every round sampled at rate p. Returns the
+    chunk's counts as one int64 vector: the logical errors, then the shots
+    that used 0..``ctx.cap`` rounds, then the shots per ``REASONS`` entry
+    of their last stage's stop. Chunks aggregate by adding vectors."""
+    frames = FrameBatch(shots)
+
+    def fold_round(compiled, active, rnd):
+        return np.concatenate([
+            _apply_faults(compiled, frames, *compiled.draw(p, len(part), rng), part)
+            for part in compiled.slices(p, active)
+        ])
+
+    residual, rounds, reason = _run_shots(ctx, frames, fold_round)
+    errors = _logical_errors(ctx, frames, residual)
+    return np.concatenate((
+        [errors.sum()],
+        np.bincount(rounds, minlength=ctx.cap + 1),
+        np.bincount(reason, minlength=len(REASONS)),
+    ))
 
 
 def _chunk_seed(seed: int, point_key: int, chunk_index: int) -> np.random.Generator:
@@ -343,31 +363,15 @@ def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> Experim
     ctx_key = (config.d, config.decoder, config.css_two_stage, config.built_to_weight)
     ctx = _context(ctx_key)
     n_chunks = (config.shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
-    sizes = [
-        min(CHUNK_SHOTS, config.shots - i * CHUNK_SHOTS) for i in range(n_chunks)
-    ]
-    jobs = [
-        (ctx_key, p, sizes[i], config.seed, point_key, i) for i in range(n_chunks)
-    ]
+    jobs = [(ctx_key, p, min(CHUNK_SHOTS, config.shots - i * CHUNK_SHOTS), config.seed,
+             point_key, i) for i in range(n_chunks)]
     workers = resolve_workers(config.workers)
 
-    shots = errors = rounds_sum = max_rounds = 0
-    hist: dict[int, int] = {}
-    stopped: dict[str, int] = {}
+    total = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
 
-    def consume(result) -> bool:
-        nonlocal shots, errors, rounds_sum, max_rounds
-        c_shots, c_errors, c_rsum, c_hist, c_max, c_stop = result
-        shots += c_shots
-        errors += c_errors
-        rounds_sum += c_rsum
-        max_rounds = max(max_rounds, c_max)
-        for r, cnt in enumerate(c_hist):
-            if cnt:
-                hist[r] = hist.get(r, 0) + cnt
-        for k, v in c_stop.items():
-            stopped[k] = stopped.get(k, 0) + v
-        return config.max_errors is not None and errors >= config.max_errors
+    def consume(counts) -> bool:
+        total[:] += counts
+        return config.max_errors is not None and total[0] >= config.max_errors
 
     if workers <= 1 or n_chunks == 1:
         for job in jobs:
@@ -375,22 +379,26 @@ def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> Experim
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_chunk, jobs):
-                if consume(result):
+            for counts in pool.map(_run_chunk, jobs):
+                if consume(counts):
                     break
 
+    errors = int(total[0])
+    hist = total[1:ctx.cap + 2].tolist()
+    stops = total[ctx.cap + 2:].tolist()
+    shots = sum(hist)
     ci_low, ci_high = wilson_interval(errors, shots)
     return ExperimentStats(
         p=p,
         shots=shots,
         logical_errors=errors,
-        p_l_hat=errors / shots if shots else 0.0,
+        p_l_hat=errors / shots,
         ci_low=ci_low,
         ci_high=ci_high,
-        avg_rounds=rounds_sum / shots if shots else 0.0,
-        rounds_histogram=dict(sorted(hist.items())),
-        max_rounds_seen=max_rounds,
-        stopped_by=dict(sorted(stopped.items())),
+        avg_rounds=sum(r * c for r, c in enumerate(hist)) / shots,
+        rounds_histogram={r: c for r, c in enumerate(hist) if c},
+        max_rounds_seen=max(r for r, c in enumerate(hist) if c),
+        stopped_by=dict(sorted((REASONS[i], c) for i, c in enumerate(stops) if c)),
         seed=config.seed,
     )
 
@@ -496,36 +504,24 @@ class FaultEnumReport:
 
 def _run_injected(ctx: _Context, frames: FrameBatch, shot: np.ndarray, rnd: np.ndarray,
                   row: np.ndarray) -> tuple:
-    """Injected cases through the engine's single-stage loop, one case per
-    shot of ``frames``.
+    """Injected cases through the engine, one case per shot of ``frames``.
 
     Each shot starts from its frame in ``frames`` (an input error, or
-    none) and samples no noise. Fault j, row ``row[j]`` of the schedule's
-    fault table, folds into shot ``shot[j]`` in round ``rnd[j]`` if that
-    shot is still running then, so a fault whose round the shot never
-    reaches never folds. Returns, per shot, the logical verdict, the
+    none) and samples no noise. Fault j, row ``row[j]`` of the fault table
+    that every stage schedule shares, folds into shot ``shot[j]`` in its
+    round ``rnd[j]``, counted over all stages, if the shot is still
+    running then; a fault whose round the shot never reaches never folds.
+    ``shot`` must be sorted. Returns, per shot, the logical verdict, the
     residual x and z words after the chosen correction and before ideal
-    EC, the rounds used and the stop-reason code (an index into
-    ``REASONS``).
+    EC, the rounds used and the last stage's stop-reason code (an index
+    into ``REASONS``).
     """
-    compiled = ctx.stages[0]
-    order = np.lexsort((shot, rnd))
-    shot, row = shot[order], row[order]
-    # round r's faults, sorted by shot, are shot[edges[r - 1]:edges[r]]
-    edges = np.searchsorted(rnd[order], np.arange(ctx.cap + 1), "right")
-    r = 0
+    def fold_round(compiled, active, now):
+        pos = np.minimum(np.searchsorted(active, shot), len(active) - 1)
+        fire = (active[pos] == shot) & (now[pos] == rnd)
+        return _apply_faults(compiled, frames, pos[fire], row[fire], active)
 
-    def next_round(active):
-        nonlocal r
-        r += 1
-        s, w = shot[edges[r - 1]:edges[r]], row[edges[r - 1]:edges[r]]
-        pos = np.minimum(np.searchsorted(active, s), len(active) - 1)
-        live = active[pos] == s
-        return _apply_faults(compiled, frames, pos[live], w[live], active)
-
-    budget = np.full(len(frames.x), ctx.t, np.int64)
-    chosen, _, rounds, reason, _ = _run_policy(ctx.policy, next_round, budget)
-    residual = _correct(ctx, frames, chosen)
+    residual, rounds, reason = _run_shots(ctx, frames, fold_round)
     x, z = frames.x.copy(), frames.z.copy()
     return _logical_errors(ctx, frames, residual), x, z, rounds, reason
 
@@ -704,6 +700,8 @@ def estimate_pseudothreshold(
 
     if not (0 < p_lo < p_hi <= 1):
         raise ValueError("need 0 < p_lo < p_hi <= 1")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     g_lo = g(p_lo)
     g_hi = g(p_hi)
     if not (g_lo < 0 < g_hi):

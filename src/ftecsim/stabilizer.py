@@ -68,9 +68,6 @@ class PauliOperator:
     def weight(self) -> int:
         return (self.x_bits | self.z_bits).bit_count()
 
-    def is_identity(self) -> bool:
-        return not (self.x_bits | self.z_bits)
-
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ftecsim import cli
+from ftecsim import cli, harness
 from ftecsim.cli import run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,6 +100,12 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
                  ["oracle-check", "--max-len", "2", "--t-max", "6"]):
         assert run_cli(argv) == 1, argv
         assert "must be <= 15 and <= 5" in capsys.readouterr().err, argv
+    assert calls == []
+    # a negative bisection count is refused before any probe
+    monkeypatch.setattr(harness, "run_point", lambda *a, **k: calls.append(a))
+    assert run_cli(["pseudothreshold", "--d", "3", "--decoder", "weak",
+                    "--iterations", "-3"]) == 1
+    assert "iterations must be >= 0, got -3" in capsys.readouterr().err
     assert calls == []
     cfg = tmp_path / "cfg.json"
     # misspelled keys are named, not ignored

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ftecsim import harness
-from ftecsim.colorcode import build_hex_color_code
 from ftecsim.decoders import (
     CODE_CONTINUE,
     CONTINUE,
@@ -27,7 +26,6 @@ from ftecsim.harness import (
     ExperimentConfig,
     ExperimentStats,
     _run_policy,
-    default_built_to_weight,
     enumerate_single_faults,
     estimate_pseudothreshold,
     run_point,
@@ -36,7 +34,7 @@ from ftecsim.harness import (
     threshold_lower_bound,
     wilson_interval,
 )
-from ftecsim.recovery import build_table
+from ftecsim.recovery import popcount64
 from ftecsim.stabilizer import PauliOperator, syndrome_of
 
 
@@ -46,12 +44,9 @@ class _Replay:
 
     def __init__(self, streams):
         self.streams = np.array(streams, dtype=np.uint64)
-        self.round = 0
 
-    def __call__(self, active):
-        syn = self.streams[active, self.round]
-        self.round += 1
-        return syn
+    def __call__(self, active, r):
+        return self.streams[active, r - 1]
 
 
 def _random_stream(rng, length):
@@ -158,13 +153,31 @@ def test_early_stop_determinism():
 
 
 def test_rounds_bounded_by_worst_case():
-    for decoder in ("shor", "strong", "weak"):
-        cfg = ExperimentConfig(d=3, decoder=decoder, shots=4000, seed=3)
+    """The counts that ``run_point`` derives from its summed chunk vectors
+    agree with each other: per decoder, in two-stage mode (whose cap is
+    two stages' worth) and when ``max_errors`` stops the run early."""
+    points = [(decoder, False, None) for decoder in ("shor", "strong", "weak")]
+    points += [("strong", True, None), ("weak", False, 50)]
+    for decoder, two_stage, max_errors in points:
+        shots = 4000 if max_errors is None else 20_000
+        cfg = ExperimentConfig(d=3, decoder=decoder, shots=shots, seed=3,
+                               css_two_stage=two_stage, max_errors=max_errors)
         stats = run_point(cfg, 0.3)
-        cap = PolicyConfig(decoder, 1).max_rounds_cap()
+        cap = PolicyConfig(decoder, 1).max_rounds_cap() * (2 if two_stage else 1)
+        hist = stats.rounds_histogram
         assert stats.max_rounds_seen <= cap
-        assert set(stats.rounds_histogram) <= set(range(1, cap + 1))
-        assert sum(stats.rounds_histogram.values()) == stats.shots
+        assert set(hist) <= set(range(1, cap + 1))
+        assert sum(hist.values()) == stats.shots
+        assert sum(stats.stopped_by.values()) == stats.shots
+        assert stats.avg_rounds == sum(r * c for r, c in hist.items()) / stats.shots
+        assert stats.max_rounds_seen == max(hist)
+        assert stats.p_l_hat == stats.logical_errors / stats.shots
+        if max_errors is None:
+            assert stats.shots == shots
+        else:
+            # the run stops at the first chunk boundary with max_errors errors
+            assert stats.logical_errors >= max_errors
+            assert stats.shots % harness.CHUNK_SHOTS == 0 and stats.shots < shots
 
 
 def test_reference_runner_agrees_with_engine_distribution(code3, table3):
@@ -214,34 +227,33 @@ def test_two_stage_engine_matches_reference_distribution(code5, table5):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("decoder", ["strong", "weak"])
 def test_two_stage_single_faults(d, decoder):
-    """Exhaustive order-1 fault injection into two-stage mode: every
-    weight-1 input error, and every fault in every round the noiseless
-    shot reaches, at a location of that round's stage schedule. No
-    logical error, and a residual weight of at most the faults landed."""
-    code = build_hex_color_code(d)
-    t = (d - 1) // 2
-    table = build_table(code, default_built_to_weight(code, t))
-    schedules = tuple(compile_schedule(code, NoiseModel(0.0), s) for s in ("x", "z"))
-
-    def run(faults, initial=None):
-        return run_shot_reference(code, table, decoder, t, schedules=schedules,
-                                  initial_error=initial, injected_faults=faults)
-
-    cases = []
-    for q in range(code.n):
-        for kind in "XYZ":
-            cases.append(({}, PauliOperator.single(code.n, q, kind), 0))
-    rho = 0
-    for decision, compiled in zip(run({}).decisions, schedules):
-        for rho in range(rho + 1, rho + decision.rounds_used + 1):
-            cases += [({rho: [(lid, value)]}, None, 1)
-                      for lid, values in enumerate(compiled.values) for value in values]
-    for faults, initial, landed in cases:
-        result = run(faults, initial)
-        assert not result.logical_error, (faults, initial)
-        assert result.residual.weight() <= landed, (faults, initial)
-    assert len(cases) == {(3, "strong"): 1077, (3, "weak"): 549,
-                          (5, "strong"): 5601, (5, "weak"): 3753}[d, decoder]
+    """Exhaustive order-1 fault injection into two-stage mode through the
+    engine: every weight-1 input error, and every fault in every round up
+    to the cap, at a location of the shared fault table. Each case gives
+    the reference runner's verdict, residual words, rounds and last stop
+    reason on the X- and Z-sector schedules. On the cases the noiseless
+    shot reaches: no logical error, and a residual weight of at most the
+    faults landed."""
+    ctx = harness._context((d, decoder, True, None))
+    n = ctx.code.n
+    cases = [(PauliOperator.single(n, q, kind), {}) for q in range(n) for kind in "XYZ"]
+    cases += [(None, {rho: [(lid, value)]})
+              for rho in range(1, ctx.cap + 1)
+              for lid, values in enumerate(ctx.stages[0].values) for value in values]
+    assert len(cases) == {(3, "strong"): 1605, (3, "weak"): 1077,
+                          (5, "strong"): 9297, (5, "weak"): 7449}[d, decoder]
+    errors, x, z, _, _ = _assert_injected_match_reference(ctx, cases)
+    weight = popcount64(x | z)
+    reached = _reference_run(ctx, {}).rounds_used
+    checked = 0
+    for i, (initial, faults) in enumerate(cases):
+        if any(rho > reached for rho in faults):
+            continue
+        checked += 1
+        assert not errors[i], (i, faults)
+        assert weight[i] <= len(faults), (i, faults)
+    assert checked == {(3, "strong"): 1077, (3, "weak"): 549,
+                       (5, "strong"): 5601, (5, "weak"): 3753}[d, decoder]
 
 
 def test_threshold_lower_bound_examples():
@@ -384,7 +396,7 @@ def test_fault_enum_counts_unreached_rounds(code3, table3, compiled3):
 
 
 def _reference_run(ctx, faults, initial=None):
-    return run_shot_reference(ctx.code, ctx.table, ctx.kind, ctx.t, schedules=(ctx.stages[0],),
+    return run_shot_reference(ctx.code, ctx.table, ctx.kind, ctx.t, schedules=tuple(ctx.stages),
                               initial_error=initial, injected_faults=faults)
 
 
@@ -403,8 +415,13 @@ def _draw_pair(rng, ctx):
 def _injected_batch(ctx, cases):
     """``harness._run_injected``'s input for (input error or None,
     {round: [(location, value)]}) cases: the initial frames, and the
-    faults as (shot, round, table row)."""
+    faults as (shot, round, table row). A fault's row is read from the
+    schedule its shot runs in that round, so every stage schedule must
+    share one row layout."""
     compiled = ctx.stages[0]
+    for other in ctx.stages[1:]:
+        assert other.values == compiled.values
+        assert np.array_equal(other.first_row, compiled.first_row)
     frames = FrameBatch(len(cases))
     shot, rnd, row = [], [], []
     for i, (initial, faults) in enumerate(cases):
@@ -420,13 +437,17 @@ def _injected_batch(ctx, cases):
 
 
 def _assert_injected_match_reference(ctx, cases):
-    errors, x, z, rounds, reason = harness._run_injected(ctx, *_injected_batch(ctx, cases))
+    """Run the cases through the injector, check each against the
+    reference runner, and return the injector's result."""
+    result = harness._run_injected(ctx, *_injected_batch(ctx, cases))
+    errors, x, z, rounds, reason = result
     for i, (initial, faults) in enumerate(cases):
         ref = _reference_run(ctx, faults, initial)
         got = (bool(errors[i]), int(x[i]), int(z[i]), int(rounds[i]), REASONS[reason[i]])
         want = (ref.logical_error, ref.residual.x_bits, ref.residual.z_bits, ref.rounds_used,
                 ref.decisions[-1].stopped_by)
         assert got == want, (i, initial and initial.to_string(), faults)
+    return result
 
 
 @pytest.mark.parametrize("decoder", KINDS)
