@@ -11,9 +11,10 @@ growing syndrome history:
   contains t non-overlapping 11 pairs (correct with the latest round).
 - ``weak``: branch on whether the first syndrome is zero. For t = 1 this
   is the two-round protocol that may stop without correcting; for t >= 2
-  the usable-substring search runs on a transformed vector (first bit
-  dropped when the first syndrome is nonzero, a zero prepended when it is
-  zero) with budget t-1 or t respectively.
+  it is the strong rule's stop test on a transformed vector: the first
+  bit dropped, with budget t-1, when the first syndrome is nonzero, or a
+  zero prepended, with budget t, when it is zero. A usable run through
+  the prepended zero stops without correcting.
 
 Every policy decision is computed by one pure function of the observed
 difference vector (plus the first-syndrome branch for the weak policy),
@@ -132,19 +133,34 @@ def shor_decision(t: int, delta: str) -> PolicyDecision:
     return PolicyDecision(CONTINUE, rounds)
 
 
-def strong_decision(t: int, delta: str) -> PolicyDecision:
-    rounds = len(delta) + 1
-    usable = find_usable(t, delta) if delta else []
+def _stop(budget: int, vec: str, rounds: int, shift: int) -> PolicyDecision | None:
+    """The strong rule's stop test with fault budget ``budget``, or None.
+
+    It stops on the earliest usable run of ``vec``, correcting with round
+    ``run.start + shift`` (none below 1), or on ``budget`` disjoint 11
+    pairs, correcting with the latest round."""
+    usable = find_usable(budget, vec) if vec else []
     if usable:
-        run = usable[0]
-        return PolicyDecision(STOP_CORRECT, rounds, run.start, USABLE_RUN)
-    if pairs_only(delta) == t:
+        index = usable[0].start + shift
+        if index < 1:
+            return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
+        return PolicyDecision(STOP_CORRECT, rounds, index, USABLE_RUN)
+    if pairs_only(vec) == budget:
         return PolicyDecision(STOP_CORRECT, rounds, rounds, PAIR_COUNT)
-    if rounds >= worst_case_rounds("strong", t):
-        raise ProtocolDefect(
-            f"strong policy undecided at its round cap (t={t}, delta={delta!r})"
-        )
+    return None
+
+
+def _continue(kind: str, t: int, branch: str, delta: str) -> PolicyDecision:
+    """Continue, unless the round cap is reached: then the rule is broken."""
+    rounds = len(delta) + 1
+    if rounds >= worst_case_rounds(kind, t, branch):
+        raise ProtocolDefect(f"{kind} policy undecided at its round cap "
+                             f"(t={t}, branch={branch}, delta={delta!r})")
     return PolicyDecision(CONTINUE, rounds)
+
+
+def strong_decision(t: int, delta: str) -> PolicyDecision:
+    return _stop(t, delta, len(delta) + 1, 0) or _continue("strong", t, "n/a", delta)
 
 
 def weak_decision(t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
@@ -158,41 +174,12 @@ def weak_decision(t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
         if delta[0] == "0":
             return PolicyDecision(STOP_CORRECT, rounds, 1, USABLE_RUN)
         return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
-
+    # position k of the trimmed vector is k+1 in delta, of the extended one k-1
     if s1_nonzero:
-        prime = delta[1:]
-        budget = t - 1
-        usable = find_usable(budget, prime) if prime else []
-        if usable:
-            run = usable[0]
-            # position k in the trimmed vector is position k+1 in delta
-            return PolicyDecision(STOP_CORRECT, rounds, run.start + 1, USABLE_RUN)
-        if pairs_only(prime) == budget:
-            return PolicyDecision(STOP_CORRECT, rounds, rounds, PAIR_COUNT)
-        branch = "nonzero"
+        decision = _stop(t - 1, delta[1:], rounds, 1)
     else:
-        prime = "0" + delta
-        budget = t
-        usable = find_usable(budget, prime)
-        if usable:
-            run = usable[0]
-            if run.start == 1:
-                # The run contains the prepended zero, so the selected
-                # syndrome is the all-zero first-round syndrome: nothing to
-                # correct.
-                return PolicyDecision(
-                    STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION
-                )
-            return PolicyDecision(STOP_CORRECT, rounds, run.start - 1, USABLE_RUN)
-        if pairs_only(prime) == budget:
-            return PolicyDecision(STOP_CORRECT, rounds, rounds, PAIR_COUNT)
-        branch = "zero"
-    if rounds >= worst_case_rounds("weak", t, branch):
-        raise ProtocolDefect(
-            f"weak policy undecided at its round cap (t={t}, s1_nonzero={s1_nonzero}, "
-            f"delta={delta!r})"
-        )
-    return PolicyDecision(CONTINUE, rounds)
+        decision = _stop(t, "0" + delta, rounds, -1)
+    return decision or _continue("weak", t, "nonzero" if s1_nonzero else "zero", delta)
 
 
 def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:

@@ -16,11 +16,20 @@ below returns all usable runs in left-to-right order.
 Fault counting pairs adjacent ones greedily from the left: a block of q
 consecutive ones costs ceil(q/2) faults, which equals any maximal
 non-overlapping pairing.
+
+Everything is read off one split of the vector into its one-block
+lengths o_0..o_k around the k zero runs. The fault count is the sum of
+ceil(o/2), the pair count the sum of floor(o/2). Run j sits between
+blocks j-1 and j, whose boundary ones it does not count, so alpha_j and
+beta_j are a prefix and a suffix sum of ceil(o/2) with the neighbouring
+block at floor(o/2). The work-bound counter ``_ops`` adds what that one
+pass reads: the vector's characters and the runs it emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -62,84 +71,52 @@ class SyndromeHistory:
         self.rounds.append(syndrome)
 
 
-def _check_delta(delta: str) -> None:
-    if any(ch not in "01" for ch in delta):
+def _blocks(delta: str) -> tuple[list[int], list[int]]:
+    """The one-block lengths o_0..o_k around the k maximal zero runs of
+    ``delta`` (o_0 or o_k is 0 when it starts or ends with a zero), and
+    the runs' lengths gamma_1..gamma_k."""
+    if delta.strip("01"):
         raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")
+    pieces = delta.split("0")  # every piece after the first follows a zero
+    ones, zeros, gap = [len(pieces[0])], [], 0
+    for piece in pieces[1:]:
+        gap += 1
+        if piece:
+            ones.append(len(piece))
+            zeros.append(gap)
+            gap = 0
+    if gap:
+        ones.append(0)
+        zeros.append(gap)
+    return ones, zeros
 
 
 def min_faults(delta: str) -> int:
     """Minimum fault count evidenced by ``delta``: 11 pairs plus leftover ones."""
-    _check_delta(delta)
-    total = 0
-    q = 0
-    for ch in delta:
-        if ch == "1":
-            q += 1
-        else:
-            total += (q + 1) // 2
-            q = 0
-    return total + (q + 1) // 2
+    return sum((o + 1) // 2 for o in _blocks(delta)[0])
 
 
 def pairs_only(delta: str) -> int:
     """Number of non-overlapping 11 substrings under greedy left-to-right pairing."""
-    _check_delta(delta)
-    total = 0
-    q = 0
-    for ch in delta:
-        if ch == "1":
-            q += 1
-        else:
-            total += q // 2
-            q = 0
-    return total + q // 2
+    return sum(o // 2 for o in _blocks(delta)[0])
 
 
 def decompose(delta: str, _ops=None) -> list[ZeroSubstring]:
     """All maximal zero runs of ``delta`` with their (alpha, beta, gamma).
 
-    ``_ops`` is an optional single-element list used as a primitive
-    operation counter by the work-bound check; each bit visited during the
-    alpha/beta sweeps and the run scan increments it.
+    ``_ops``, an optional one-element list, counts the work-bound check's
+    primitive operations: the characters scanned and the runs emitted.
     """
-    _check_delta(delta)
-    runs: list[ZeroSubstring] = []
-    length = len(delta)
-    i = 0
-    j = 0
-    while i < length:
-        if _ops is not None:
-            _ops[0] += 1
-        if delta[i] == "1":
-            i += 1
-            continue
-        start = i
-        while i < length and delta[i] == "0":
-            if _ops is not None:
-                _ops[0] += 1
-            i += 1
-        end = i - 1  # inclusive, 0-based
-        j += 1
-        # alpha: faults strictly before the left boundary one; beta: faults
-        # strictly after the right boundary one. Edge runs have no boundary
-        # one on that side and count zero there.
-        alpha = 0 if start == 0 else min_faults(delta[: start - 1])
-        beta = 0 if end == length - 1 else min_faults(delta[end + 2 :])
-        if _ops is not None:
-            _ops[0] += (start - 1 if start > 0 else 0) + (
-                length - end - 2 if end < length - 1 else 0
-            )
-        runs.append(
-            ZeroSubstring(
-                j=j,
-                start=start + 1,
-                end=end + 1,
-                gamma=end - start + 1,
-                alpha=alpha,
-                beta=beta,
-            )
-        )
-    return runs
+    ones, zeros = _blocks(delta)
+    if _ops is not None:
+        _ops[0] += len(delta) + len(zeros)
+    # faults[i]: the faults of blocks 0..i-1; a run's neighbour blocks lose their boundary one
+    faults = list(accumulate([(o + 1) // 2 for o in ones], initial=0))
+    ends = accumulate(o + gamma for o, gamma in zip(ones, zeros))  # 1-based, run by run
+    # ZeroSubstring(j, start, end, gamma, alpha, beta)
+    return [ZeroSubstring(j, end - gamma + 1, end, gamma, faults[j - 1] + ones[j - 1] // 2,
+                          ones[j] // 2 + faults[-1] - faults[j + 1])
+            for j, (gamma, end) in enumerate(zip(zeros, ends), 1)]
 
 
 def find_usable(t_in: int, delta: str, _ops=None) -> list[ZeroSubstring]:

@@ -502,24 +502,23 @@ class FaultEnumReport:
         return not self.logical_failures and not self.weight_violations
 
 
-def _run_injected(ctx: _Context, frames: FrameBatch, shot: np.ndarray, rnd: np.ndarray,
-                  row: np.ndarray) -> tuple:
+def _run_injected(ctx: _Context, frames: FrameBatch, rnd: np.ndarray, row: np.ndarray) -> tuple:
     """Injected cases through the engine, one case per shot of ``frames``.
 
     Each shot starts from its frame in ``frames`` (an input error, or
-    none) and samples no noise. Fault j, row ``row[j]`` of the fault table
-    that every stage schedule shares, folds into shot ``shot[j]`` in its
-    round ``rnd[j]``, counted over all stages, if the shot is still
-    running then; a fault whose round the shot never reaches never folds.
-    ``shot`` must be sorted. Returns, per shot, the logical verdict, the
-    residual x and z words after the chosen correction and before ideal
-    EC, the rounds used and the last stage's stop-reason code (an index
-    into ``REASONS``).
+    none) and samples no noise. ``rnd`` and ``row`` are (shots, k)
+    matrices: fault j of shot i, row ``row[i, j]`` of the fault table
+    that every stage schedule shares, folds in round ``rnd[i, j]``,
+    counted over all stages, if the shot is still running then. Round 0
+    means no fault, and a fault whose round the shot never reaches never
+    folds. Returns, per shot, the logical verdict, the residual x and z
+    words after the chosen correction and before ideal EC, the rounds
+    used and the last stage's stop-reason code (an index into
+    ``REASONS``).
     """
     def fold_round(compiled, active, now):
-        pos = np.minimum(np.searchsorted(active, shot), len(active) - 1)
-        fire = (active[pos] == shot) & (now[pos] == rnd)
-        return _apply_faults(compiled, frames, pos[fire], row[fire], active)
+        pos, j = np.nonzero(rnd[active] == now[:, None])
+        return _apply_faults(compiled, frames, pos, row[active[pos], j], active)
 
     residual, rounds, reason = _run_shots(ctx, frames, fold_round)
     x, z = frames.x.copy(), frames.z.copy()
@@ -557,8 +556,8 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
     ctx = _context((d, decoder, False, None))
     compiled = ctx.stages[0]
     rows = len(compiled.words)
-    no_faults = np.zeros(0, np.int64)
-    reached = int(_run_injected(ctx, FrameBatch(1), no_faults, no_faults, no_faults)[3][0])
+    no_fault = np.zeros((1, 1), np.int64)  # round 0
+    reached = int(_run_injected(ctx, FrameBatch(1), no_fault, no_fault)[3][0])
     report = FaultEnumReport(d, decoder, 1, 0, (ctx.cap - reached) * rows, 0, 0)
     # cases: X, Y and Z on each qubit, then every table row in each reached round
     inputs = 3 * ctx.code.n
@@ -583,10 +582,10 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
         frames.x[:k] = has_x.astype(np.uint64) << q.astype(np.uint64)
         frames.z[:k] = has_z.astype(np.uint64) << q.astype(np.uint64)
         frames.syndrome[:k] = np.where(has_x, syn_x[q], 0) ^ np.where(has_z, syn_z[q], 0)
-        rnd, row = np.divmod(case[k:] - inputs, rows)
-        result = _run_injected(ctx, frames, np.arange(k, len(case)), rnd + 1, row)
-        landed = case >= inputs
-        weight_bad = popcount64(result[1] | result[2]) > landed
+        rnd, row = np.divmod(case - inputs, rows)
+        rnd = np.where(case < inputs, 0, rnd + 1)
+        result = _run_injected(ctx, frames, rnd[:, None], row[:, None])
+        weight_bad = popcount64(result[1] | result[2]) > (rnd > 0)  # faults that landed
         _tally(report, ctx, result, weight_bad, lambda i: label(start + i))
     return report
 
@@ -614,12 +613,9 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
             rho = int(rng.integers(1, ctx.cap + 1))
             lid = int(rng.integers(compiled.n_locations))
             draws[j] = rho, lid, int(rng.integers(len(compiled.values[lid])))
-        rnd, lid, choice = draws.T
-        shot = np.arange(2 * size) // 2
-        result = _run_injected(ctx, FrameBatch(size), shot, rnd,
-                               compiled.first_row[lid] + choice)
-        landed += np.bincount((rnd <= result[3][shot]).reshape(size, 2).sum(axis=1),
-                              minlength=3)
+        rnd, lid, choice = draws.reshape(size, 2, 3).transpose(2, 0, 1)
+        result = _run_injected(ctx, FrameBatch(size), rnd, compiled.first_row[lid] + choice)
+        landed += np.bincount((rnd <= result[3][:, None]).sum(1), minlength=3)
 
         def label(i):
             pair = draws[2 * i:2 * i + 2].tolist()

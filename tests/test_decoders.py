@@ -146,6 +146,9 @@ def test_policy_defect_is_unreachable_without_bugs():
     # incremental policy could never reach (it stops on the prefix "11")
     with pytest.raises(ProtocolDefect):
         policy_decision("strong", 1, True, "1111")
+    # the weak rule shares the cap check (it stops on the prefix "111")
+    with pytest.raises(ProtocolDefect):
+        policy_decision("weak", 2, True, "11111")
 
 
 def test_decision_tables_match_state_machines():

@@ -1,4 +1,4 @@
-import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -76,12 +76,32 @@ def test_pairs_only_examples():
     assert pairs_only("10101") == 0
 
 
-@given(deltas)
-@settings(max_examples=300)
-def test_min_faults_matches_block_formula(delta):
-    blocks = re.findall("1+", delta)
-    assert min_faults(delta) == sum((len(b) + 1) // 2 for b in blocks)
-    assert pairs_only(delta) == sum(len(b) // 2 for b in blocks)
+def _greedy_counts(delta):
+    """(faults, pairs) by a per-character greedy scan: each one pairs with
+    the next one when it can, and a one left unpaired is a fault alone."""
+    faults = pairs = 0
+    pending = False
+    for ch in delta:
+        if ch == "1" and pending:
+            pairs += 1
+            pending = False
+        elif ch == "1":
+            faults += 1
+            pending = True
+        else:
+            pending = False
+    return faults, pairs
+
+
+ALL_DELTAS = ["".join(bits) for length in range(13) for bits in product("01", repeat=length)]
+
+
+def test_min_faults_matches_block_formula():
+    """The block formulas behind min_faults and pairs_only against an
+    independent per-character scan, on every vector of length <= 12."""
+    assert len(ALL_DELTAS) == 8191
+    for delta in ALL_DELTAS:
+        assert (min_faults(delta), pairs_only(delta)) == _greedy_counts(delta), delta
 
 
 @given(deltas)
@@ -113,14 +133,14 @@ def test_usability_monotone_in_budget(delta, t):
         assert usable_t <= usable_lower
 
 
-@given(deltas)
-@settings(max_examples=200)
-def test_alpha_beta_definition(delta):
-    for r in decompose(delta):
-        prefix = delta[: r.start - 2] if r.start > 1 else ""
-        suffix = delta[r.end + 1 :] if r.end < len(delta) else ""
-        assert r.alpha == (min_faults(prefix) if r.start > 1 else 0)
-        assert r.beta == (min_faults(suffix) if r.end < len(delta) else 0)
+def test_alpha_beta_definition():
+    """alpha and beta are the greedy fault counts of the prefix before the
+    run's left boundary one and the suffix after its right one."""
+    for delta in ALL_DELTAS:
+        for r in decompose(delta):
+            prefix = delta[: r.start - 2] if r.start > 1 else ""
+            suffix = delta[r.end + 1 :] if r.end < len(delta) else ""
+            assert (r.alpha, r.beta) == (_greedy_counts(prefix)[0], _greedy_counts(suffix)[0])
 
 
 def test_operation_count_positive_and_grows():

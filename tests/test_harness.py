@@ -415,25 +415,27 @@ def _draw_pair(rng, ctx):
 def _injected_batch(ctx, cases):
     """``harness._run_injected``'s input for (input error or None,
     {round: [(location, value)]}) cases: the initial frames, and the
-    faults as (shot, round, table row). A fault's row is read from the
-    schedule its shot runs in that round, so every stage schedule must
-    share one row layout."""
+    faults as (cases, k) matrices of rounds and table rows, padded with
+    round 0 (no fault). A fault's row is read from the schedule its shot
+    runs in that round, so every stage schedule must share one row
+    layout."""
     compiled = ctx.stages[0]
     for other in ctx.stages[1:]:
         assert other.values == compiled.values
         assert np.array_equal(other.first_row, compiled.first_row)
     frames = FrameBatch(len(cases))
-    shot, rnd, row = [], [], []
+    k = max((sum(map(len, faults.values())) for _, faults in cases), default=0)
+    rnd = np.zeros((len(cases), k), np.int64)
+    row = np.zeros_like(rnd)
     for i, (initial, faults) in enumerate(cases):
         if initial is not None:
             frames.x[i], frames.z[i] = initial.x_bits, initial.z_bits
             frames.syndrome[i] = syndrome_of(ctx.code, initial)
-        for rho, placed in faults.items():
-            for lid, value in placed:
-                shot.append(i)
-                rnd.append(rho)
-                row.append(compiled.first_row[lid] + compiled.values[lid].index(value))
-    return (frames, *(np.array(a, np.int64) for a in (shot, rnd, row)))
+        placed = [(rho, lid, value) for rho, at in faults.items() for lid, value in at]
+        for j, (rho, lid, value) in enumerate(placed):
+            rnd[i, j] = rho
+            row[i, j] = compiled.first_row[lid] + compiled.values[lid].index(value)
+    return frames, rnd, row
 
 
 def _assert_injected_match_reference(ctx, cases):
