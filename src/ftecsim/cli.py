@@ -61,10 +61,10 @@ def _parse_rates(chunk: str) -> list[float]:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

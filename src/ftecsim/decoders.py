@@ -1,7 +1,8 @@
 """Stopping policies for repeated syndrome measurement.
 
-Three policies are implemented as incremental state machines over a
-growing syndrome history:
+Three policies, each a pure function of the difference vector of the
+rounds so far (and, for the weak policy, of whether the first syndrome
+is zero):
 
 - ``shor``: stop once t+1 consecutive rounds agree, or at the hard cap of
   (t+1)**2 rounds; correct with the latest syndrome.
@@ -16,10 +17,11 @@ growing syndrome history:
   zero prepended, with budget t, when it is zero. A usable run through
   the prepended zero stops without correcting.
 
-Every policy decision is computed by one pure function of the observed
-difference vector (plus the first-syndrome branch for the weak policy),
-so the state machines, the exhaustive verifiers, and the Monte Carlo
-engine's transition tables (:func:`policy_table`) cannot drift apart.
+One function, :func:`policy_decision`, makes every decision. The
+reference shot runner calls it round by round, the exhaustive verifiers
+call it directly, and the Monte Carlo engine reads it compiled into
+transition tables (:func:`policy_table`), so none of them can drift
+apart.
 
 Tie-breaking is fixed: among usable runs the earliest wins, and within a
 run the syndrome of its first round is used. All rounds of a run share one
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffvec
 from .diffvec import find_usable, min_faults, pairs_only
 
 CONTINUE = "continue"
@@ -191,37 +192,6 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
     if kind == "weak":
         return weak_decision(t, s1_nonzero, delta)
     raise ValueError(f"unknown decoder kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Incremental state machines
-
-
-class _Policy:
-    """A stopping policy as a state machine: accumulate syndromes and
-    delegate each decision to the pure rule. Built by :func:`make_policy`."""
-
-    def __init__(self, config: PolicyConfig):
-        self.kind = config.kind
-        self.t = config.t
-        self.history = diffvec.SyndromeHistory()
-        self.decision: PolicyDecision | None = None
-
-    @property
-    def rounds_used(self) -> int:
-        return self.history.m
-
-    def step(self, syndrome: int) -> PolicyDecision:
-        if self.decision is not None and self.decision.action != CONTINUE:
-            raise RuntimeError("policy stepped after it already stopped")
-        self.history.add_round(syndrome)
-        s1_nonzero = self.history.rounds[0] != 0
-        self.decision = policy_decision(self.kind, self.t, s1_nonzero, self.history.delta)
-        return self.decision
-
-
-def make_policy(config: PolicyConfig) -> _Policy:
-    return _Policy(config)
 
 
 # ---------------------------------------------------------------------------

@@ -48,27 +48,10 @@ class ZeroSubstring:
     beta: int
 
 
-class SyndromeHistory:
-    """Ordered per-round syndromes with an incrementally maintained delta."""
-
-    def __init__(self, syndromes=()):
-        self.rounds: list[int] = []
-        self._delta: list[str] = []
-        for s in syndromes:
-            self.add_round(s)
-
-    @property
-    def m(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def delta(self) -> str:
-        return "".join(self._delta)
-
-    def add_round(self, syndrome: int) -> None:
-        if self.rounds:
-            self._delta.append("0" if syndrome == self.rounds[-1] else "1")
-        self.rounds.append(syndrome)
+def difference_vector(syndromes) -> str:
+    """The difference vector of a syndrome history: bit i is 0 exactly
+    when rounds i and i+1 returned the same syndrome."""
+    return "".join("0" if a == b else "1" for a, b in zip(syndromes, syndromes[1:]))
 
 
 def _blocks(delta: str) -> tuple[list[int], list[int]]:

@@ -20,8 +20,8 @@ counted over all stages.
 
 The scalar reference runner ``run_shot_reference`` plays one shot, in
 either mode, through the same circuit semantics (``inject_round`` for
-injected faults, ``sample_round`` for sampled ones), the
-``PolicyDecision`` state machines and the scalar decoder; its
+injected faults, ``sample_round`` for sampled ones), the pure decision
+rule ``decoders.policy_decision`` and the scalar decoder; its
 ``ShotResult`` carries the verdict, the residual frame before ideal EC
 and each stage's stop decision. The tests check the engine and the
 fault-injection checks against it.
@@ -52,13 +52,12 @@ from .decoders import (
     CONTINUE,
     REASONS,
     STOP_CORRECT,
-    PolicyConfig,
     PolicyDecision,
     PolicyTable,
-    make_policy,
+    policy_decision,
     policy_table,
 )
-from .diffvec import min_faults
+from .diffvec import difference_vector, min_faults
 from .extraction import (
     CompiledSchedule,
     FrameBatch,
@@ -422,7 +421,7 @@ def run_shot_reference(
     initial_error: PauliOperator | None = None,
     injected_faults: dict[int, list] | None = None,
 ) -> ShotResult:
-    """One protocol run through the reference policy objects.
+    """One protocol run through the pure decision rule, round by round.
 
     ``schedules`` holds one compiled schedule per stage: the noiseless
     "all" schedule by default, the "x" and "z" schedules in two-stage
@@ -439,6 +438,8 @@ def run_shot_reference(
     """
     from .recovery import decode, final_verdict
 
+    if kind not in decoders.KINDS or t < 0:
+        raise ValueError(f"unknown decoder kind {kind!r} or negative fault budget t={t}")
     if schedules is None:
         schedules = (compile_schedule(code, NoiseModel(0.0)),)
     if kind == "shor" and len(schedules) > 1:
@@ -448,7 +449,6 @@ def run_shot_reference(
     budget = t
     decisions = []
     for compiled in schedules:
-        policy = make_policy(PolicyConfig(kind, budget)) if budget else None
         history = []
         decision = None
         while decision is None or decision.action == CONTINUE:
@@ -458,11 +458,13 @@ def run_shot_reference(
             else:
                 syn = sample_round(compiled, frame, rng)
             history.append(syn)
-            decision = policy.step(syn) if policy else BUDGET_EXHAUSTED
+            delta = difference_vector(history)
+            decision = (policy_decision(kind, budget, history[0] != 0, delta)
+                        if budget else BUDGET_EXHAUSTED)
         decisions.append(decision)
         if decision.action == STOP_CORRECT:
             chosen |= history[decision.round_index - 1] << compiled.base
-        budget = max(t - min_faults(policy.history.delta), 0) if policy else t
+        budget = max(t - min_faults(delta), 0)
     if chosen:
         correction = decode(table, code, chosen)
         frame.x ^= correction.x_bits

@@ -1,11 +1,13 @@
 """Brute-force oracles and exhaustive verifiers for the stopping policies.
 
-Everything here is deliberately independent of the usable-substring
-search: usability is decided by enumerating fault combinations, and the
-round bounds are verified by breadth-first search over all difference
-vectors on which a policy has not yet stopped. Both are exponential and
-meant for the small exhaustive regimes used in tests and the
-``verify-bounds`` command.
+The usability oracle is deliberately independent of the usable-substring
+search: it decides usability by enumerating fault combinations. The
+round-bound search is not: it runs the policies' own decision rule
+(``decoders.policy_decision``, which calls ``diffvec.find_usable``)
+breadth-first over all difference vectors on which a policy has not yet
+stopped, and checks the closed-form round caps against the longest one.
+Both are exponential and meant for the small exhaustive regimes used in
+tests and the ``oracle-check`` and ``verify-bounds`` commands.
 
 Fault model used by the enumeration (single effective fault per round,
 with budget t):

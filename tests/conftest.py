@@ -1,6 +1,8 @@
 import pytest
 
 from ftecsim import build_hex_color_code
+from ftecsim.decoders import CONTINUE, policy_decision
+from ftecsim.diffvec import difference_vector
 from ftecsim.extraction import NoiseModel, compile_schedule
 from ftecsim.recovery import build_table
 
@@ -9,6 +11,16 @@ _ACCEPTANCE_LINES: list[tuple[int, bool, str]] = []
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:
     _ACCEPTANCE_LINES.append((number, ok, detail))
+
+
+def run_stream(kind: str, t: int, stream):
+    """The pure rule's decision on each prefix of a syndrome stream, up to
+    the first stop; returns the last one."""
+    for m in range(1, len(stream) + 1):
+        decision = policy_decision(kind, t, stream[0] != 0, difference_vector(stream[:m]))
+        if decision.action != CONTINUE:
+            break
+    return decision
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,8 @@ results are deterministic for a given seed regardless of worker count.
 import math
 import time
 
-from conftest import record_criterion
+from conftest import record_criterion, run_stream
 from ftecsim.cli import run_cli
-from ftecsim.decoders import CONTINUE, PolicyConfig, make_policy
 from ftecsim.diffvec import decompose, find_usable, operation_count
 from ftecsim.harness import (
     ExperimentConfig,
@@ -127,12 +126,7 @@ def test_criterion_04_single_fault_ft():
         "II(3)": ([a, a, a], 1),
     }
     for name, (stream, expected_round) in rows.items():
-        policy = make_policy(PolicyConfig("strong", 1))
-        decision = None
-        for syn in stream:
-            decision = policy.step(syn)
-            if decision.action != CONTINUE:
-                break
+        decision = run_stream("strong", 1, stream)
         table_ok = (
             decision.action == "stop_correct"
             and stream[decision.round_index - 1] == stream[expected_round - 1]

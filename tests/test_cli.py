@@ -135,6 +135,18 @@ def test_dump_code(tmp_path):
     assert len(payload["logical_x"]) == 1
 
 
+def test_out_file_matches_stdout(tmp_path, capsys):
+    """``--out`` writes the bytes stdout gets, final newline included."""
+    out = tmp_path / "out"
+    for argv in (["dump-code", "--d", "3"],
+                 ["simulate", "--d", "3", "--decoder", "shor", "--p", "1e-2",
+                  "--shots", "200", "--seed", "1"]):
+        assert run_cli(argv) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode() and stdout.endswith("\n"), argv
+
+
 def test_dump_code_d5_parameters(tmp_path):
     out = tmp_path / "code5.json"
     assert run_cli(["dump-code", "--d", "5", "--out", str(out)]) == 0

@@ -1,6 +1,8 @@
-import numpy as np
+from itertools import product
+
 import pytest
 
+from conftest import run_stream
 from ftecsim.colorcode import build_hex_color_code
 from ftecsim.decoders import (
     BUDGET_EXHAUSTED,
@@ -18,7 +20,6 @@ from ftecsim.decoders import (
     PolicyConfig,
     ProtocolDefect,
     decision_table,
-    make_policy,
     policy_decision,
     policy_table,
     worst_case_rounds,
@@ -35,15 +36,6 @@ PAPER_TABLE = {
 }
 
 
-def run_stream(policy, stream):
-    decision = None
-    for s in stream:
-        decision = policy.step(s)
-        if decision.action != CONTINUE:
-            break
-    return decision
-
-
 def test_worst_case_rounds_full_table():
     for t in range(1, 10):
         assert worst_case_rounds("strong", t) == PAPER_TABLE["strong"][t - 1]
@@ -53,20 +45,20 @@ def test_worst_case_rounds_full_table():
 
 
 def test_shor_examples():
-    d = run_stream(make_policy(PolicyConfig("shor", 1)), [7, 7])
+    d = run_stream("shor", 1, [7, 7])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 2, 2, SHOR_REPEAT)
-    d = run_stream(make_policy(PolicyConfig("shor", 1)), [1, 2, 3, 4])
+    d = run_stream("shor", 1, [1, 2, 3, 4])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 4, 4, SHOR_CAP)
-    d = run_stream(make_policy(PolicyConfig("shor", 2)), [5, 5, 5])
+    d = run_stream("shor", 2, [5, 5, 5])
     assert (d.action, d.rounds_used, d.round_index) == (STOP_CORRECT, 3, 3)
 
 
 def test_strong_protocol1_examples():
-    d = run_stream(make_policy(PolicyConfig("strong", 1)), [9, 9])
+    d = run_stream("strong", 1, [9, 9])
     assert (d.action, d.round_index, d.stopped_by) == (STOP_CORRECT, 1, USABLE_RUN)
-    d = run_stream(make_policy(PolicyConfig("strong", 1)), [1, 2, 3])
+    d = run_stream("strong", 1, [1, 2, 3])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 3, 3, PAIR_COUNT)
 
@@ -92,7 +84,7 @@ def test_table2_syndrome_selection_rows():
         "II(3)": ([a, a, a], 1),
     }
     for name, (stream, expected_round) in rows.items():
-        decision = run_stream(make_policy(PolicyConfig("strong", 1)), stream)
+        decision = run_stream("strong", 1, stream)
         assert decision.action == STOP_CORRECT, name
         assert decision.round_index == expected_round, name
         # chosen syndrome equals the tabulated one
@@ -100,50 +92,42 @@ def test_table2_syndrome_selection_rows():
 
 
 def test_weak_t1_examples():
-    d = run_stream(make_policy(PolicyConfig("weak", 1)), [0])
+    d = run_stream("weak", 1, [0])
     assert (d.action, d.rounds_used, d.stopped_by) == (
         STOP_NO_CORRECTION, 1, WEAK_NO_CORRECTION)
-    d = run_stream(make_policy(PolicyConfig("weak", 1)), [4, 4])
+    d = run_stream("weak", 1, [4, 4])
     assert (d.action, d.round_index) == (STOP_CORRECT, 1)
-    d = run_stream(make_policy(PolicyConfig("weak", 1)), [4, 6])
+    d = run_stream("weak", 1, [4, 6])
     assert (d.action, d.rounds_used) == (STOP_NO_CORRECTION, 2)
 
 
 def test_weak_t2_spec_example():
     # s1 != 0, delta' = "0" after round 3: usable at budget 1, corrected
     # with round 2 after the index shift
-    d = run_stream(make_policy(PolicyConfig("weak", 2)), [4, 5, 5])
+    d = run_stream("weak", 2, [4, 5, 5])
     assert (d.action, d.rounds_used, d.round_index) == (STOP_CORRECT, 3, 2)
 
 
 def test_weak_zero_branch_mapping():
     # noiseless: stops after round 2 without correction (prepended zero run)
-    d = run_stream(make_policy(PolicyConfig("weak", 2)), [0, 0])
+    d = run_stream("weak", 2, [0, 0])
     assert (d.action, d.rounds_used) == (STOP_NO_CORRECTION, 2)
     # s1 = 0, s2 = s3 = s4 nonzero: deltaderived run maps back to round 2
-    d = run_stream(make_policy(PolicyConfig("weak", 2)), [0, 7, 7, 7])
+    d = run_stream("weak", 2, [0, 7, 7, 7])
     assert (d.action, d.rounds_used, d.round_index) == (STOP_CORRECT, 4, 2)
 
 
 def test_weak_pair_count_stop_uses_latest():
     # s1 != 0, all syndromes distinct: delta' all ones, pairs hit t-1
-    d = run_stream(make_policy(PolicyConfig("weak", 2)), [1, 2, 3, 4])
+    d = run_stream("weak", 2, [1, 2, 3, 4])
     assert (d.action, d.rounds_used, d.round_index, d.stopped_by) == (
         STOP_CORRECT, 4, 4, PAIR_COUNT)
-
-
-def test_step_after_stop_raises():
-    p = make_policy(PolicyConfig("strong", 1))
-    p.step(3)
-    p.step(3)
-    with pytest.raises(RuntimeError):
-        p.step(3)
 
 
 def test_policy_defect_is_unreachable_without_bugs():
     # the caps equal the exhaustive maxima, so a defect needs a broken rule;
     # force one by feeding the pure function a state past the cap that the
-    # incremental policy could never reach (it stops on the prefix "11")
+    # policy run round by round never reaches (it stops on the prefix "11")
     with pytest.raises(ProtocolDefect):
         policy_decision("strong", 1, True, "1111")
     # the weak rule shares the cap check (it stops on the prefix "111")
@@ -152,29 +136,19 @@ def test_policy_defect_is_unreachable_without_bugs():
 
 
 def test_decision_tables_match_state_machines():
-    rng = np.random.default_rng(7)
-    for kind in ("strong", "weak"):
-        for t in (1, 2, 3):
-            for s1_nonzero in (False, True):
-                tables = decision_table(kind, t, s1_nonzero)
-                for _ in range(200):
-                    policy = make_policy(PolicyConfig(kind, t))
-                    syn = 5 if s1_nonzero else 0
-                    delta_bits = 0
-                    length = 0
-                    decision = policy.step(syn)
-                    entry = tables[0][0]
-                    assert (decision.action, decision.round_index, decision.stopped_by) == entry
-                    while decision.action == CONTINUE:
-                        bit = int(rng.integers(2))
-                        syn = syn + 1 if bit else syn
-                        decision = policy.step(syn)
-                        delta_bits |= bit << length
-                        length += 1
-                        entry = tables[length][delta_bits]
-                        assert (
-                            decision.action, decision.round_index, decision.stopped_by
-                        ) == entry
+    """Every entry of every table below the cap: the pure rule's decision
+    when each proper prefix of its delta continues, else None."""
+    for kind, t, s1_nonzero in product(("strong", "weak"), (1, 2, 3), (False, True)):
+        tables = decision_table(kind, t, s1_nonzero)
+        for length in range(len(tables)):
+            for bits in product("01", repeat=length):
+                delta = "".join(bits)
+                reachable = all(policy_decision(kind, t, s1_nonzero, delta[:k]).action
+                                == CONTINUE for k in range(length))
+                decision = policy_decision(kind, t, s1_nonzero, delta) if reachable else None
+                expected = decision and (decision.action, decision.round_index,
+                                         decision.stopped_by)
+                assert tables[length][int(delta[::-1] or "0", 2)] == expected, (kind, t, delta)
 
 
 def _two_stage_shot(d, kind, flip=False, sectors=("x", "z")):

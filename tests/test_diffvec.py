@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftecsim.diffvec import (
-    SyndromeHistory,
     decompose,
+    difference_vector,
     find_usable,
     min_faults,
     operation_count,
@@ -17,20 +17,18 @@ deltas = st.text(alphabet="01", min_size=0, max_size=12)
 
 
 def test_history_examples():
-    assert SyndromeHistory([5, 5, 5]).delta == "00"
-    assert SyndromeHistory([1, 5, 5]).delta == "10"
-    assert SyndromeHistory([3]).delta == ""
+    assert difference_vector([5, 5, 5]) == "00"
+    assert difference_vector([1, 5, 5]) == "10"
+    assert difference_vector([3]) == ""
 
 
 def test_history_incremental_matches_batch():
     syndromes = [0, 1, 1, 2, 2, 2, 0]
-    h = SyndromeHistory()
-    for s in syndromes:
-        h.add_round(s)
-    expected = "".join(
-        "0" if syndromes[i + 1] == syndromes[i] else "1" for i in range(len(syndromes) - 1)
-    )
-    assert h.delta == expected == "101001"
+    delta = ""
+    for k in range(1, len(syndromes)):
+        delta += "0" if syndromes[k] == syndromes[k - 1] else "1"
+        assert difference_vector(syndromes[: k + 1]) == delta
+    assert difference_vector(syndromes) == delta == "101001"
 
 
 def test_decompose_paper_example():

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_stream
 from ftecsim import harness
 from ftecsim.decoders import (
+    BUDGET_EXHAUSTED,
     CODE_CONTINUE,
     CONTINUE,
     KINDS,
@@ -16,10 +18,9 @@ from ftecsim.decoders import (
     USABLE_RUN,
     WEAK_NO_CORRECTION,
     PolicyConfig,
-    make_policy,
     policy_table,
 )
-from ftecsim.diffvec import min_faults
+from ftecsim.diffvec import difference_vector, min_faults
 from ftecsim.extraction import FrameBatch, NoiseModel, compile_schedule
 from ftecsim.harness import (
     BracketError,
@@ -62,8 +63,8 @@ def _random_stream(rng, length):
 
 def test_engine_policy_stream_matches_state_machines():
     """The engine's batched policy stepping (one transition table per
-    kind) must agree with the reference PolicyDecision state machines on
-    random syndrome streams, for every kind and t = 1..4."""
+    kind) must agree with the pure decision rule on random syndrome
+    streams, for every kind and t = 1..4."""
     rng = np.random.default_rng(123)
     seen = {kind: set() for kind in KINDS}
     for kind in KINDS:
@@ -75,12 +76,7 @@ def test_engine_policy_stream_matches_state_machines():
                 table, _Replay(streams), np.full(len(streams), t)
             )
             for i, stream in enumerate(streams):
-                policy = make_policy(PolicyConfig(kind, t))
-                decision = None
-                for syn in stream:
-                    decision = policy.step(int(syn))
-                    if decision.action != CONTINUE:
-                        break
+                decision = run_stream(kind, t, stream)
                 assert rounds[i] == decision.rounds_used
                 assert REASONS[reason[i]] == decision.stopped_by
                 if decision.action == "stop_correct":
@@ -89,7 +85,7 @@ def test_engine_policy_stream_matches_state_machines():
                 else:
                     assert chosen_round[i] == 0 and chosen[i] == 0
                 if kind != "shor":
-                    assert faults[i] == min_faults(policy.history.delta)
+                    assert faults[i] == min_faults(difference_vector(stream[:rounds[i]]))
             seen[kind] |= {REASONS[code] for code in reason}
     # every stop reason of every kind occurred
     assert seen == {"shor": {SHOR_REPEAT, SHOR_CAP}, "strong": {USABLE_RUN, PAIR_COUNT},
@@ -99,14 +95,12 @@ def test_engine_policy_stream_matches_state_machines():
 def test_history_min_faults_matches_diffvec():
     """The min-faults row along every reachable prefix of random
     histories, walking the successors for every budget up to t=4."""
-    from ftecsim.diffvec import SyndromeHistory
-
     tables = [policy_table(kind, 4) for kind in ("strong", "weak")]
     rng = np.random.default_rng(5)
     for _ in range(200):
         rounds = int(rng.integers(1, 12))
         stream = rng.integers(0, 3, size=rounds).tolist()
-        delta = SyndromeHistory(stream).delta
+        delta = difference_vector(stream)
         for table in tables:
             for budget in range(1, 5):
                 state, prev = table.root[budget], 0
@@ -195,6 +189,16 @@ def test_reference_runner_agrees_with_engine_distribution(code3, table3):
     )
     low, high = wilson_interval(errors, shots)
     assert low <= engine.ci_high and engine.ci_low <= high
+
+
+def test_reference_runner_input_checks(code3, table3):
+    # an unknown kind or a negative budget is refused, not run
+    for kind, t in (("nope", 1), ("shor", -1)):
+        with pytest.raises(ValueError, match="unknown decoder kind|negative fault budget"):
+            run_shot_reference(code3, table3, kind, t)
+    # no budget: the first syndrome is accepted after one round
+    result = run_shot_reference(code3, table3, "strong", 0)
+    assert result.decisions == (BUDGET_EXHAUSTED,) and result.rounds_used == 1
 
 
 def test_two_stage_runs_and_preserves_distance_at_zero_noise():
@@ -342,7 +346,6 @@ def test_correct_round_guarantee_exhaustive(code3, compiled3):
         for lid, values in enumerate(compiled3.values):
             for value in values:
                 frame = compiled3.new_frame()
-                policy = make_policy(PolicyConfig("strong", 1))
                 history = []
                 frame_syndromes = []
                 decision = None
@@ -352,7 +355,7 @@ def test_correct_round_guarantee_exhaustive(code3, compiled3):
                     faults = [(lid, value)] if rounds == fault_round else []
                     history.append(inject_round(compiled3, frame, faults))
                     frame_syndromes.append(frame.syndrome)
-                    decision = policy.step(history[-1])
+                    decision = run_stream("strong", 1, history)
                     if decision.action != CONTINUE:
                         break
                 if rounds < fault_round:

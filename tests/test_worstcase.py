@@ -1,12 +1,7 @@
 import pytest
 
-from ftecsim.decoders import (
-    CONTINUE,
-    PAIR_COUNT,
-    PolicyConfig,
-    make_policy,
-    policy_decision,
-)
+from conftest import run_stream
+from ftecsim.decoders import CONTINUE, PAIR_COUNT, policy_decision
 from ftecsim.diffvec import decompose, find_usable
 from ftecsim.worstcase import (
     appendix_extremal_delta,
@@ -87,12 +82,7 @@ def test_max_unusable_length_examples():
 
 def test_all_ones_stream_stops_at_2t_plus_1():
     for t in (1, 2, 3, 4, 5):
-        policy = make_policy(PolicyConfig("strong", t))
-        decision = policy.step(1)
-        syn = 1
-        while decision.action == CONTINUE:
-            syn += 1
-            decision = policy.step(syn)
+        decision = run_stream("strong", t, range(1, 4 * t))
         assert decision.rounds_used == 2 * t + 1
         assert decision.stopped_by == PAIR_COUNT
         assert decision.round_index == 2 * t + 1
