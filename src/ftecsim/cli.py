@@ -196,19 +196,7 @@ def _cmd_pseudothreshold(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     report = verify_round_bounds(args.t_max)
-    rows = [
-        {
-            "kind": c.kind,
-            "t": c.t,
-            "s1_branch": c.s1_branch,
-            "searched_max_unusable_length": c.searched_max_length,
-            "implied_rounds": c.implied_rounds,
-            "formula_rounds": c.formula_rounds,
-            "table_rounds": c.table_rounds,
-            "ok": c.ok,
-        }
-        for c in report["checks"]
-    ]
+    rows = [dataclasses.asdict(c) for c in report["checks"]]
     if args.json:
         _write_output(json.dumps({"t_max": report["t_max"], "ok": report["ok"],
                                   "checks": rows}, indent=2, sort_keys=True), args.out)

@@ -18,10 +18,13 @@ is zero):
   the prepended zero stops without correcting.
 
 One function, :func:`policy_decision`, makes every decision. The
-reference shot runner calls it round by round, the exhaustive verifiers
-call it directly, and the Monte Carlo engine reads it compiled into
-transition tables (:func:`policy_table`), so none of them can drift
-apart.
+reference shot runner calls it round by round. One walk,
+:func:`reachable_states`, lists the states each rule can reach before it
+stops: every difference vector for strong and weak, every (rounds,
+repeats) pair for Shor. The Monte Carlo engine's transition tables
+(:func:`policy_table`), :func:`decision_table` and the round-bound search
+(``worstcase.max_unusable_length``) all read that walk, so none of them
+can drift apart.
 
 Tie-breaking is fixed: among usable runs the earliest wins, and within a
 run the syndrome of its first round is used. All rounds of a run share one
@@ -204,7 +207,35 @@ BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
 
 
 # ---------------------------------------------------------------------------
-# Precomputed decision tables for the Monte Carlo engine
+# The reachable states, and the tables built from them
+
+
+def _state_key(kind: str, delta: str):
+    """What a decision reads of ``delta``: for Shor, length and trailing zeros."""
+    if kind == "shor":
+        return len(delta), len(delta) - len(delta.rstrip("0"))
+    return delta
+
+
+def reachable_states(kind: str, t: int, s1_nonzero: bool):
+    """Yield ``(delta, decision)`` once per state the policy can reach.
+
+    Depth first from the empty vector, "0" before "1", extending each
+    continuing vector by one bit and skipping vectors whose state key
+    was seen. Budget 0 accepts the first syndrome (:data:`BUDGET_EXHAUSTED`),
+    as the reference runner does.
+    """
+    seen, stack = set(), [""]
+    while stack:
+        delta = stack.pop()
+        key = _state_key(kind, delta)
+        if key in seen:
+            continue
+        seen.add(key)
+        decision = policy_decision(kind, t, s1_nonzero, delta) if t else BUDGET_EXHAUSTED
+        yield delta, decision
+        if decision.action == CONTINUE:
+            stack += (delta + "1", delta + "0")
 
 
 def decision_table(kind: str, t: int, s1_nonzero: bool):
@@ -213,26 +244,16 @@ def decision_table(kind: str, t: int, s1_nonzero: bool):
     Table entry layout: ``tables[length][delta_int]`` is ``None`` for
     states unreachable without an earlier stop, or a tuple
     ``(action, round_index, stopped_by)``. Delta bits pack little-endian:
-    position i (1-based) lives at bit i-1. Intended for the strong and
-    weak policies, whose caps are small; :func:`policy_table` keys the
-    Shor states by their repeat count instead.
+    position i (1-based) lives at bit i-1. The entries are the states of
+    :func:`reachable_states`, and the deepest one sets the row count. For
+    strong and weak only: the walk keys Shor states by rounds and repeats.
     """
-    if kind == "weak":
-        cap = worst_case_rounds(kind, t, "nonzero" if s1_nonzero else "zero")
-    else:
-        cap = worst_case_rounds(kind, t)
-    max_len = cap - 1
-    tables: list[list] = [[None] * (1 << min(length, max_len)) for length in range(max_len + 1)]
-
-    def fill(length: int, bits: int, delta: str) -> None:
-        decision = policy_decision(kind, t, s1_nonzero, delta)
-        tables[length][bits] = (decision.action, decision.round_index, decision.stopped_by)
-        if decision.action != CONTINUE:
-            return
-        for b in (0, 1):
-            fill(length + 1, bits | (b << length), delta + str(b))
-
-    fill(0, 0, "")
+    tables: list[list] = []
+    for delta, decision in reachable_states(kind, t, s1_nonzero):
+        while len(tables) <= len(delta):
+            tables.append([None] * (1 << len(tables)))
+        tables[len(delta)][int(delta[::-1] or "0", 2)] = (
+            decision.action, decision.round_index, decision.stopped_by)
     return tables
 
 
@@ -271,56 +292,38 @@ class PolicyTable:
 def policy_table(kind: str, t: int) -> PolicyTable:
     """Build the transition table of one policy for budgets 0..t.
 
-    Strong and weak states are the reachable entries of
-    :func:`decision_table`, one tree per budget and first-syndrome
-    branch. A Shor decision depends only on the rounds so far and the
-    trailing repeats, so its states are keyed by (budget, rounds,
-    repeats) and come from :func:`policy_decision`. Budget 0 accepts
-    the first syndrome (:data:`BUDGET_EXHAUSTED`).
+    Each budget has a root state and, per first-syndrome branch, the
+    states of :func:`reachable_states`: one per difference vector for
+    strong and weak, one per (rounds, repeats) for Shor. A continuing
+    state's successors are the states of its two one-bit extensions,
+    found by state key. Budget 0 accepts the first syndrome
+    (:data:`BUDGET_EXHAUSTED`).
     """
     entries: list[tuple] = []
-    successor: list[list] = []
-
-    def state(action, round_index, reason, faults: int) -> int:
-        code = CODE_CONTINUE if action == CONTINUE else REASONS.index(reason)
-        entries.append((code, round_index or 0, faults))
-        successor.append([None, None])  # a stop state's, resolved below
-        return len(entries) - 1
-
-    def tree(tables, delta: str, bits: int) -> int:
-        entry = tables[len(delta)][bits]
-        i = state(*entry, min_faults(delta))
-        if entry[0] == CONTINUE:
-            successor[i] = [tree(tables, delta + str(b), bits | b << len(delta)) for b in (0, 1)]
-        return i
-
-    def shor(budget: int, rounds: int, repeats: int, seen: dict) -> int:
-        if (rounds, repeats) not in seen:
-            delta = "1" * (rounds - 1 - repeats) + "0" * repeats
-            decision = policy_decision("shor", budget, False, delta)
-            i = seen[rounds, repeats] = state(
-                decision.action, decision.round_index, decision.stopped_by, 0)
-            if decision.action == CONTINUE:
-                successor[i] = [shor(budget, rounds + 1, repeats + 1, seen),
-                                shor(budget, rounds + 1, 0, seen)]
-        return seen[rounds, repeats]
-
-    exhausted = state(BUDGET_EXHAUSTED.action, BUDGET_EXHAUSTED.round_index,
-                      BUDGET_EXHAUSTED.stopped_by, 0)
+    successor: dict[int, list] = {}  # a stop state has none: it points past the end
     root = []
     for budget in range(t + 1):
-        root.append(state(CONTINUE, None, None, 0))
-        if budget == 0:
-            successor[root[-1]] = [exhausted] * 2
-        elif kind == "shor":
-            successor[root[-1]] = [shor(budget, 1, 0, {})] * 2
-        else:
-            successor[root[-1]] = [tree(decision_table(kind, budget, s1), "", 0)
-                                   for s1 in (False, True)]
+        root.append(len(entries))
+        entries.append((CODE_CONTINUE, 0, 0))
+        successor[root[-1]] = branches = []
+        for s1_nonzero in (False, True):
+            branches.append(len(entries))
+            index, continuing = {}, []
+            for delta, decision in reachable_states(kind, budget, s1_nonzero):
+                index[_state_key(kind, delta)] = len(entries)
+                code = CODE_CONTINUE
+                if decision.action == CONTINUE:
+                    continuing.append((len(entries), delta))
+                else:
+                    code = REASONS.index(decision.stopped_by)
+                entries.append((code, decision.round_index or 0,
+                                 0 if kind == "shor" else min_faults(delta)))
+            for i, delta in continuing:
+                successor[i] = [index[_state_key(kind, delta + b)] for b in "01"]
     end = len(entries)
     return PolicyTable(
         root=np.array(root, dtype=np.int64),
-        successor=np.array([end if s is None else s for row in successor for s in row],
+        successor=np.array([s for i in range(end) for s in successor.get(i, (end, end))],
                            dtype=np.int64),
         entries=np.array(entries, dtype=np.int64).T.copy(),
         max_rounds=PolicyConfig(kind, t).max_rounds_cap(),

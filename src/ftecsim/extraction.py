@@ -277,9 +277,11 @@ class CompiledSchedule:
             return empty, empty
         mean = cells * p
         block = int(mean + 6.0 * mean ** 0.5) + 16
-        pos = np.cumsum(rng.geometric(p, block)) - 1
+        # a gap of cells + 1 already ends the grid; clipping keeps the sums in int64
+        pos = np.cumsum(np.minimum(rng.geometric(p, block), cells + 1)) - 1
         while pos[-1] < cells:
-            pos = np.concatenate((pos, pos[-1] + np.cumsum(rng.geometric(p, block))))
+            gaps = np.minimum(rng.geometric(p, block), cells + 1)
+            pos = np.concatenate((pos, pos[-1] + np.cumsum(gaps)))
         pos = pos[: np.searchsorted(pos, cells)]
         shot, loc = np.divmod(pos, self.n_locations)
         choice = (rng.random(len(pos)) * self.n_choices[loc]).astype(np.int64)

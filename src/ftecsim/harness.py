@@ -154,7 +154,9 @@ def wilson_interval(errors: int, shots: int, z: float = _WILSON_Z) -> tuple[floa
     denom = 1.0 + z * z / shots
     center = (phat + z * z / (2 * shots)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / shots + z * z / (4 * shots * shots))
-    return (max(0.0, center - half), min(1.0, center + half))
+    # exact at the ends, where rounding would leave a residue
+    return (max(0.0, center - half) if errors else 0.0,
+            min(1.0, center + half) if errors < shots else 1.0)
 
 
 def default_built_to_weight(code: StabilizerCode, t: int) -> int:

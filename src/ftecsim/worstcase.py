@@ -2,10 +2,11 @@
 
 The usability oracle is deliberately independent of the usable-substring
 search: it decides usability by enumerating fault combinations. The
-round-bound search is not: it runs the policies' own decision rule
-(``decoders.policy_decision``, which calls ``diffvec.find_usable``)
-breadth-first over all difference vectors on which a policy has not yet
-stopped, and checks the closed-form round caps against the longest one.
+round-bound search is not: it reads ``decoders.reachable_states``, the
+walk of the policies' own decision rule (``decoders.policy_decision``,
+which calls ``diffvec.find_usable``) over every difference vector a
+policy can reach, and checks the closed-form round caps of all three
+rules against the longest vector on which the policy continues.
 Both are exponential and meant for the small exhaustive regimes used in
 tests and the ``oracle-check`` and ``verify-bounds`` commands.
 
@@ -33,7 +34,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .decoders import CONTINUE, ProtocolDefect, policy_decision, worst_case_rounds
+from .decoders import CONTINUE, reachable_states, worst_case_rounds
+from .decoders import policy_decision  # noqa: F401  (perfbench's span list wraps this name)
 from .diffvec import ZeroSubstring
 
 _EXHAUSTIVE_MAX_M = 16
@@ -180,45 +182,25 @@ def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
 # Exhaustive policy-bound search
 
 
-def _policy_live(kind: str, t: int, s1_nonzero: bool, delta: str) -> bool:
-    """True when the policy would keep measuring after observing ``delta``."""
-    try:
-        return policy_decision(kind, t, s1_nonzero, delta).action == CONTINUE
-    except ProtocolDefect:
-        return True  # a bound violation shows up as a live string past the cap
-
-
 def max_unusable_length(kind: str, t: int, s1_branch: str = "n/a") -> int:
     """Length of the longest difference vector the policy never stops on.
 
-    Breadth-first search over bit strings: a string is live only if the
-    policy continued on every prefix, so extending the live frontier one
-    bit at a time explores exactly the reachable histories. Returns -1
-    when the policy stops before the first difference bit exists (the
-    weak t=1 zero branch).
+    The longest continuing vector of :func:`decoders.reachable_states`, or
+    -1 when the policy stops before the first difference bit exists (the
+    weak t=1 zero branch). A vector longer than the closed-form cap + 2
+    raises AssertionError, so the search ends even on a rule with no cap.
     """
     if t > _EXHAUSTIVE_MAX_T:
         raise ValueError(f"exhaustive regime exceeded (t={t} > {_EXHAUSTIVE_MAX_T})")
-    if kind == "shor":
-        raise ValueError("use the closed form for the Shor policy; its cap is large")
-    s1_nonzero = s1_branch != "zero"
-    if not _policy_live(kind, t, s1_nonzero, ""):
-        return -1
-    frontier = [""]
-    length = 0
     hard_stop = worst_case_rounds(kind, t, s1_branch) + 2
-    while frontier:
-        nxt = [d + b for d in frontier for b in "01" if _policy_live(kind, t, s1_nonzero, d + b)]
-        if not nxt:
-            return length
-        length += 1
-        frontier = nxt
-        if length > hard_stop:
-            raise AssertionError(
-                f"policy survived past its round cap: kind={kind} t={t} "
-                f"branch={s1_branch}, live example {frontier[0]!r}"
-            )
-    return length
+    longest = -1
+    for delta, decision in reachable_states(kind, t, s1_branch != "zero"):
+        if len(delta) > hard_stop:
+            raise AssertionError(f"policy survived past its round cap: kind={kind} t={t} "
+                                 f"branch={s1_branch}, live example {delta!r}")
+        if decision.action == CONTINUE:
+            longest = max(longest, len(delta))
+    return longest
 
 
 def appendix_extremal_delta(t: int) -> str:
@@ -245,7 +227,7 @@ class BoundCheck:
     kind: str
     t: int
     s1_branch: str
-    searched_max_length: int
+    searched_max_unusable_length: int
     implied_rounds: int
     formula_rounds: int
     table_rounds: int
@@ -263,35 +245,21 @@ _TABLE_ROUNDS = {
 def verify_round_bounds(t_max: int = 5) -> dict:
     """Exhaustively confirm the worst-case round counts for t = 1..t_max.
 
-    For the strong policy and both weak branches the search maximum must
+    For every rule and branch, Shor included, the search maximum must
     satisfy rounds = max_length + 2, match the closed form, and match the
     published table. The search returns only once no difference vector
-    one bit past the maximum survives. The Shor row is checked against its
-    closed form (its stopping rule is a trailing-repeat counter, so the
-    quadratic cap needs no search).
+    one bit past the maximum survives.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if t_max > _EXHAUSTIVE_MAX_T:
         raise ValueError(f"t_max too large for exhaustive search: {t_max}")
     checks: list[BoundCheck] = []
-    for kind, branch in (("strong", "n/a"), ("weak", "nonzero"), ("weak", "zero")):
+    for (kind, branch), published in _TABLE_ROUNDS.items():
         for t in range(1, t_max + 1):
             max_len = max_unusable_length(kind, t, branch)
             implied = max_len + 2
             formula = worst_case_rounds(kind, t, branch)
-            table = _TABLE_ROUNDS[(kind, branch)].get(t, formula)
-            ok = implied == formula == table
-            checks.append(BoundCheck(kind, t, branch, max_len, implied, formula, table, ok))
-    for t in range(1, t_max + 1):
-        formula = worst_case_rounds("shor", t)
-        table = _TABLE_ROUNDS[("shor", "n/a")].get(t, formula)
-        # Worst stream: no t+1 repeats ever happen, so the cap binds, and
-        # the rule trivially stops at the cap by construction.
-        ok = formula == table == (t + 1) ** 2
-        checks.append(BoundCheck("shor", t, "n/a", formula - 2, formula, formula, table, ok))
-    return {
-        "t_max": t_max,
-        "ok": all(c.ok for c in checks),
-        "checks": checks,
-    }
+            checks.append(BoundCheck(kind, t, branch, max_len, implied, formula, published[t],
+                                     implied == formula == published[t]))
+    return {"t_max": t_max, "ok": all(c.ok for c in checks), "checks": checks}

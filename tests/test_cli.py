@@ -22,7 +22,7 @@ def test_verify_bounds_json(tmp_path):
     assert run_cli(["verify-bounds", "--t-max", "2", "--json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["ok"] is True
-    assert len(payload["checks"]) == 8  # 3 searched kinds + shor, t = 1..2
+    assert len(payload["checks"]) == 8  # four searched (kind, branch) rows, t = 1..2
 
 
 def test_simulate_csv_deterministic(tmp_path):

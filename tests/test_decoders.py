@@ -24,6 +24,7 @@ from ftecsim.decoders import (
     policy_table,
     worst_case_rounds,
 )
+from ftecsim.diffvec import min_faults
 from ftecsim.extraction import MEASUREMENT, NoiseModel, compile_schedule
 from ftecsim.harness import run_shot_reference
 from ftecsim.recovery import build_table
@@ -149,6 +150,32 @@ def test_decision_tables_match_state_machines():
                 expected = decision and (decision.action, decision.round_index,
                                          decision.stopped_by)
                 assert tables[length][int(delta[::-1] or "0", 2)] == expected, (kind, t, delta)
+
+
+def test_policy_tables_match_rule_exhaustively():
+    """Every vector reachable from ``root[t]``, for all three rules,
+    t = 1..3 and both first-syndrome branches: each entry holds the pure
+    rule's decision (and, for strong and weak, the vector's min faults),
+    and a stop state's successors point past the table."""
+    for kind, t in product(KINDS, (1, 2, 3)):
+        table = policy_table(kind, t)
+        entries, successor = table.entries.T.tolist(), table.successor.tolist()
+        end = len(entries)
+        for s1_nonzero in (False, True):
+            stack = [(successor[2 * table.root[t] + s1_nonzero], "")]
+            while stack:
+                state, delta = stack.pop()
+                code, pick, faults = entries[state]
+                decision = policy_decision(kind, t, s1_nonzero, delta)
+                expected = (CODE_CONTINUE if decision.action == CONTINUE
+                            else REASONS.index(decision.stopped_by))
+                assert (code, pick) == (expected, decision.round_index or 0), (kind, t, delta)
+                assert kind == "shor" or faults == min_faults(delta), (kind, t, delta)
+                following = successor[2 * state: 2 * state + 2]
+                if code == CODE_CONTINUE:
+                    stack += [(s, delta + b) for s, b in zip(following, "01")]
+                else:
+                    assert following == [end, end], (kind, t, delta)
 
 
 def _two_stage_shot(d, kind, flip=False, sectors=("x", "z")):

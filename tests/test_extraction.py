@@ -267,15 +267,20 @@ def test_batched_round_noise_extremes(code5):
     rng = _rng(3)
     refs, batch = _random_frames(compiled, rng, 50)
     active = np.arange(50)
-    # p = 0: the noiseless report, frames untouched
+    # p = 0: one slice holds every active shot
     assert [len(part) for part in compiled.slices(0.0, active)] == [50]
     # p = 1: a chunk goes in slices of at most 2^18 expected faults
     parts = compiled.slices(1.0, np.arange(4096))
     assert len(parts) > 1 and np.array_equal(np.concatenate(parts), np.arange(4096))
     assert max(len(part) for part in parts) * compiled.n_locations <= 1 << 18
-    report = compiled.fold(batch, active, *compiled.draw(0.0, 50, rng))
-    assert report.tolist() == [compiled.reported_bits(f.syndrome) for f in refs]
-    assert batch.syndrome.tolist() == [f.syndrome for f in refs]
+    # p = 0, and p so small that the geometric gaps saturate int64: no
+    # fault is drawn, so the report is noiseless and the frames untouched
+    for p in (0.0, 1e-20, 1e-300):
+        shot, row = compiled.draw(p, 50, rng)
+        assert len(shot) == len(row) == 0
+        report = compiled.fold(batch, active, shot, row)
+        assert report.tolist() == [compiled.reported_bits(f.syndrome) for f in refs]
+        assert batch.syndrome.tolist() == [f.syndrome for f in refs]
     # p = 1: every location fails exactly once in every shot
     shot, row = compiled.draw(1.0, 50, rng)
     loc = np.searchsorted(compiled.first_row, row, side="right") - 1

@@ -118,15 +118,20 @@ def test_wilson_interval_reference_values():
     low, high = wilson_interval(50, 100)
     assert abs(low - 0.4038) < 5e-4 and abs(high - 0.5962) < 5e-4
     assert wilson_interval(0, 0) == (0.0, 1.0)
+    # exact at the ends, for every shot count
+    for n in range(1, 10_001):
+        assert wilson_interval(0, n)[0] == 0.0 and wilson_interval(n, n)[1] == 1.0, n
 
 
 def test_noiseless_points():
     for decoder, rounds in (("shor", 2.0), ("strong", 2.0), ("weak", 1.0)):
         cfg = ExperimentConfig(d=3, decoder=decoder, shots=500, seed=1)
-        stats = run_point(cfg, 0.0)
-        assert stats.p_l_hat == 0.0
-        assert stats.avg_rounds == rounds
-        assert stats.max_rounds_seen == rounds
+        # p = 1e-20: geometric gaps far past the grid draw no fault
+        for p in (0.0, 1e-20):
+            stats = run_point(cfg, p)
+            assert stats.p_l_hat == 0.0
+            assert stats.avg_rounds == rounds
+            assert stats.max_rounds_seen == rounds
 
 
 def test_worker_count_invariance():

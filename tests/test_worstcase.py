@@ -1,7 +1,16 @@
 import pytest
 
 from conftest import run_stream
-from ftecsim.decoders import CONTINUE, PAIR_COUNT, policy_decision
+from ftecsim import decoders
+from ftecsim.decoders import (
+    CONTINUE,
+    PAIR_COUNT,
+    SHOR_CAP,
+    SHOR_REPEAT,
+    STOP_CORRECT,
+    PolicyDecision,
+    policy_decision,
+)
 from ftecsim.diffvec import decompose, find_usable
 from ftecsim.worstcase import (
     appendix_extremal_delta,
@@ -78,6 +87,8 @@ def test_max_unusable_length_examples():
     assert max_unusable_length("strong", 3) == 6
     assert max_unusable_length("strong", 2) == 3
     assert max_unusable_length("strong", 1) == 1
+    for t in range(1, 6):
+        assert max_unusable_length("shor", t) == (t + 1) ** 2 - 2
 
 
 def test_all_ones_stream_stops_at_2t_plus_1():
@@ -96,6 +107,33 @@ def test_verify_round_bounds_full():
     assert [rows[("weak", "nonzero", t)].formula_rounds for t in range(1, 6)] == [2, 4, 6, 9, 12]
     assert [rows[("weak", "zero", t)].formula_rounds for t in range(1, 6)] == [1, 4, 7, 10, 14]
     assert [rows[("shor", "n/a", t)].formula_rounds for t in range(1, 6)] == [4, 9, 16, 25, 36]
+
+
+def _shor_rule(late):
+    """The Shor rule with its cap ``late`` rounds after (t+1)^2, or with no
+    cap when ``late`` is None."""
+    def rule(t, delta):
+        rounds = len(delta) + 1
+        if len(delta) - len(delta.rstrip("0")) >= t:
+            return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT)
+        if late is not None and rounds >= (t + 1) ** 2 + late:
+            return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_CAP)
+        return PolicyDecision(CONTINUE, rounds)
+    return rule
+
+
+def test_verify_round_bounds_searches_the_shor_cap(monkeypatch):
+    # the search finds a cap one round late in every Shor row...
+    monkeypatch.setattr(decoders, "shor_decision", _shor_rule(1))
+    report = verify_round_bounds(3)
+    assert not report["ok"]
+    assert {(c.kind, c.ok) for c in report["checks"]} == {
+        ("strong", True), ("weak", True), ("shor", False)}
+    assert [c.implied_rounds for c in report["checks"] if c.kind == "shor"] == [5, 10, 17]
+    # ...and ends, rather than hangs, on a rule with no cap at all
+    monkeypatch.setattr(decoders, "shor_decision", _shor_rule(None))
+    with pytest.raises(AssertionError, match="kind=shor t=1"):
+        verify_round_bounds(3)
 
 
 def test_theorem1_equivalence_small_sweep():
