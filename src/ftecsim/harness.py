@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +83,12 @@ WORKER_ENV_VAR = "FTECSIM_WORKERS"
 _WILSON_Z = 1.959963984540054  # 95 percent
 
 
+def _check_rate(p: float) -> None:
+    """Reject a physical error rate outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"physical error rate {p} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation campaign: a code, a decoder, and sampling controls."""
@@ -106,8 +111,7 @@ class ExperimentConfig:
         if self.shots < 1:
             raise ValueError("shots must be positive")
         for p in self.p_values:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"physical error rate {p} outside [0, 1]")
+            _check_rate(p)
         for name in ("max_errors", "workers", "built_to_weight"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -361,6 +365,7 @@ def resolve_workers(workers: int | None) -> int:
 
 def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> ExperimentStats:
     """Simulate one physical error rate and aggregate the shot outcomes."""
+    _check_rate(p)
     ctx_key = (config.d, config.decoder, config.css_two_stage, config.built_to_weight)
     ctx = _context(ctx_key)
     n_chunks = (config.shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
@@ -379,6 +384,9 @@ def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> Experim
             if consume(_run_chunk(job)):
                 break
     else:
+        # imported here, so a process that starts no pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for counts in pool.map(_run_chunk, jobs):
                 if consume(counts):

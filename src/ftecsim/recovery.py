@@ -13,7 +13,6 @@ budget, where no fault-tolerance guarantee applies.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +87,15 @@ def enumeration_count(n: int, max_weight: int) -> int:
 def build_table(
     code: StabilizerCode, max_weight: int, budget: int = DEFAULT_BUDGET
 ) -> SyndromeTable:
-    """Enumerate pure-type errors by increasing weight, first writer wins."""
+    """Enumerate pure-type errors by increasing weight, first writer wins.
+
+    Each weight's supports are the previous weight's, each followed by
+    every qubit after its last (``itertools.combinations`` order), with the
+    parent's syndrome and mask plus one column and one bit. One sort of the
+    words ``syndrome << index_bits | index`` puts each syndrome's first
+    writer first, so the sector rows plus the index bits must fit in 64
+    bits (``ValueError`` otherwise).
+    """
     if not code.css:
         raise ValueError("lookup decoding is implemented for CSS codes only")
     if code.n > 64:
@@ -103,24 +110,32 @@ def build_table(
             f"table enumeration needs {required} supports, "
             f"budget is {budget}; lower max_weight or raise the budget"
         )
+    index_bits = (required - 1).bit_length()
+    if len(rows) + index_bits > 64:
+        raise ValueError(f"{len(rows)} sector rows and {index_bits} index bits "
+                         "exceed a 64-bit sort word; lower max_weight")
     # column q: the syndrome of an error on qubit q, bit i set where row i holds q
     bits = (np.array(rows, np.uint64)[:, None] >> np.arange(code.n, dtype=np.uint64)) & 1
     col_words = np.bitwise_or.reduce(bits << np.arange(len(rows), dtype=np.uint64)[:, None])
-    keys = [np.zeros(1, np.uint64)]  # weight 0: the zero syndrome, no correction
-    masks = [np.zeros(1, np.uint64)]
-    for w in range(1, max_weight + 1):
-        flat = itertools.chain.from_iterable(itertools.combinations(range(code.n), w))
-        supports = np.fromiter(flat, np.uint64).reshape(-1, w)
-        key = np.zeros(len(supports), np.uint64)
-        mask = np.zeros(len(supports), np.uint64)
-        for q in supports.T:
-            key ^= col_words[q]
-            mask |= np.uint64(1) << q
-        keys.append(key)
-        masks.append(mask)
-    # np.unique returns the index of each key's first occurrence
-    keys, first = np.unique(np.concatenate(keys), return_index=True)
-    return SyndromeTable(keys, np.concatenate(masks)[first], _Gf2Solver(rows))
+    qubit_words = np.uint64(1) << np.arange(code.n, dtype=np.uint64)
+    keys = np.zeros(required, np.uint64)  # weight 0: the zero syndrome, no correction
+    masks = np.zeros(required, np.uint64)
+    last = np.array([-1])  # the top qubit of each support of the previous weight
+    start, stop = 0, 1
+    for _ in range(max_weight):
+        reps = code.n - 1 - last
+        # the j-th child of a parent appends qubit last + 1 + j
+        last = np.repeat(last + 1 - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
+        end = stop + len(last)
+        np.bitwise_xor(np.repeat(keys[start:stop], reps), col_words[last], out=keys[stop:end])
+        np.bitwise_or(np.repeat(masks[start:stop], reps), qubit_words[last], out=masks[stop:end])
+        start, stop = stop, end
+    packed = keys << np.uint64(index_bits) | np.arange(required, dtype=np.uint64)
+    packed.sort()
+    syndromes = packed >> np.uint64(index_bits)
+    first = np.concatenate(([True], syndromes[1:] != syndromes[:-1]))
+    index = packed[first] & np.uint64((1 << index_bits) - 1)
+    return SyndromeTable(syndromes[first], masks[index], _Gf2Solver(rows))
 
 
 def split_sectors(code: StabilizerCode, syndrome: int) -> tuple[int, int]:

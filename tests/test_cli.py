@@ -8,6 +8,9 @@ from ftecsim import cli, harness
 from ftecsim.cli import run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# a fresh interpreter's environment, with this checkout's package first
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def test_verify_bounds_ok(capsys):
@@ -198,17 +201,26 @@ def test_pseudothreshold_cli(tmp_path):
 def test_module_entry_point():
     """``python -m ftecsim.cli`` runs the command line and passes on its
     exit status."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
     def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "ftecsim.cli", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", "ftecsim.cli", *argv], env=FRESH_ENV,
                               capture_output=True, text=True, timeout=120)
 
     too_deep = cli("verify-bounds", "--t-max", "9")
     assert too_deep.returncode == 1 and "too large" in too_deep.stderr
     ok = cli("verify-bounds", "--t-max", "1")
     assert ok.returncode == 0 and "all bounds confirmed" in ok.stdout
+
+
+def test_import_leaves_process_pool_unloaded():
+    """Importing the command line and the harness loads no process-pool
+    module; ``run_point`` imports it only when it starts a pool. A fresh
+    interpreter, because other tests load those modules here."""
+    probe = ("import sys, ftecsim.cli, ftecsim.harness; print(sorted(m for m in sys.modules"
+             " if m in ('concurrent.futures.process', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_version_flag(capsys):

@@ -611,6 +611,16 @@ def test_config_validation():
         assert getattr(ExperimentConfig(d=3, decoder="strong", **{name: 1}), name) == 1
 
 
+def test_run_point_rejects_rates_outside_unit_interval(monkeypatch):
+    """``run_point`` checks p as ``ExperimentConfig`` checks ``p_values``,
+    before any chunk runs."""
+    cfg = ExperimentConfig(d=3, decoder="weak", shots=100, seed=1, workers=1)
+    monkeypatch.setattr(harness, "_run_chunk", None)  # a chunk would raise TypeError
+    for p in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"physical error rate .* outside \[0, 1\]"):
+            run_point(cfg, p)
+
+
 def test_worker_env_override(monkeypatch):
     from ftecsim.harness import resolve_workers
 

@@ -36,17 +36,20 @@ def test_weight_one_table_has_distinct_syndromes(code3):
     assert sorted(table.masks.tolist()) == [0] + [1 << q for q in range(7)]
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
-def test_table_matches_first_writer_wins_enumeration(d):
-    """The vectorised build against the plain loop it replaced: supports in
-    weight, then combinations, order, and the first one per syndrome kept."""
-    code = build_hex_color_code(d)
-    weight = default_built_to_weight(code, (d - 1) // 2)
+def _sector_columns(code):
+    """Column q of the Z-sector check matrix as a bit word."""
     cols = [0] * code.n
     for local, gi in enumerate(code.z_sector):
         for q in range(code.n):
             if (code.generators[gi].z_bits >> q) & 1:
                 cols[q] |= 1 << local
+    return cols
+
+
+def _loop_table(code, weight):
+    """{syndrome: mask} from the plain loop: supports in weight, then
+    combinations, order, and the first one per syndrome kept."""
+    cols = _sector_columns(code)
     expected = {0: 0}
     for w in range(1, weight + 1):
         for support in itertools.combinations(range(code.n), w):
@@ -55,9 +58,57 @@ def test_table_matches_first_writer_wins_enumeration(d):
                 syndrome ^= cols[q]
                 mask |= 1 << q
             expected.setdefault(syndrome, mask)
+    return expected
+
+
+def _combinations_table(code, weight):
+    """(keys, masks) from the earlier array build: ``itertools.combinations``
+    supports, each XORed over its columns, and ``np.unique``'s first index."""
+    cols = np.array(_sector_columns(code), np.uint64)
+    keys, masks = [np.zeros(1, np.uint64)], [np.zeros(1, np.uint64)]
+    for w in range(1, weight + 1):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(code.n), w))
+        supports = np.fromiter(flat, np.int64).reshape(-1, w)
+        keys.append(np.bitwise_xor.reduce(cols[supports], axis=1))
+        masks.append(np.bitwise_or.reduce(np.uint64(1) << supports.astype(np.uint64), axis=1))
+    keys, first = np.unique(np.concatenate(keys), return_index=True)
+    return keys, np.concatenate(masks)[first]
+
+
+def _check_table(code, weight, loop=True):
     table = build_table(code, weight)
-    assert table.keys.tolist() == sorted(expected)
-    assert dict(zip(table.keys.tolist(), table.masks.tolist())) == expected
+    keys, masks = _combinations_table(code, weight)
+    assert table.keys.dtype == table.masks.dtype == np.uint64
+    assert table.keys.tobytes() == keys.tobytes()
+    assert table.masks.tobytes() == masks.tobytes()
+    if loop:
+        expected = _loop_table(code, weight)
+        assert table.keys.tolist() == sorted(expected)
+        assert dict(zip(table.keys.tolist(), table.masks.tolist())) == expected
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_table_matches_first_writer_wins_enumeration(d):
+    """The build at the default weight against the array build it replaced
+    and, below d=9 (where it takes seconds), the plain loop. At d=9 that is
+    559,736 supports and 465,741 syndromes."""
+    code = build_hex_color_code(d)
+    _check_table(code, default_built_to_weight(code, (d - 1) // 2), loop=d < 9)
+
+
+@pytest.mark.parametrize("d, weight", [(3, 0), (3, 7), (5, 4)])
+def test_table_at_edge_weights(d, weight):
+    """Weight 0 (the zero syndrome alone), every support of the d=3 code,
+    and d=5 one weight past its default."""
+    _check_table(build_hex_color_code(d), weight)
+
+
+def test_table_sort_words_fit_64_bits():
+    """30 sector rows plus the 60 index bits of every d=9 support up to
+    weight 30 overflow a uint64 sort word, so the build refuses before it
+    allocates anything."""
+    with pytest.raises(ValueError, match="64-bit"):
+        build_table(build_hex_color_code(9), 30, budget=2**64)
 
 
 def test_table_needs_self_dual_code_of_at_most_64_qubits():
