@@ -28,12 +28,11 @@ pass reads: the vector's characters and the runs it emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ZeroSubstring:
+class ZeroSubstring(NamedTuple):
     """A maximal run of zeros with its fault-count statistics.
 
     ``j`` is the 1-based ordinal among the runs, ``start``/``end`` are

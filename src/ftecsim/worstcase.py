@@ -157,25 +157,60 @@ def oracle_usable(delta: str, t: int, run: ZeroSubstring) -> bool:
     return (run.start, run.end) not in unusable
 
 
+_UNUSABLE_TABLES: dict[tuple[int, int], list[int]] = {}
+
+
+def _unusable_table(length: int, t: int) -> list[int]:
+    """For every vector of ``length`` bits (bit p-1 is position p), a mask
+    with bit ``end`` set for each zero run [start, end] that some consistent
+    combination of at most t faults covers entirely; built once per
+    (length, t).
+
+    The enumeration is inverted: a combination is consistent exactly with
+    the vectors ``single | S``, where ``single = once & ~twice`` and S is
+    any subset of ``twice``, so each row is expanded over those subsets
+    and its covered runs are OR-ed into its vectors' entries.
+    """
+    table = _UNUSABLE_TABLES.get((length, t))
+    if table is None:
+        once, twice = _combination_table(length + 1, t)
+        target = once & ~twice
+        for pos in range(length):
+            bit = np.uint64(1 << pos)
+            free = (twice & bit) != 0
+            target = np.concatenate([target, target[free] | bit])
+            once = np.concatenate([once, once[free]])
+            twice = np.concatenate([twice, twice[free]])
+        # at m = 1 a type I fault on round 1 sets a position the empty vector lacks
+        fits = (target >> np.uint64(length)) == 0
+        target, once = target[fits], once[fits]
+        zeros = ~target & np.uint64((1 << length) - 1)
+        starts = zeros & ~(zeros << np.uint64(1))
+        # a run's start bit carries past its end exactly when all its zeros are covered
+        past = ((zeros & once) + starts) & ~zeros
+        table = np.zeros(1 << length, dtype=np.uint64)
+        np.bitwise_or.at(table, target, past)
+        table = table.tolist()
+        _UNUSABLE_TABLES[(length, t)] = table
+    return table
+
+
 def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
     """(start, end) of every maximal zero run certified unusable by
-    enumeration; positions are 1-based and inclusive, as in ``diffvec``."""
+    enumeration; positions are 1-based and inclusive, as in ``diffvec``.
+
+    A run is unusable when some consistent combination of at most t faults
+    covers all of it, leaving it no OR zero (a position no fault
+    contributes to). The answer is one lookup in ``_unusable_table``.
+    """
     m = len(delta) + 1
     _check_regime(m, t)
     if delta.strip("01"):
         raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")
     # found here, not by diffvec.decompose: that is the search under test
     runs = [(zeros.start() + 1, zeros.end()) for zeros in re.finditer("0+", delta)]
-    once, twice = _combination_table(m, t)
-    target = np.uint64(int(delta[::-1], 2) if delta else 0)
-    # consistent: every 1 of delta is covered and no 0 is covered exactly once
-    consistent = ((target & ~once) == 0) & ((once & ~twice & ~target) == 0)
-    covered = once[consistent]
-    # A run is unusable when some consistent combination covers all of it,
-    # leaving it no OR zero (a position no fault contributes to).
-    masks = np.array([(1 << end) - (1 << (start - 1)) for start, end in runs], dtype=np.uint64)
-    hit = ((covered[:, None] & masks) == masks).any(axis=0)
-    return {run for run, h in zip(runs, hit) if h}
+    covered = _unusable_table(len(delta), t)[int(delta[::-1], 2) if delta else 0]
+    return {(start, end) for start, end in runs if covered >> end & 1}
 
 
 # ---------------------------------------------------------------------------

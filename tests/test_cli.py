@@ -6,6 +6,7 @@ from pathlib import Path
 
 from ftecsim import cli, harness
 from ftecsim.cli import run_cli
+from ftecsim.worstcase import oracle_unusable_runs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # a fresh interpreter's environment, with this checkout's package first
@@ -168,6 +169,23 @@ def test_oracle_check_modes(tmp_path):
                     "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["checked"] > 0 and payload["mismatches"] == []
+
+
+def test_oracle_check_calls_oracle_once_per_case(tmp_path, monkeypatch):
+    # the sweep asks the oracle once per (delta, t); the bench's oracle span counts these calls
+    calls = []
+
+    def counting(delta, t):
+        calls.append((delta, t))
+        return oracle_unusable_runs(delta, t)
+
+    monkeypatch.setattr(cli, "oracle_unusable_runs", counting)
+    out = tmp_path / "oc.json"
+    assert run_cli(["oracle-check", "--max-len", "6", "--t-max", "2", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    # every vector of length 1..6 with at least one zero, at t = 1, 2
+    assert payload["checked"] == len(calls) == 2 * sum((1 << n) - 1 for n in range(1, 7))
+    assert len(set(calls)) == len(calls)
 
 
 def test_fault_enum_cli(tmp_path):

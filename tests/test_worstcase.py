@@ -1,7 +1,10 @@
+import re
+
+import numpy as np
 import pytest
 
 from conftest import run_stream
-from ftecsim import decoders
+from ftecsim import decoders, worstcase
 from ftecsim.decoders import (
     CONTINUE,
     PAIR_COUNT,
@@ -13,6 +16,7 @@ from ftecsim.decoders import (
 )
 from ftecsim.diffvec import decompose, find_usable
 from ftecsim.worstcase import (
+    _combination_table,
     appendix_extremal_delta,
     consistent_combinations,
     max_unusable_length,
@@ -54,12 +58,16 @@ def test_oracle_worked_examples():
 
 
 def test_oracle_regime_refusal():
-    with pytest.raises(ValueError, match="regime"):
+    with pytest.raises(ValueError, match=re.escape(
+            "exhaustive regime exceeded (m=21, t=3; limits m<=16, t<=5)")):
         oracle_unusable_runs("0" * 20, 3)
     with pytest.raises(ValueError, match="regime"):
         max_unusable_length("strong", 7)
-    with pytest.raises(ValueError, match="must be >= 0"):
+    with pytest.raises(ValueError, match=re.escape("fault budget must be >= 0, got -1")):
         oracle_unusable_runs("0100", -1)
+    with pytest.raises(ValueError, match=re.escape(
+            "difference vector must be over '0'/'1', got '0120'")):
+        oracle_unusable_runs("0120", 2)
 
 
 def test_extremal_family_construction():
@@ -186,3 +194,47 @@ def test_search_matches_oracle_t4_t5():
                 search = {(r.start, r.end) for r in find_usable(t, delta)}
                 oracle = {(r.start, r.end) for r in runs} - oracle_unusable_runs(delta, t)
                 assert search == oracle, (delta, t)
+
+
+def per_vector_unusable_runs(delta, t):
+    """The oracle one vector at a time: keep the rows of ``_combination_table``
+    consistent with ``delta``, then mark a run unusable when one of them
+    covers all of it."""
+    once, twice = _combination_table(len(delta) + 1, t)
+    target = np.uint64(int(delta[::-1], 2) if delta else 0)
+    # every 1 of delta is covered and no 0 is covered exactly once
+    consistent = ((target & ~once) == 0) & ((once & ~twice & ~target) == 0)
+    covered = once[consistent]
+    runs = [(r.start, r.end) for r in decompose(delta)]
+    masks = np.array([(1 << end) - (1 << (start - 1)) for start, end in runs], dtype=np.uint64)
+    hit = ((covered[:, None] & masks) == masks).any(axis=0)
+    return {run for run, h in zip(runs, hit) if h}
+
+
+def test_oracle_table_matches_per_vector_oracle():
+    for t in range(6):
+        assert oracle_unusable_runs("", t) == set()  # m = 1: no position, no run
+    for length in range(11):
+        for bits in range(1 << length):
+            delta = format(bits, f"0{length}b") if length else ""
+            for t in range(4):
+                assert oracle_unusable_runs(delta, t) == per_vector_unusable_runs(delta, t), \
+                    (delta, t)
+    for delta in ("0" * 15, "010" * 5, appendix_extremal_delta(5)):
+        for t in range(1, 6):
+            assert oracle_unusable_runs(delta, t) == per_vector_unusable_runs(delta, t), (delta, t)
+
+
+def test_oracle_table_built_once_per_length_and_budget(monkeypatch):
+    builds = []
+
+    def counting(m, t):
+        builds.append((m, t))
+        return _combination_table(m, t)
+
+    monkeypatch.setattr(worstcase, "_combination_table", counting)
+    monkeypatch.setattr(worstcase, "_UNUSABLE_TABLES", {})
+    assert oracle_unusable_runs("0100010", 3) == {(1, 1), (7, 7)}
+    assert oracle_unusable_runs("0000000", 3) == set()
+    assert builds == [(8, 3)]
+    assert list(worstcase._UNUSABLE_TABLES) == [(7, 3)]
