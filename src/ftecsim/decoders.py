@@ -246,8 +246,12 @@ def decision_table(kind: str, t: int, s1_nonzero: bool):
     ``(action, round_index, stopped_by)``. Delta bits pack little-endian:
     position i (1-based) lives at bit i-1. The entries are the states of
     :func:`reachable_states`, and the deepest one sets the row count. For
-    strong and weak only: the walk keys Shor states by rounds and repeats.
+    strong and weak only: the walk keys Shor states by rounds and repeats,
+    so most Shor vectors would be missing, and any other kind raises
+    ValueError.
     """
+    if kind not in ("strong", "weak"):
+        raise ValueError(f"decision_table covers the strong and weak rules only, got {kind!r}")
     tables: list[list] = []
     for delta, decision in reachable_states(kind, t, s1_nonzero):
         while len(tables) <= len(delta):

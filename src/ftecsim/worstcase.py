@@ -2,11 +2,20 @@
 
 The usability oracle is deliberately independent of the usable-substring
 search: it decides usability by enumerating fault combinations. The
-round-bound search is not: it reads ``decoders.reachable_states``, the
-walk of the policies' own decision rule (``decoders.policy_decision``,
-which calls ``diffvec.find_usable``) over every difference vector a
-policy can reach, and checks the closed-form round caps of all three
-rules against the longest vector on which the policy continues.
+enumeration happens once per (rounds, budget), in ``_combination_table``:
+one row per fault assignment, held as four uint64 columns (the positions
+covered at least once, the positions covered twice or more, and the
+rounds with a type I and with a type II fault), grown in numpy one round
+at a time. It has two readers: ``_unusable_table``, which answers every
+``oracle_unusable_runs`` query, and ``consistent_combinations``, the
+definition-level form that filters the rows one vector at a time.
+
+The round-bound search is not independent of the search: it reads
+``decoders.reachable_states``, the walk of the policies' own decision
+rule (``decoders.policy_decision``, which calls ``diffvec.find_usable``)
+over every difference vector a policy can reach, and checks the
+closed-form round caps of all three rules against the longest vector on
+which the policy continues.
 Both are exponential and meant for the small exhaustive regimes used in
 tests and the ``oracle-check`` and ``verify-bounds`` commands.
 
@@ -36,7 +45,6 @@ import numpy as np
 
 from .decoders import CONTINUE, reachable_states, worst_case_rounds
 from .decoders import policy_decision  # noqa: F401  (perfbench's span list wraps this name)
-from .diffvec import ZeroSubstring
 
 _EXHAUSTIVE_MAX_M = 16
 _EXHAUSTIVE_MAX_T = 5
@@ -81,80 +89,64 @@ def _check_regime(m: int, t: int) -> None:
         )
 
 
-def _combination_masks(m: int, t: int) -> Iterator[tuple[tuple, int, int]]:
-    """All fault assignments with <= t faults, at most one per round.
+def _packed(delta: str, t: int) -> int:
+    """``delta`` as an int (position p -> bit p-1), after the regime and
+    alphabet checks every oracle query shares."""
+    _check_regime(len(delta) + 1, t)
+    if delta.strip("01"):
+        raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")
+    return int(delta[::-1], 2) if delta else 0
 
-    Yields (faults, once, twice): ``once`` has a set bit wherever at least
-    one fault contributes, ``twice`` wherever two or more do.
+
+_TABLES: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+
+
+def _combination_table(m: int, t: int) -> tuple[np.ndarray, ...]:
+    """Every assignment of at most t faults, at most one per round, over
+    m rounds as four uint64 columns ``(once, twice, type_i, type_ii)``,
+    built once per (m, t).
+
+    ``once`` has a set bit wherever at least one fault contributes,
+    ``twice`` wherever two or more do; ``type_i`` and ``type_ii`` have bit
+    i-1 set when round i has a fault of that type. The table grows one
+    round at a time: every row with fewer than t faults gets a child with
+    a type I and a child with a type II fault on the new round, so it has
+    sum over k <= t of C(m, k) * 2**k rows.
     """
-    choices = []
-    for i in range(1, m + 1):
-        choices.append((("I", i), _contribution("I", i, m)))
-        choices.append((("II", i), _contribution("II", i, m)))
-
-    def rec(round_idx: int, remaining: int, faults: tuple, once: int, twice: int):
-        yield faults, once, twice
-        if remaining == 0:
-            return
-        for i in range(round_idx, m + 1):
-            for kind in ("I", "II"):
-                mask = _contribution(kind, i, m)
-                yield from rec(
-                    i + 1,
-                    remaining - 1,
-                    faults + ((kind, i),),
-                    once | mask,
-                    twice | (once & mask),
-                )
-
-    yield from rec(1, t, (), 0, 0)
-
-
-_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _combination_table(m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(once, twice)`` of every ``_combination_masks(m, t)`` row as uint64
-    arrays, built once per (m, t)."""
     table = _TABLES.get((m, t))
     if table is None:
-        rows = [(once, twice) for _faults, once, twice in _combination_masks(m, t)]
-        table = tuple(np.array(col, dtype=np.uint64) for col in zip(*rows))
-        _TABLES[(m, t)] = table
+        rows = np.zeros((4, 1), dtype=np.uint64)
+        count = np.zeros(1, dtype=np.int64)
+        for i in range(1, m + 1):
+            grow = count < t
+            parts, counts = [rows], [count]
+            for column, kind in ((2, "I"), (3, "II")):
+                child = rows[:, grow]
+                mask = np.uint64(_contribution(kind, i, m))
+                child[1] |= child[0] & mask
+                child[0] |= mask
+                child[column] |= np.uint64(1 << (i - 1))
+                parts.append(child)
+                counts.append(count[grow] + 1)
+            rows, count = np.concatenate(parts, axis=1), np.concatenate(counts)
+        table = _TABLES[(m, t)] = tuple(rows)
     return table
 
 
 def consistent_combinations(delta: str, t: int) -> Iterator[FaultCombination]:
-    """Every fault multiset of size <= t whose resolved vector equals ``delta``."""
-    m = len(delta) + 1
-    _check_regime(m, t)
-    target = 0
-    for pos, ch in enumerate(delta):
-        if ch == "1":
-            target |= 1 << pos
-    full = (1 << len(delta)) - 1
-    for faults, once, twice in _combination_masks(m, t):
-        single = once & ~twice
-        # count 0 -> bit 0; count 1 -> bit 1; count >= 2 -> free
-        if (~once & full) & target:
-            continue
-        if single & ~target:
-            continue
-        choices = tuple(
-            (pos + 1, delta[pos]) for pos in range(len(delta)) if (twice >> pos) & 1
-        )
+    """Every fault multiset of size <= t whose resolved vector equals ``delta``:
+    the rows of ``_combination_table`` that cover every 1 of ``delta`` and
+    cover no 0 exactly once."""
+    target = np.uint64(_packed(delta, t))
+    once, twice, type_i, type_ii = _combination_table(len(delta) + 1, t)
+    consistent = ((target & ~once) == 0) & ((once & ~twice & ~target) == 0)
+    rows = zip(*(column[consistent].tolist() for column in (type_i, type_ii, twice)))
+    for kinds_i, kinds_ii, both in rows:
+        faults = tuple((kind, i) for i in range(1, len(delta) + 2)
+                       for kind, kinds in (("I", kinds_i), ("II", kinds_ii))
+                       if kinds >> (i - 1) & 1)
+        choices = tuple((pos + 1, bit) for pos, bit in enumerate(delta) if both >> pos & 1)
         yield FaultCombination(faults, choices)
-
-
-def oracle_usable(delta: str, t: int, run: ZeroSubstring) -> bool:
-    """Definition-level usability: every consistent combination leaves an OR zero.
-
-    A position is an OR zero for a combination when no fault contributes
-    there; the run is usable when no consistent combination of at most t
-    faults can cover every position of the run with cancellations.
-    """
-    unusable = oracle_unusable_runs(delta, t)
-    return (run.start, run.end) not in unusable
 
 
 _UNUSABLE_TABLES: dict[tuple[int, int], list[int]] = {}
@@ -164,7 +156,8 @@ def _unusable_table(length: int, t: int) -> list[int]:
     """For every vector of ``length`` bits (bit p-1 is position p), a mask
     with bit ``end`` set for each zero run [start, end] that some consistent
     combination of at most t faults covers entirely; built once per
-    (length, t).
+    (length, t) from the ``once`` and ``twice`` columns of
+    ``_combination_table``.
 
     The enumeration is inverted: a combination is consistent exactly with
     the vectors ``single | S``, where ``single = once & ~twice`` and S is
@@ -173,7 +166,7 @@ def _unusable_table(length: int, t: int) -> list[int]:
     """
     table = _UNUSABLE_TABLES.get((length, t))
     if table is None:
-        once, twice = _combination_table(length + 1, t)
+        once, twice = _combination_table(length + 1, t)[:2]
         target = once & ~twice
         for pos in range(length):
             bit = np.uint64(1 << pos)
@@ -203,13 +196,10 @@ def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
     covers all of it, leaving it no OR zero (a position no fault
     contributes to). The answer is one lookup in ``_unusable_table``.
     """
-    m = len(delta) + 1
-    _check_regime(m, t)
-    if delta.strip("01"):
-        raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")
+    target = _packed(delta, t)
     # found here, not by diffvec.decompose: that is the search under test
     runs = [(zeros.start() + 1, zeros.end()) for zeros in re.finditer("0+", delta)]
-    covered = _unusable_table(len(delta), t)[int(delta[::-1], 2) if delta else 0]
+    covered = _unusable_table(len(delta), t)[target]
     return {(start, end) for start, end in runs if covered >> end & 1}
 
 

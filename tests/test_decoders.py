@@ -152,6 +152,14 @@ def test_decision_tables_match_state_machines():
                 assert tables[length][int(delta[::-1] or "0", 2)] == expected, (kind, t, delta)
 
 
+def test_decision_table_refuses_shor_and_unknown_kinds():
+    # keyed by (rounds, repeats), the Shor walk would leave reachable
+    # vectors such as "11" (it shares "01"'s key) at None
+    for kind in ("shor", "bogus"):
+        with pytest.raises(ValueError, match=f"strong and weak rules only, got '{kind}'"):
+            decision_table(kind, 2, True)
+
+
 def test_policy_tables_match_rule_exhaustively():
     """Every vector reachable from ``root[t]``, for all three rules,
     t = 1..3 and both first-syndrome branches: each entry holds the pure

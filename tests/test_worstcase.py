@@ -1,4 +1,7 @@
 import re
+from collections import Counter
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from ftecsim.worstcase import (
     consistent_combinations,
     max_unusable_length,
     oracle_unusable_runs,
-    oracle_usable,
     verify_round_bounds,
 )
 
@@ -49,12 +51,10 @@ def test_combination_choices_reported():
 
 
 def test_oracle_worked_examples():
-    runs = decompose("010010")
-    assert [oracle_usable("010010", 3, r) for r in runs] == [False, False, False]
-    runs = decompose("0100010")
-    assert oracle_usable("0100010", 3, runs[1]) is True
-    runs = decompose("0")
-    assert oracle_usable("0", 1, runs[0]) is True
+    assert oracle_unusable_runs("010010", 3) == {(1, 1), (3, 4), (6, 6)}
+    # the middle run (3, 5) of 0100010 is usable at t = 3
+    assert oracle_unusable_runs("0100010", 3) == {(1, 1), (7, 7)}
+    assert oracle_unusable_runs("0", 1) == set()
 
 
 def test_oracle_regime_refusal():
@@ -68,6 +68,11 @@ def test_oracle_regime_refusal():
     with pytest.raises(ValueError, match=re.escape(
             "difference vector must be over '0'/'1', got '0120'")):
         oracle_unusable_runs("0120", 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "difference vector must be over '0'/'1', got '0x'")):
+        list(consistent_combinations("0x", 1))
+    # the empty vector is binary: no fault, or a type II fault on its one round
+    assert sorted(c.faults for c in consistent_combinations("", 1)) == [(), (("II", 1),)]
 
 
 def test_extremal_family_construction():
@@ -200,7 +205,7 @@ def per_vector_unusable_runs(delta, t):
     """The oracle one vector at a time: keep the rows of ``_combination_table``
     consistent with ``delta``, then mark a run unusable when one of them
     covers all of it."""
-    once, twice = _combination_table(len(delta) + 1, t)
+    once, twice, _type_i, _type_ii = _combination_table(len(delta) + 1, t)
     target = np.uint64(int(delta[::-1], 2) if delta else 0)
     # every 1 of delta is covered and no 0 is covered exactly once
     consistent = ((target & ~once) == 0) & ((once & ~twice & ~target) == 0)
@@ -226,15 +231,55 @@ def test_oracle_table_matches_per_vector_oracle():
 
 
 def test_oracle_table_built_once_per_length_and_budget(monkeypatch):
-    builds = []
+    calls = []
 
     def counting(m, t):
-        builds.append((m, t))
-        return _combination_table(m, t)
+        calls.append(((m, t), _combination_table(m, t)))
+        return calls[-1][1]
 
     monkeypatch.setattr(worstcase, "_combination_table", counting)
+    monkeypatch.setattr(worstcase, "_TABLES", {})
     monkeypatch.setattr(worstcase, "_UNUSABLE_TABLES", {})
     assert oracle_unusable_runs("0100010", 3) == {(1, 1), (7, 7)}
     assert oracle_unusable_runs("0000000", 3) == set()
-    assert builds == [(8, 3)]
+    assert [key for key, _ in calls] == [(8, 3)]
     assert list(worstcase._UNUSABLE_TABLES) == [(7, 3)]
+    # the definition-level filter reads the same cached arrays, not a rebuild
+    assert (("II", 2), ("II", 6)) in [c.faults for c in consistent_combinations("0100010", 3)]
+    assert [key for key, _ in calls] == [(8, 3), (8, 3)]
+    assert calls[1][1] is calls[0][1]
+    assert list(worstcase._TABLES) == [(8, 3)]
+
+
+def definition_table(m, t):
+    """(faults, once, twice) of every assignment of at most t faults, at most
+    one per round, from per-round choices. A type I fault on round i covers
+    positions i-1 and i, a type II fault position i unless i = m, and
+    positions run from 1 to m-1; but at m = 1 the type I fault on round 1
+    still covers position 1, which the empty vector lacks."""
+    top = max(m - 1, 1)
+    rows = []
+    for kinds in product((None, "I", "II"), repeat=m):
+        faults = tuple((kind, i) for i, kind in enumerate(kinds, 1) if kind)
+        if len(faults) > t:
+            continue
+        hits = Counter(p for kind, i in faults
+                       for p in ((i - 1, i) if kind == "I" else (i,) if i < m else ())
+                       if 1 <= p <= top)
+        once = sum(1 << (p - 1) for p in hits)
+        twice = sum(1 << (p - 1) for p, n in hits.items() if n >= 2)
+        rows.append((faults, once, twice))
+    return Counter(rows)
+
+
+def test_combination_table_matches_definition():
+    for m, t in product(range(1, 9), range(6)):
+        once, twice, type_i, type_ii = (col.tolist() for col in _combination_table(m, t))
+        rows = Counter(
+            (tuple((kind, i) for i in range(1, m + 1)
+                   for kind, kinds in (("I", ti), ("II", tii)) if kinds >> (i - 1) & 1), o, w)
+            for o, w, ti, tii in zip(once, twice, type_i, type_ii))
+        assert rows == definition_table(m, t), (m, t)
+    for t in range(6):
+        rows = len(_combination_table(16, t)[0])
+        assert rows == sum(comb(16, k) << k for k in range(t + 1)), t
