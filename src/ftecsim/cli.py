@@ -19,8 +19,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import types
-import typing
 
 from . import __version__
 from .colorcode import build_hex_color_code
@@ -31,7 +29,6 @@ from .harness import (
     ExperimentConfig,
     enumerate_single_faults,
     estimate_pseudothreshold,
-    resolve_workers,
     run_experiment,
     sample_fault_pairs,
 )
@@ -70,54 +67,38 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _json_has_type(value, hint) -> bool:
-    """Whether a JSON value fits an ``ExperimentConfig`` field annotation
-    (a list stands for a tuple; a bool is not a number)."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_json_has_type(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_json_has_type(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _simulate_config(args) -> ExperimentConfig:
-    """Each field from its flag, else from the --config file, else the default."""
+def _config(args) -> ExperimentConfig:
+    """Each field from its flag, else from the --config file (for a
+    subcommand that has one), else the default; ``ExperimentConfig``
+    checks the result."""
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     from_file = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+    path = getattr(args, "config", None)
+    if path:
+        with open(path, encoding="utf-8") as fh:
             from_file = json.load(fh)
         if not isinstance(from_file, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {path} must hold a JSON object")
         unknown = sorted(set(from_file) - set(fields))
         if unknown:
-            raise ValueError(f"config file {args.config}: unknown keys {unknown}, "
+            raise ValueError(f"config file {path}: unknown keys {unknown}, "
                              f"expected some of {fields}")
-        hints = typing.get_type_hints(ExperimentConfig)
-        for name, value in from_file.items():
-            if not _json_has_type(value, hints[name]):
-                raise ValueError(f"config file {args.config}: {name} must be "
-                                 f"{ExperimentConfig.__annotations__[name]}, got {value!r}")
     merged = {"d": 3, "decoder": "strong"}
     for name in fields:
-        if getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             merged[name] = getattr(args, name)
         elif name in from_file:
             merged[name] = from_file[name]
-    merged["p_values"] = tuple(merged.get("p_values", ()))
     return ExperimentConfig(**merged)
 
 
 def _cmd_simulate(args) -> int:
-    config = _simulate_config(args)
+    config = _config(args)
     if not config.p_values:
         print("simulate: no physical error rates given (use --p)", file=sys.stderr)
         return 1
     results = run_experiment(config)
-    workers = resolve_workers(config.workers)
+    workers = config.workers or 1
     if args.format == "json":
         payload = {
             "tool": f"ftecsim {__version__}",
@@ -156,17 +137,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pseudothreshold(args) -> int:
-    config = ExperimentConfig(
-        d=args.d,
-        decoder=args.decoder,
-        shots=1,
-        seed=args.seed,
-        css_two_stage=args.css_two_stage,
-        workers=args.workers,
-    )
     try:
         result = estimate_pseudothreshold(
-            config,
+            _config(args),
             args.p_lo,
             args.p_hi,
             shots_per_probe=args.shots_per_probe,
@@ -317,7 +290,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--max-errors", type=int, default=None,
                      help="stop a point after this many logical errors")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default 1 or FTECSIM_WORKERS)")
+                     help="worker processes (default 1)")
     sim.add_argument("--css-two-stage", action="store_true", default=None)
     sim.add_argument("--built-to-weight", type=int, default=None)
     sim.add_argument("--config", default=None, help="JSON file with ExperimentConfig fields")

@@ -22,8 +22,7 @@ lengths o_0..o_k around the k zero runs. The fault count is the sum of
 ceil(o/2), the pair count the sum of floor(o/2). Run j sits between
 blocks j-1 and j, whose boundary ones it does not count, so alpha_j and
 beta_j are a prefix and a suffix sum of ceil(o/2) with the neighbouring
-block at floor(o/2). The work-bound counter ``_ops`` adds what that one
-pass reads: the vector's characters and the runs it emits.
+block at floor(o/2).
 """
 
 from __future__ import annotations
@@ -83,15 +82,9 @@ def pairs_only(delta: str) -> int:
     return sum(o // 2 for o in _blocks(delta)[0])
 
 
-def decompose(delta: str, _ops=None) -> list[ZeroSubstring]:
-    """All maximal zero runs of ``delta`` with their (alpha, beta, gamma).
-
-    ``_ops``, an optional one-element list, counts the work-bound check's
-    primitive operations: the characters scanned and the runs emitted.
-    """
+def decompose(delta: str) -> list[ZeroSubstring]:
+    """All maximal zero runs of ``delta`` with their (alpha, beta, gamma)."""
     ones, zeros = _blocks(delta)
-    if _ops is not None:
-        _ops[0] += len(delta) + len(zeros)
     # faults[i]: the faults of blocks 0..i-1; a run's neighbour blocks lose their boundary one
     faults = list(accumulate([(o + 1) // 2 for o in ones], initial=0))
     ends = accumulate(o + gamma for o, gamma in zip(ones, zeros))  # 1-based, run by run
@@ -101,7 +94,7 @@ def decompose(delta: str, _ops=None) -> list[ZeroSubstring]:
             for j, (gamma, end) in enumerate(zip(zeros, ends), 1)]
 
 
-def find_usable(t_in: int, delta: str, _ops=None) -> list[ZeroSubstring]:
+def find_usable(t_in: int, delta: str) -> list[ZeroSubstring]:
     """Zero runs with ``alpha + beta + gamma >= t_in``, left to right.
 
     ``t_in`` must be at least 1: the usability criterion is vacuous at 0
@@ -110,11 +103,11 @@ def find_usable(t_in: int, delta: str, _ops=None) -> list[ZeroSubstring]:
     """
     if t_in < 1:
         raise ValueError(f"fault budget must be >= 1, got {t_in}")
-    return [run for run in decompose(delta, _ops) if run.alpha + run.beta + run.gamma >= t_in]
+    return [run for run in decompose(delta) if run.alpha + run.beta + run.gamma >= t_in]
 
 
 def operation_count(t_in: int, delta: str) -> int:
-    """Primitive operations consumed by ``find_usable`` on this input."""
-    ops = [0]
-    find_usable(t_in, delta, ops)
-    return ops[0]
+    """Primitive operations consumed by ``find_usable`` on this input: the
+    characters of its one split of ``delta`` and the runs that split emits."""
+    find_usable(t_in, delta)  # its t_in >= 1 check
+    return len(delta) + len(decompose(delta))

@@ -51,6 +51,12 @@ TWO_QUBIT_FAULTS = tuple(
 )
 
 
+def _check_rate(p: float) -> None:
+    """Reject a physical error rate outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"physical error rate {p} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """The physical error rate p of every location."""
@@ -58,8 +64,7 @@ class NoiseModel:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"error rate must be in [0, 1], got {self.p}")
+        _check_rate(self.p)
 
 
 @dataclass(frozen=True)

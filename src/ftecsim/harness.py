@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +61,7 @@ from .extraction import (
     CompiledSchedule,
     FrameBatch,
     NoiseModel,
+    _check_rate,
     compile_schedule,
     inject_round,
     sample_round,
@@ -78,20 +79,21 @@ from .stabilizer import PauliOperator, StabilizerCode
 
 CHUNK_SHOTS = 4096
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
-WORKER_ENV_VAR = "FTECSIM_WORKERS"
 
 _WILSON_Z = 1.959963984540054  # 95 percent
 
 
-def _check_rate(p: float) -> None:
-    """Reject a physical error rate outside [0, 1], NaN included."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"physical error rate {p} outside [0, 1]")
+def _is_a(value, kind) -> bool:
+    """``value`` is a ``kind`` of number (numpy's included) but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation campaign: a code, a decoder, and sampling controls."""
+    """One simulation campaign: a code, a decoder, and sampling controls.
+
+    The one check of every field, for every caller; a list of rates is
+    stored as a tuple."""
 
     d: int
     decoder: str
@@ -104,24 +106,34 @@ class ExperimentConfig:
     built_to_weight: int | None = None
 
     def __post_init__(self):
+        optional = ("max_errors", "workers", "built_to_weight")
+        for name in ("d", "shots", "seed") + optional:
+            value = getattr(self, name)
+            if not (_is_a(value, numbers.Integral) or value is None and name in optional):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.css_two_stage, bool):
+            raise ValueError(f"css_two_stage must be a bool, got {self.css_two_stage!r}")
+        if not (isinstance(self.p_values, (tuple, list))
+                and all(_is_a(p, numbers.Real) for p in self.p_values)):
+            raise ValueError(f"p_values must be a tuple or list of real numbers, "
+                             f"got {self.p_values!r}")
+        object.__setattr__(self, "p_values", tuple(self.p_values))
         if self.d not in SUPPORTED_DISTANCES:
             raise ValueError(f"d must be one of {SUPPORTED_DISTANCES}, got {self.d}")
         if self.decoder not in decoders.KINDS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for p in self.p_values:
             _check_rate(p)
-        for name in ("max_errors", "workers", "built_to_weight"):
+        for name in optional:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.css_two_stage and self.decoder == "shor":
             raise ValueError("two-stage mode applies to the strong or weak decoders")
-
-    @property
-    def t(self) -> int:
-        return (self.d - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -346,23 +358,6 @@ def _run_chunk(args) -> tuple:
     return _simulate_chunk(_context(ctx_key), p, shots, _chunk_seed(seed, point_key, chunk_index))
 
 
-def resolve_workers(workers: int | None) -> int:
-    """The configured worker count (``ExperimentConfig`` keeps it >= 1),
-    else ``FTECSIM_WORKERS``, else 1."""
-    if workers is not None:
-        return workers
-    env = os.environ.get(WORKER_ENV_VAR)
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0  # reported below, as any value under 1 is
-    if value < 1:
-        raise ValueError(f"{WORKER_ENV_VAR} must be an integer >= 1, got {env!r}")
-    return value
-
-
 def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> ExperimentStats:
     """Simulate one physical error rate and aggregate the shot outcomes."""
     _check_rate(p)
@@ -371,7 +366,7 @@ def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> Experim
     n_chunks = (config.shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
     jobs = [(ctx_key, p, min(CHUNK_SHOTS, config.shots - i * CHUNK_SHOTS), config.seed,
              point_key, i) for i in range(n_chunks)]
-    workers = resolve_workers(config.workers)
+    workers = config.workers or 1
 
     total = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
 
@@ -613,6 +608,8 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ctx = _context((d, decoder, False, None))
     compiled = ctx.stages[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,12 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--workers", "-5"]) == 1
     assert run_cli(["simulate", "--d", "3", "--p", "1e-3", "--max-errors", "0"]) == 1
     capsys.readouterr()
+    # a negative seed is named before any context is built or stream made
+    for argv in (["simulate", "--d", "3", "--p", "1e-3", "--seed", "-1"],
+                 ["pseudothreshold", "--d", "3", "--decoder", "weak", "--seed", "-1"],
+                 ["fault-enum", "--order", "2", "--seed", "-1"]):
+        assert run_cli(argv) == 1, argv
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err, argv
     # verification commands that would check nothing
     for argv in (["fault-enum", "--order", "2", "--samples", "0"],
                  ["fault-enum", "--order", "2", "--samples", "-5"],
@@ -127,6 +134,23 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
         cfg.write_text(json.dumps(body))
         assert run_cli(["simulate", "--config", str(cfg)]) == 1
         assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_readme_commands_parse(capsys):
+    """Every ``ftecsim ...`` line of the README's "Command line" block
+    parses (no command runs), so a flag removed or renamed while the README
+    still shows it fails here; the block shows every subcommand."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("ftecsim ")]
+    parser = cli.build_parser()
+    shown = {parser.parse_args(argv).command for argv in commands}
+    assert shown == {"simulate", "pseudothreshold", "verify-bounds", "oracle-check",
+                     "dump-code", "fault-enum"}
+    assert run_cli(["simulate", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--workers" in out and "FTECSIM_WORKERS" not in out
 
 
 def test_dump_code(tmp_path):

@@ -609,6 +609,16 @@ def test_config_validation():
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(d=3, decoder="strong", **{name: value})
         assert getattr(ExperimentConfig(d=3, decoder="strong", **{name: 1}), name) == 1
+    # wrongly typed values are refused here, for every caller, naming the field
+    for name, value in (("d", 3.0), ("shots", 100.5), ("seed", 1.5), ("workers", 1.5),
+                        ("max_errors", 2.5), ("built_to_weight", True), ("css_two_stage", 1),
+                        ("p_values", 0.01), ("p_values", (True,)), ("p_values", ["0.01"])):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ExperimentConfig(**{"d": 3, "decoder": "strong", name: value})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(d=3, decoder="strong", seed=-1)
+    cfg = ExperimentConfig(d=3, decoder="strong", p_values=[1e-3, 1], shots=np.int64(5))
+    assert cfg.p_values == (1e-3, 1) and cfg.shots == 5
 
 
 def test_run_point_rejects_rates_outside_unit_interval(monkeypatch):
@@ -619,15 +629,3 @@ def test_run_point_rejects_rates_outside_unit_interval(monkeypatch):
     for p in (-0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"physical error rate .* outside \[0, 1\]"):
             run_point(cfg, p)
-
-
-def test_worker_env_override(monkeypatch):
-    from ftecsim.harness import resolve_workers
-
-    monkeypatch.setenv("FTECSIM_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
-    for bad in ("zebra", "0", "-3"):
-        monkeypatch.setenv("FTECSIM_WORKERS", bad)
-        with pytest.raises(ValueError, match="FTECSIM_WORKERS"):
-            resolve_workers(None)
