@@ -31,11 +31,15 @@ draws from its own counter-based Philox stream keyed by
 (seed, point_key, chunk_index). Aggregation adds counts in chunk order,
 so results are byte-identical for any worker count, and the optional
 stop-after-N-logical-errors rule is evaluated at chunk boundaries in
-chunk order for the same reason.
+chunk order for the same reason. A campaign (``run_experiment``,
+``estimate_pseudothreshold``) runs all its points on one chunk runner,
+which with more than one worker is one process pool; a campaign that no
+``max_errors`` can cut hands it several chunks at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import numbers
@@ -358,34 +362,63 @@ def _run_chunk(args) -> tuple:
     return _simulate_chunk(_context(ctx_key), p, shots, _chunk_seed(seed, point_key, chunk_index))
 
 
+def _n_chunks(shots: int) -> int:
+    return (shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
+
+
+@contextlib.contextmanager
+def _chunk_runner(config: ExperimentConfig):
+    """One campaign's chunk runner: ``run(jobs)`` yields each job's counts
+    in job order.
+
+    One worker, or points of one chunk, run in this process. Otherwise one
+    pool of ``min(workers, chunks per point)`` processes serves every point
+    of the campaign. Without ``max_errors`` each hand-off carries several
+    chunks; with it, one, so past its cut a point runs only the few
+    chunks already queued to a worker. A pool forks its workers at the
+    first hand-off, after the caller has built the engine context, and
+    is shut down, with its unqueued hand-offs cancelled, when the
+    campaign returns or raises.
+    """
+    n_chunks = _n_chunks(config.shots)
+    workers = min(config.workers or 1, n_chunks)
+    if workers <= 1:
+        yield lambda jobs: map(_run_chunk, jobs)
+        return
+    # imported here, so a process that starts no pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # a hand-off already queued to a worker cannot be cancelled, so a point
+    # that may be cut hands over one chunk at a time
+    chunksize = 1 if config.max_errors is not None else math.ceil(n_chunks / (4 * workers))
+    try:
+        yield lambda jobs: pool.map(_run_chunk, jobs, chunksize=chunksize)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> ExperimentStats:
     """Simulate one physical error rate and aggregate the shot outcomes."""
+    with _chunk_runner(config) as run:
+        return _run_point(config, p, point_key, run)
+
+
+def _run_point(config: ExperimentConfig, p: float, point_key: int, run) -> ExperimentStats:
+    """:func:`run_point` on a campaign's chunk runner ``run``."""
     _check_rate(p)
     ctx_key = (config.d, config.decoder, config.css_two_stage, config.built_to_weight)
     ctx = _context(ctx_key)
-    n_chunks = (config.shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
     jobs = [(ctx_key, p, min(CHUNK_SHOTS, config.shots - i * CHUNK_SHOTS), config.seed,
-             point_key, i) for i in range(n_chunks)]
-    workers = config.workers or 1
-
+             point_key, i) for i in range(_n_chunks(config.shots))]
     total = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
-
-    def consume(counts) -> bool:
-        total[:] += counts
-        return config.max_errors is not None and total[0] >= config.max_errors
-
-    if workers <= 1 or n_chunks == 1:
-        for job in jobs:
-            if consume(_run_chunk(job)):
-                break
-    else:
-        # imported here, so a process that starts no pool never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(_run_chunk, jobs):
-                if consume(counts):
-                    break
+    # leaving the loop drops the pool's iterator, which cancels a cut point's
+    # hand-offs not yet queued to a worker; the few already queued still run,
+    # ahead of the next point's
+    for counts in run(jobs):
+        total += counts
+        if config.max_errors is not None and total[0] >= config.max_errors:
+            break
 
     errors = int(total[0])
     hist = total[1:ctx.cap + 2].tolist()
@@ -408,7 +441,9 @@ def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> Experim
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentStats]:
-    return [run_point(config, p, point_key=i) for i, p in enumerate(config.p_values)]
+    """Every rate of ``config.p_values``, all on one chunk runner."""
+    with _chunk_runner(config) as run:
+        return [_run_point(config, p, i, run) for i, p in enumerate(config.p_values)]
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +641,9 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
     of their faults landed. A pair fails on a logical error. The pairs
     are drawn and run in chunks of ``CHUNK_SHOTS``.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not _is_a(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
@@ -690,8 +728,15 @@ def estimate_pseudothreshold(
 
     Probes use fixed shot counts and deterministic per-probe streams. The
     returned interval is read off the probes whose whole binomial
-    confidence band lies on one side of the 2p/3 line.
+    confidence band lies on one side of the 2p/3 line. All probes run on
+    one chunk runner.
     """
+    if not (0 < p_lo < p_hi <= 1):
+        raise ValueError("need 0 < p_lo < p_hi <= 1")
+    if not _is_a(iterations, numbers.Integral):
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     probes: list[tuple[float, ExperimentStats]] = []
     probe_cfg = dataclasses.replace(config, shots=shots_per_probe, max_errors=None)
     counter = 0
@@ -699,33 +744,30 @@ def estimate_pseudothreshold(
     def g(p: float) -> float:
         nonlocal counter
         counter += 1
-        stats = run_point(probe_cfg, p, point_key=1_000_000 + counter)
+        stats = _run_point(probe_cfg, p, 1_000_000 + counter, run)
         probes.append((p, stats))
         return stats.p_l_hat - 2.0 * p / 3.0
 
-    if not (0 < p_lo < p_hi <= 1):
-        raise ValueError("need 0 < p_lo < p_hi <= 1")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    g_lo = g(p_lo)
-    g_hi = g(p_hi)
-    if not (g_lo < 0 < g_hi):
-        curve = [
-            {"p": p, "p_l": s.p_l_hat, "ci_low": s.ci_low, "ci_high": s.ci_high}
-            for p, s in probes
-        ]
-        raise BracketError(
-            f"no crossing in bracket [{p_lo}, {p_hi}]: g({p_lo})={g_lo:.3g}, "
-            f"g({p_hi})={g_hi:.3g}; sampled curve attached",
-            curve,
-        )
-    lo, hi = p_lo, p_hi
-    for _ in range(iterations):
-        mid = math.sqrt(lo * hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    with _chunk_runner(probe_cfg) as run:
+        g_lo = g(p_lo)
+        g_hi = g(p_hi)
+        if not (g_lo < 0 < g_hi):
+            curve = [
+                {"p": p, "p_l": s.p_l_hat, "ci_low": s.ci_low, "ci_high": s.ci_high}
+                for p, s in probes
+            ]
+            raise BracketError(
+                f"no crossing in bracket [{p_lo}, {p_hi}]: g({p_lo})={g_lo:.3g}, "
+                f"g({p_hi})={g_hi:.3g}; sampled curve attached",
+                curve,
+            )
+        lo, hi = p_lo, p_hi
+        for _ in range(iterations):
+            mid = math.sqrt(lo * hi)
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
     estimate = math.sqrt(lo * hi)
 
     # Final falsi-style refinement: a binomially weighted log-log fit over

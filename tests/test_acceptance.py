@@ -15,6 +15,7 @@ from ftecsim.harness import (
     ExperimentConfig,
     enumerate_single_faults,
     estimate_pseudothreshold,
+    run_experiment,
     run_point,
     sample_fault_pairs,
     threshold_lower_bound,
@@ -189,9 +190,9 @@ def test_criterion_06_distance_preservation():
     for d, (grid, shots) in grids.items():
         want = (d - 1) // 2 + 1
         for decoder in ("shor", "strong", "weak"):
-            cfg = ExperimentConfig(d=d, decoder=decoder, shots=shots, seed=606,
-                                   workers=WORKERS)
-            points = [(p, run_point(cfg, p, point_key=i)) for i, p in enumerate(grid)]
+            cfg = ExperimentConfig(d=d, decoder=decoder, p_values=tuple(grid), shots=shots,
+                                   seed=606, workers=WORKERS)
+            points = list(zip(grid, run_experiment(cfg)))
             slope = _fit_loglog_slope(points)
             ok = abs(slope - want) <= 0.3
             all_ok = all_ok and ok

@@ -113,7 +113,7 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
         assert "must be <= 15 and <= 5" in capsys.readouterr().err, argv
     assert calls == []
     # a negative bisection count is refused before any probe
-    monkeypatch.setattr(harness, "run_point", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(harness, "_run_point", lambda *a, **k: calls.append(a))
     assert run_cli(["pseudothreshold", "--d", "3", "--decoder", "weak",
                     "--iterations", "-3"]) == 1
     assert "iterations must be >= 0, got -3" in capsys.readouterr().err

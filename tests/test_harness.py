@@ -29,6 +29,7 @@ from ftecsim.harness import (
     _run_policy,
     enumerate_single_faults,
     estimate_pseudothreshold,
+    run_experiment,
     run_point,
     run_shot_reference,
     sample_fault_pairs,
@@ -149,6 +150,92 @@ def test_early_stop_determinism():
     b = run_point(dataclasses.replace(base, workers=2), 1e-2)
     assert a == b
     assert a.shots < 100_000  # the cut actually fired
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every process pool the harness starts, and in
+    ``pools.chunksizes`` the hand-off size of every ``map`` on one."""
+    import concurrent.futures
+
+    class Made(list):
+        chunksizes: list
+
+    made = Made()
+    made.chunksizes = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            made.chunksizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return made
+
+
+def test_pseudothreshold_one_pool_same_result(pools):
+    """All probes of a 2-worker bisection share one pool, and the result,
+    probes included, equals the 1-worker one."""
+    base = ExperimentConfig(d=3, decoder="weak", seed=0, workers=1)
+    args = (2e-4, 8e-3, 3 * harness.CHUNK_SHOTS, 3)
+    a = estimate_pseudothreshold(base, *args)
+    assert pools == []
+    b = estimate_pseudothreshold(dataclasses.replace(base, workers=2), *args)
+    assert pools == [2]
+    assert len(a.probes) == 5 and a == b
+
+
+def test_experiment_one_pool_same_stats_after_a_cut(pools):
+    """Three rates on one pool; ``max_errors`` cuts the first point after
+    a later chunk, and the next point is whole and equal to its 1-worker
+    run, so none of the cut point's chunks leak into it."""
+    base = ExperimentConfig(d=3, decoder="shor", p_values=(3e-3, 1e-3, 2e-3),
+                            shots=9 * harness.CHUNK_SHOTS, seed=4, workers=1, max_errors=300)
+    a = run_experiment(base)
+    b = run_experiment(dataclasses.replace(base, workers=2))
+    assert pools == [2] and a == b
+    assert harness.CHUNK_SHOTS < a[0].shots < base.shots  # cut after a later chunk
+    assert a[1].shots == base.shots
+
+
+def test_handoff_size_follows_max_errors(pools):
+    """A campaign that ``max_errors`` can cut hands its pool one chunk at
+    a time, since a queued hand-off runs to its end; one that cannot hands
+    ``ceil(chunks / (4 * workers))`` chunks at a time."""
+    cfg = ExperimentConfig(d=3, decoder="weak", p_values=(1e-3, 2e-3),
+                           shots=9 * harness.CHUNK_SHOTS, seed=2, workers=2)
+    whole = run_experiment(cfg)
+    assert pools.chunksizes == [2, 2]
+    cut = run_experiment(dataclasses.replace(cfg, max_errors=10**9))
+    assert pools.chunksizes == [2, 2, 1, 1] and pools == [2, 2]
+    assert [s.shots for s in cut] == [s.shots for s in whole]
+
+
+def test_pool_sized_to_the_chunks(pools):
+    """A pool has at most one worker per chunk of a point; points of one
+    chunk start none."""
+    cfg = ExperimentConfig(d=3, decoder="weak", shots=2 * harness.CHUNK_SHOTS, seed=1,
+                           workers=8)
+    assert run_point(cfg, 1e-3) == run_point(dataclasses.replace(cfg, workers=1), 1e-3)
+    assert pools == [2]
+    run_experiment(dataclasses.replace(cfg, shots=harness.CHUNK_SHOTS, p_values=(1e-3, 1e-2)))
+    assert pools == [2]
+
+
+def test_pool_shut_down_on_return_and_on_bracket_error(pools):
+    import multiprocessing
+
+    cfg = ExperimentConfig(d=3, decoder="weak", seed=0, workers=2)
+    estimate_pseudothreshold(cfg, 2e-4, 8e-3, 2 * harness.CHUNK_SHOTS, 1)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(BracketError):  # both ends lie above the 2p/3 line
+        estimate_pseudothreshold(cfg, 5e-3, 1e-2, 2 * harness.CHUNK_SHOTS, 1)
+    assert multiprocessing.active_children() == []
+    assert pools == [2, 2]
 
 
 def test_rounds_bounded_by_worst_case():
@@ -286,7 +373,7 @@ def test_threshold_bound_matches_direct_formula():
 def test_pseudothreshold_algebraic_fixture(monkeypatch):
     """A synthetic decoder with p_L = p**2 crosses the 2p/3 line at 2/3."""
 
-    def fake_run_point(config, p, point_key=0):
+    def fake_run_point(config, p, point_key, run):
         pl = p * p
         return ExperimentStats(
             p=p, shots=10**9, logical_errors=int(pl * 10**9), p_l_hat=pl,
@@ -294,7 +381,7 @@ def test_pseudothreshold_algebraic_fixture(monkeypatch):
             rounds_histogram={}, max_rounds_seen=2, stopped_by={}, seed=0,
         )
 
-    monkeypatch.setattr(harness, "run_point", fake_run_point)
+    monkeypatch.setattr(harness, "_run_point", fake_run_point)
     cfg = ExperimentConfig(d=3, decoder="strong", shots=1, seed=0)
     result = estimate_pseudothreshold(cfg, 0.05, 0.99, shots_per_probe=1000, iterations=12)
     assert result.estimate == pytest.approx(2.0 / 3.0, rel=2e-3)
@@ -302,14 +389,14 @@ def test_pseudothreshold_algebraic_fixture(monkeypatch):
 
 
 def test_pseudothreshold_bracket_error(monkeypatch):
-    def fake_run_point(config, p, point_key=0):
+    def fake_run_point(config, p, point_key, run):
         return ExperimentStats(
             p=p, shots=1000, logical_errors=0, p_l_hat=0.0, ci_low=0.0,
             ci_high=3e-3, avg_rounds=2.0, rounds_histogram={}, max_rounds_seen=2,
             stopped_by={}, seed=0,
         )
 
-    monkeypatch.setattr(harness, "run_point", fake_run_point)
+    monkeypatch.setattr(harness, "_run_point", fake_run_point)
     cfg = ExperimentConfig(d=3, decoder="strong", shots=1, seed=0)
     with pytest.raises(BracketError) as err:
         estimate_pseudothreshold(cfg, 1e-4, 1e-3, shots_per_probe=1000)
@@ -619,6 +706,21 @@ def test_config_validation():
         ExperimentConfig(d=3, decoder="strong", seed=-1)
     cfg = ExperimentConfig(d=3, decoder="strong", p_values=[1e-3, 1], shots=np.int64(5))
     assert cfg.p_values == (1e-3, 1) and cfg.shots == 5
+
+
+def test_counts_checked_before_any_work(monkeypatch):
+    """A non-integer or bool probe or pair count is refused, naming the
+    argument, before any probe or pair runs."""
+    monkeypatch.setattr(harness, "_run_chunk", None)  # a chunk would raise TypeError
+    monkeypatch.setattr(harness, "_run_injected", None)
+    cfg = ExperimentConfig(d=3, decoder="weak", workers=1)
+    for value in (1.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            estimate_pseudothreshold(cfg, 1e-4, 1e-2, 1000, iterations=value)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            sample_fault_pairs(3, "weak", samples=value)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_fault_pairs(3, "weak", samples=10, seed=1.5)
 
 
 def test_run_point_rejects_rates_outside_unit_interval(monkeypatch):
