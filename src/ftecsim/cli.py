@@ -331,7 +331,7 @@ def build_parser() -> _Parser:
     dc.set_defaults(func=_cmd_dump_code)
 
     fe = sub.add_parser("fault-enum", help="fault-injection verification")
-    fe.add_argument("--d", type=int, default=3)
+    fe.add_argument("--d", type=int, default=3, help="code distance (3, 5, 7, 9)")
     fe.add_argument("--decoder", choices=KINDS + ("all",), default="all")
     fe.add_argument("--order", type=int, choices=(1, 2), default=1)
     fe.add_argument("--samples", type=int, default=100_000, help="pairs for --order 2")

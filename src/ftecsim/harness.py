@@ -31,7 +31,8 @@ draws from its own counter-based Philox stream keyed by
 (seed, point_key, chunk_index). Aggregation adds counts in chunk order,
 so results are byte-identical for any worker count, and the optional
 stop-after-N-logical-errors rule is evaluated at chunk boundaries in
-chunk order for the same reason. A campaign (``run_experiment``,
+chunk order for the same reason. Sampled fault pairs draw each chunk
+the same way, under one fixed point key. A campaign (``run_experiment``,
 ``estimate_pseudothreshold``) runs all its points on one chunk runner,
 which with more than one worker is one process pool; a campaign that no
 ``max_errors`` can cut hands it several chunks at a time.
@@ -92,6 +93,17 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _check_code(d, decoder: str) -> None:
+    """The one check of a distance and a decoder, for campaigns and fault
+    injection alike, made before anything is built."""
+    if not _is_a(d, numbers.Integral):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d not in SUPPORTED_DISTANCES:
+        raise ValueError(f"d must be one of {SUPPORTED_DISTANCES}, got {d}")
+    if decoder not in decoders.KINDS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation campaign: a code, a decoder, and sampling controls.
@@ -110,8 +122,9 @@ class ExperimentConfig:
     built_to_weight: int | None = None
 
     def __post_init__(self):
+        _check_code(self.d, self.decoder)
         optional = ("max_errors", "workers", "built_to_weight")
-        for name in ("d", "shots", "seed") + optional:
+        for name in ("shots", "seed") + optional:
             value = getattr(self, name)
             if not (_is_a(value, numbers.Integral) or value is None and name in optional):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -122,10 +135,6 @@ class ExperimentConfig:
             raise ValueError(f"p_values must be a tuple or list of real numbers, "
                              f"got {self.p_values!r}")
         object.__setattr__(self, "p_values", tuple(self.p_values))
-        if self.d not in SUPPORTED_DISTANCES:
-            raise ValueError(f"d must be one of {SUPPORTED_DISTANCES}, got {self.d}")
-        if self.decoder not in decoders.KINDS:
-            raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.shots < 1:
             raise ValueError("shots must be positive")
         if self.seed < 0:
@@ -523,6 +532,7 @@ def run_shot_reference(
 
 
 FAILURES_RECORDED = 20  # failing cases a report lists, the first in case order
+_PAIR_KEY = 2_000_000  # the point key of sampled pairs' chunk streams
 
 
 @dataclass
@@ -595,6 +605,7 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
     as ``skipped_unreached``. The cases run through the engine in chunks
     of ``CHUNK_SHOTS``.
     """
+    _check_code(d, decoder)
     ctx = _context((d, decoder, False, None))
     compiled = ctx.stages[0]
     rows = len(compiled.words)
@@ -639,7 +650,9 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
     fault can come after the shot stops and never land; the pair counts
     as a case all the same, and ``landed`` counts the pairs by how many
     of their faults landed. A pair fails on a logical error. The pairs
-    are drawn and run in chunks of ``CHUNK_SHOTS``.
+    are drawn and run in chunks of ``CHUNK_SHOTS``: chunk i draws from the
+    stream ``_chunk_seed(seed, _PAIR_KEY, i)`` every fault's round, then
+    every fault's location, then every fault's value, pair by pair.
     """
     for name, value in (("samples", samples), ("seed", seed)):
         if not _is_a(value, numbers.Integral):
@@ -648,24 +661,23 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_code(d, decoder)
     ctx = _context((d, decoder, False, None))
     compiled = ctx.stages[0]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    n_values = compiled.n_choices.astype(np.int64)
     report = FaultEnumReport(d, decoder, 2, 0, 0, 0, 0)
     landed = np.zeros(3, np.int64)
-    for start in range(0, samples, CHUNK_SHOTS):
+    for index, start in enumerate(range(0, samples, CHUNK_SHOTS)):
         size = min(CHUNK_SHOTS, samples - start)
-        draws = np.empty((2 * size, 3), np.int64)  # (round, location, value index), two per pair
-        for j in range(2 * size):
-            rho = int(rng.integers(1, ctx.cap + 1))
-            lid = int(rng.integers(compiled.n_locations))
-            draws[j] = rho, lid, int(rng.integers(len(compiled.values[lid])))
-        rnd, lid, choice = draws.reshape(size, 2, 3).transpose(2, 0, 1)
+        rng = _chunk_seed(seed, _PAIR_KEY, index)
+        rnd = rng.integers(1, ctx.cap + 1, size=(size, 2))  # fault j of pair i is [i, j]
+        lid = rng.integers(compiled.n_locations, size=(size, 2))
+        choice = rng.integers(0, n_values[lid])
         result = _run_injected(ctx, FrameBatch(size), rnd, compiled.first_row[lid] + choice)
         landed += np.bincount((rnd <= result[3][:, None]).sum(1), minlength=3)
 
         def label(i):
-            pair = draws[2 * i:2 * i + 2].tolist()
+            pair = zip(rnd[i].tolist(), lid[i].tolist(), choice[i].tolist())
             return repr([(r, loc, compiled.values[loc][c]) for r, loc, c in pair])
 
         _tally(report, ctx, result, np.zeros(size, bool), label)

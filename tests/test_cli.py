@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -221,9 +222,27 @@ def test_fault_enum_cli(tmp_path):
     assert payload["reports"][0]["logical_failures"] == 0
     assert "landed" not in payload["reports"][0]
     # the README's example: pairs landing 0, 1 and 2 of their faults
+    readme = " ".join((SRC.parent / "README.md").read_text().split())
+    claim = re.search(r"`fault-enum --d 5 --decoder strong --order 2 --samples 2000 --seed 0`"
+                      r" gives (\d+)/(\d+)/(\d+)\.", readme)
+    assert claim, "README's order-2 example sentence not found"
     assert run_cli(["fault-enum", "--d", "5", "--decoder", "strong", "--order", "2",
                     "--samples", "2000", "--seed", "0", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["reports"][0]["landed"] == [312, 511, 1177]
+    assert json.loads(out.read_text())["reports"][0]["landed"] == list(map(int, claim.groups()))
+
+
+def test_fault_enum_refuses_unsupported_distance(monkeypatch, capsys):
+    """Both orders refuse a distance that ``simulate`` refuses, with its
+    message, before any code is built: d=4 is even and d=11 has too many
+    qubits for the uint64 frame words."""
+    built = []
+    monkeypatch.setattr(harness, "build_hex_color_code", built.append)
+    for d in ("4", "11"):
+        for order in ("1", "2"):
+            assert run_cli(["fault-enum", "--d", d, "--order", order, "--samples", "10"]) == 1
+            err = capsys.readouterr().err
+            assert f"d must be one of (3, 5, 7, 9), got {d}" in err, (d, order)
+    assert built == []
 
 
 def test_pseudothreshold_cli(tmp_path):

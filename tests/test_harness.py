@@ -495,16 +495,17 @@ def _reference_run(ctx, faults, initial=None):
                               initial_error=initial, injected_faults=faults)
 
 
-def _draw_pair(rng, ctx):
-    """One sampled pair, drawn in ``sample_fault_pairs``' order: (round,
-    location, value) per fault."""
+def _draw_pairs(rng, ctx, size):
+    """``size`` pairs drawn in the order ``sample_fault_pairs`` draws one
+    chunk's, one scalar call per number: every fault's round, then every
+    fault's location, then every fault's value. Returns, per pair, its
+    (round, location, value) per fault."""
     compiled = ctx.stages[0]
-    pair = []
-    for _ in range(2):
-        rho = int(rng.integers(1, ctx.cap + 1))
-        lid = int(rng.integers(compiled.n_locations))
-        pair.append((rho, lid, compiled.values[lid][int(rng.integers(len(compiled.values[lid])))]))
-    return pair
+    rounds = [int(rng.integers(1, ctx.cap + 1)) for _ in range(2 * size)]
+    lids = [int(rng.integers(compiled.n_locations)) for _ in range(2 * size)]
+    values = [compiled.values[lid][int(rng.integers(len(compiled.values[lid])))] for lid in lids]
+    faults = list(zip(rounds, lids, values))
+    return [faults[2 * i:2 * i + 2] for i in range(size)]
 
 
 def _injected_batch(ctx, cases):
@@ -570,9 +571,9 @@ def test_injected_pairs_match_reference(d, samples, decoder):
     ctx = harness._context((d, decoder, False, None))
     rng = np.random.default_rng(1000 * d + samples)
     cases = []
-    for _ in range(samples):
+    for pair in _draw_pairs(rng, ctx, samples):
         faults: dict[int, list] = {}
-        for rho, lid, value in _draw_pair(rng, ctx):
+        for rho, lid, value in pair:
             faults.setdefault(rho, []).append((lid, value))
         cases.append((None, faults))
     _assert_injected_match_reference(ctx, cases)
@@ -609,13 +610,17 @@ def _reference_single_faults(ctx):
 
 def _reference_pairs(ctx, samples, seed):
     """Order-2 injection as one reference shot per pair: (logical failures,
-    failures recorded, pairs by faults landed)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    failures recorded, pairs by faults landed). Chunk i of
+    ``harness.CHUNK_SHOTS`` pairs is drawn from its own stream,
+    ``harness._chunk_seed(seed, harness._PAIR_KEY, i)``."""
+    pairs = []
+    for i, start in enumerate(range(0, samples, harness.CHUNK_SHOTS)):
+        rng = harness._chunk_seed(seed, harness._PAIR_KEY, i)
+        pairs += _draw_pairs(rng, ctx, min(harness.CHUNK_SHOTS, samples - start))
     logical = 0
     failures = []
     landed = [0, 0, 0]
-    for _ in range(samples):
-        pair = _draw_pair(rng, ctx)
+    for pair in pairs:
         faults: dict[int, list] = {}
         for rho, lid, value in pair:
             faults.setdefault(rho, []).append((lid, value))
@@ -679,7 +684,55 @@ def test_sampled_pairs_landed_counts():
     the batched counts equal the reference runner's."""
     report = sample_fault_pairs(5, "strong", samples=2000, seed=0)
     ctx = harness._context((5, "strong", False, None))
-    assert report.landed == _reference_pairs(ctx, 2000, 0)[2] == [312, 511, 1177]
+    assert report.landed == _reference_pairs(ctx, 2000, 0)[2] == [317, 512, 1171]
+
+
+def _chi_square_exceeds(counts, false_alarm=1e-6) -> bool:
+    """Pearson's statistic of ``counts`` against equal cells, above the
+    Laurent-Massart bound P(chi2_k >= k + 2 sqrt(k x) + 2 x) <= exp(-x)
+    at exp(-x) = ``false_alarm``, k the cells less one."""
+    counts = np.asarray(counts, np.float64)
+    expected = counts.sum() / len(counts)
+    stat = ((counts - expected) ** 2 / expected).sum()
+    k, x = len(counts) - 1, -math.log(false_alarm)
+    return stat > k + 2 * math.sqrt(k * x) + 2 * x
+
+
+def test_sampled_pair_draws_are_uniform(monkeypatch):
+    """The 2e5 faults of 1e5 d=5 strong pairs at seed 5, as
+    ``sample_fault_pairs`` hands them to the engine: rounds uniform on
+    1..cap, location ids uniform on 0..n_locations-1, and, within each
+    location kind of more than one value, value indices uniform. Each of
+    the five chi-square checks has a false-alarm rate of at most 1e-6
+    under the chi-square approximation (every cell expects over 500
+    faults), so about 5e-6 in all."""
+    ctx = harness._context((5, "strong", False, None))
+    compiled = ctx.stages[0]
+    seen = []
+    run_injected = harness._run_injected
+
+    def capture(ctx, frames, rnd, row):
+        seen.append((rnd.ravel(), row.ravel()))
+        return run_injected(ctx, frames, rnd, row)
+
+    monkeypatch.setattr(harness, "_run_injected", capture)
+    report = sample_fault_pairs(5, "strong", samples=100_000, seed=5)
+    assert report.ok and report.cases == 100_000
+    rnd, row = (np.concatenate(column) for column in zip(*seen))
+    assert len(rnd) == 200_000
+    lid = np.searchsorted(compiled.first_row, row, side="right") - 1
+    choice = row - compiled.first_row[lid]
+    assert rnd.min() >= 1 and rnd.max() <= ctx.cap
+    assert not _chi_square_exceeds(np.bincount(rnd, minlength=ctx.cap + 1)[1:])
+    assert not _chi_square_exceeds(np.bincount(lid, minlength=compiled.n_locations))
+    assert (choice < compiled.n_choices[lid]).all()
+    kinds = np.array([kind for kind, _ in compiled.loc_kind])[lid]
+    widths = {kind: len(values) for (kind, _), values in zip(compiled.loc_kind, compiled.values)}
+    assert sorted(widths.values()) == [1, 3, 3, 15]
+    for kind, width in widths.items():
+        if width > 1:
+            counts = np.bincount(choice[kinds == kind], minlength=width)
+            assert not _chi_square_exceeds(counts), kind
 
 
 def test_config_validation():
