@@ -136,6 +136,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _curve(probes) -> list[dict]:
+    """The sampled p_L(p) curve of pseudothreshold probes, one dict per probe."""
+    return [{"p": p, "p_l": s.p_l_hat, "ci_low": s.ci_low, "ci_high": s.ci_high}
+            for p, s in probes]
+
+
 def _cmd_pseudothreshold(args) -> int:
     try:
         result = estimate_pseudothreshold(
@@ -146,7 +152,7 @@ def _cmd_pseudothreshold(args) -> int:
             iterations=args.iterations,
         )
     except BracketError as exc:
-        payload = {"error": str(exc), "curve": exc.probes}
+        payload = {"error": str(exc), "curve": _curve(exc.probes)}
         print(json.dumps(payload, indent=2), file=sys.stderr)
         return 2
     payload = {
@@ -158,10 +164,7 @@ def _cmd_pseudothreshold(args) -> int:
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
         "shots_per_probe": result.shots_per_probe,
-        "probes": [
-            {"p": p, "p_l": s.p_l_hat, "ci_low": s.ci_low, "ci_high": s.ci_high}
-            for p, s in result.probes
-        ],
+        "probes": _curve(result.probes),
     }
     _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return 0

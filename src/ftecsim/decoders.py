@@ -17,14 +17,15 @@ is zero):
   zero prepended, with budget t, when it is zero. A usable run through
   the prepended zero stops without correcting.
 
-One function, :func:`policy_decision`, makes every decision. The
-reference shot runner calls it round by round. One walk,
-:func:`reachable_states`, lists the states each rule can reach before it
-stops: every difference vector for strong and weak, every (rounds,
-repeats) pair for Shor. The Monte Carlo engine's transition tables
-(:func:`policy_table`), :func:`decision_table` and the round-bound search
-(``worstcase.max_unusable_length``) all read that walk, so none of them
-can drift apart.
+One function, :func:`policy_decision`, makes every decision, the
+budget-0 one of CSS two-stage mode's second stage included
+(:data:`BUDGET_EXHAUSTED`). The reference shot runner calls it round by
+round. One walk, :func:`reachable_states`, lists the states each rule
+can reach before it stops: every difference vector for strong and weak,
+every (rounds, repeats) pair for Shor. The Monte Carlo engine's
+transition tables (:func:`policy_table`), :func:`decision_table` and the
+round-bound search (``worstcase.max_unusable_length``) all read that
+walk, so none of them can drift apart.
 
 Tie-breaking is fixed: among usable runs the earliest wins, and within a
 run the syndrome of its first round is used. All rounds of a run share one
@@ -186,8 +187,16 @@ def weak_decision(t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
     return decision or _continue("weak", t, "nonzero" if s1_nonzero else "zero", delta)
 
 
+# No fault budget left (stage 2 of CSS two-stage mode): the first measured
+# syndrome is guaranteed correct, so accept it.
+BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
+
+
 def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
-    """Decision after observing a difference vector (and the s1 branch)."""
+    """Decision after observing a difference vector (and the s1 branch);
+    every rule answers budget 0 with :data:`BUDGET_EXHAUSTED`."""
+    if not t and kind in KINDS:
+        return BUDGET_EXHAUSTED
     if kind == "shor":
         return shor_decision(t, delta)
     if kind == "strong":
@@ -195,15 +204,6 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
     if kind == "weak":
         return weak_decision(t, s1_nonzero, delta)
     raise ValueError(f"unknown decoder kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# CSS two-stage mode
-
-# Stage 2 with no fault budget left: the first measured syndrome is
-# guaranteed correct, so accept it. The policy tables' budget-0 root
-# leads to the same decision; ``harness.run_shot_reference`` returns it.
-BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,7 @@ def reachable_states(kind: str, t: int, s1_nonzero: bool):
 
     Depth first from the empty vector, "0" before "1", extending each
     continuing vector by one bit and skipping vectors whose state key
-    was seen. Budget 0 accepts the first syndrome (:data:`BUDGET_EXHAUSTED`),
-    as the reference runner does.
+    was seen.
     """
     seen, stack = set(), [""]
     while stack:
@@ -232,7 +231,7 @@ def reachable_states(kind: str, t: int, s1_nonzero: bool):
         if key in seen:
             continue
         seen.add(key)
-        decision = policy_decision(kind, t, s1_nonzero, delta) if t else BUDGET_EXHAUSTED
+        decision = policy_decision(kind, t, s1_nonzero, delta)
         yield delta, decision
         if decision.action == CONTINUE:
             stack += (delta + "1", delta + "0")
@@ -301,7 +300,7 @@ def policy_table(kind: str, t: int) -> PolicyTable:
     strong and weak, one per (rounds, repeats) for Shor. A continuing
     state's successors are the states of its two one-bit extensions,
     found by state key. Budget 0 accepts the first syndrome
-    (:data:`BUDGET_EXHAUSTED`).
+    (:data:`BUDGET_EXHAUSTED`), as :func:`policy_decision` does.
     """
     entries: list[tuple] = []
     successor: dict[int, list] = {}  # a stop state has none: it points past the end

@@ -208,14 +208,9 @@ class CompiledSchedule:
         self.local_mask = (1 << self.n_circuits) - 1
 
         # Syndrome contribution of a single-qubit X (resp. Z) deposit.
-        self.syn_x = [0] * code.n
-        self.syn_z = [0] * code.n
-        for gi, g in enumerate(code.generators):
-            for q in range(code.n):
-                if (g.z_bits >> q) & 1:
-                    self.syn_x[q] |= 1 << gi
-                if (g.x_bits >> q) & 1:
-                    self.syn_z[q] |= 1 << gi
+        qubits = range(code.n)
+        self.syn_x = [syndrome_of(code, PauliOperator.single(code.n, q, "X")) for q in qubits]
+        self.syn_z = [syndrome_of(code, PauliOperator.single(code.n, q, "Z")) for q in qubits]
 
         self.loc_circuit: list[int] = []
         self.loc_kind: list[tuple[str, int]] = []

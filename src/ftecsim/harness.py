@@ -51,7 +51,6 @@ import numpy as np
 from . import decoders
 from .colorcode import build_hex_color_code
 from .decoders import (
-    BUDGET_EXHAUSTED,
     CODE_CONTINUE,
     CONTINUE,
     REASONS,
@@ -93,6 +92,17 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, low: int, optional: bool = False) -> None:
+    """The one check of an integer argument: an integer, not a bool, at
+    least ``low``; ``None`` passes when ``optional``."""
+    if value is None and optional:
+        return
+    if not _is_a(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _check_code(d, decoder: str) -> None:
     """The one check of a distance and a decoder, for campaigns and fault
     injection alike, made before anything is built."""
@@ -123,11 +133,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_code(self.d, self.decoder)
-        optional = ("max_errors", "workers", "built_to_weight")
-        for name in ("shots", "seed") + optional:
-            value = getattr(self, name)
-            if not (_is_a(value, numbers.Integral) or value is None and name in optional):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_int("shots", self.shots, 1)
+        _check_int("seed", self.seed, 0)
+        for name in ("max_errors", "workers", "built_to_weight"):
+            _check_int(name, getattr(self, name), 1, optional=True)
         if not isinstance(self.css_two_stage, bool):
             raise ValueError(f"css_two_stage must be a bool, got {self.css_two_stage!r}")
         if not (isinstance(self.p_values, (tuple, list))
@@ -135,16 +144,8 @@ class ExperimentConfig:
             raise ValueError(f"p_values must be a tuple or list of real numbers, "
                              f"got {self.p_values!r}")
         object.__setattr__(self, "p_values", tuple(self.p_values))
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for p in self.p_values:
             _check_rate(p)
-        for name in optional:
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.css_two_stage and self.decoder == "shor":
             raise ValueError("two-stage mode applies to the strong or weak decoders")
 
@@ -508,8 +509,7 @@ def run_shot_reference(
                 syn = sample_round(compiled, frame, rng)
             history.append(syn)
             delta = difference_vector(history)
-            decision = (policy_decision(kind, budget, history[0] != 0, delta)
-                        if budget else BUDGET_EXHAUSTED)
+            decision = policy_decision(kind, budget, history[0] != 0, delta)
         decisions.append(decision)
         if decision.action == STOP_CORRECT:
             chosen |= history[decision.round_index - 1] << compiled.base
@@ -654,13 +654,8 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
     stream ``_chunk_seed(seed, _PAIR_KEY, i)`` every fault's round, then
     every fault's location, then every fault's value, pair by pair.
     """
-    for name, value in (("samples", samples), ("seed", seed)):
-        if not _is_a(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_int("samples", samples, 1)
+    _check_int("seed", seed, 0)
     _check_code(d, decoder)
     ctx = _context((d, decoder, False, None))
     compiled = ctx.stages[0]
@@ -713,7 +708,8 @@ def threshold_lower_bound(locations_per_round: int, t: int, rounds: int) -> floa
 
 
 class BracketError(RuntimeError):
-    """The pseudothreshold bracket has no sign change; carries the curve."""
+    """The pseudothreshold bracket has no sign change; carries the curve,
+    the ``(p, ExperimentStats)`` probes of ``PseudothresholdResult``."""
 
     def __init__(self, message: str, probes):
         super().__init__(message)
@@ -745,10 +741,8 @@ def estimate_pseudothreshold(
     """
     if not (0 < p_lo < p_hi <= 1):
         raise ValueError("need 0 < p_lo < p_hi <= 1")
-    if not _is_a(iterations, numbers.Integral):
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    _check_int("shots_per_probe", shots_per_probe, 1)
+    _check_int("iterations", iterations, 0)
     probes: list[tuple[float, ExperimentStats]] = []
     probe_cfg = dataclasses.replace(config, shots=shots_per_probe, max_errors=None)
     counter = 0
@@ -764,14 +758,10 @@ def estimate_pseudothreshold(
         g_lo = g(p_lo)
         g_hi = g(p_hi)
         if not (g_lo < 0 < g_hi):
-            curve = [
-                {"p": p, "p_l": s.p_l_hat, "ci_low": s.ci_low, "ci_high": s.ci_high}
-                for p, s in probes
-            ]
             raise BracketError(
                 f"no crossing in bracket [{p_lo}, {p_hi}]: g({p_lo})={g_lo:.3g}, "
                 f"g({p_hi})={g_hi:.3g}; sampled curve attached",
-                curve,
+                probes,
             )
         lo, hi = p_lo, p_hi
         for _ in range(iterations):

@@ -7,8 +7,9 @@ codes, H_X = H_Z) both sectors see the same columns, so one table serves
 both. It enumerates pure-type errors in increasing weight with
 first-writer-wins, so every stored entry is a minimum-weight
 representative for its syndrome. Syndromes beyond the enumerated weight
-fall back to an any-solution GF(2) solve; those only arise past the fault
-budget, where no fault-tolerance guarantee applies.
+fall back to an any-solution GF(2) solve, read off the pivots of the one
+row reduction in ``stabilizer._gf2_pivots``; those syndromes only arise
+past the fault budget, where no fault-tolerance guarantee applies.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import PauliOperator, StabilizerCode, logical_class, multiply, syndrome_of
+from .stabilizer import (PauliOperator, StabilizerCode, _gf2_pivots, logical_class, multiply,
+                         syndrome_of)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -26,37 +28,6 @@ DEFAULT_BUDGET = 2_000_000
 def _sector_rows(code: StabilizerCode, sector: tuple[int, ...]) -> list[int]:
     """Row i of the sector's check matrix: the qubit support of its generator i."""
     return [code.generators[gi].x_bits | code.generators[gi].z_bits for gi in sector]
-
-
-class _Gf2Solver:
-    """Any-solution solver for sector syndromes, from reduced row echelon form."""
-
-    def __init__(self, rows: list[int]):
-        pivots: list[tuple[int, tuple[int, int]]] = []
-        for i, row in enumerate(rows):
-            mask, sel = row, 1 << i
-            for col, (pmask, psel) in pivots:
-                if (mask >> col) & 1:
-                    mask ^= pmask
-                    sel ^= psel
-            if mask == 0:
-                continue
-            col = mask.bit_length() - 1
-            # reduce earlier pivot rows so each pivot column stays unique
-            pivots = [
-                (c, (pm ^ mask, ps ^ sel)) if (pm >> col) & 1 else (c, (pm, ps))
-                for c, (pm, ps) in pivots
-            ]
-            pivots.append((col, (mask, sel)))
-        self.pivots = [(col, sel) for col, (mask, sel) in pivots]
-
-    def solve_array(self, syndromes: np.ndarray) -> np.ndarray:
-        """A qubit mask with each syndrome of a uint64 array: pivot column
-        ``col`` is set when the syndrome bits ``sel`` have odd parity."""
-        x = np.zeros(len(syndromes), np.uint64)
-        for col, sel in self.pivots:
-            x |= parity64(syndromes & np.uint64(sel)).astype(np.uint64) << np.uint64(col)
-        return x
 
 
 @dataclass
@@ -67,11 +38,13 @@ class SyndromeTable:
     sorted, and ``masks[i]`` is the qubit mask of the first support (in
     weight, then ``itertools.combinations``, order) whose syndrome is
     ``keys[i]``. Both are uint64 arrays, so a code has at most 64 qubits.
+    ``pivots`` is ``stabilizer._gf2_pivots`` of the sector rows, which the
+    fallback solves from.
     """
 
     keys: np.ndarray
     masks: np.ndarray
-    solver: _Gf2Solver
+    pivots: list[tuple[int, int]]
     fallback_decodes: int = 0
 
     # the per-sector names (X masks by Z-sector syndrome and the reverse),
@@ -135,7 +108,7 @@ def build_table(
     syndromes = packed >> np.uint64(index_bits)
     first = np.concatenate(([True], syndromes[1:] != syndromes[:-1]))
     index = packed[first] & np.uint64((1 << index_bits) - 1)
-    return SyndromeTable(syndromes[first], masks[index], _Gf2Solver(rows))
+    return SyndromeTable(syndromes[first], masks[index], _gf2_pivots(rows))
 
 
 def split_sectors(code: StabilizerCode, syndrome: int) -> tuple[int, int]:
@@ -152,8 +125,9 @@ def decode_sector_masks(table: SyndromeTable, x_part: np.ndarray,
                         z_part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x_masks, z_masks) corrections for uint64 arrays of X-sector and
     Z-sector syndromes, both sectors looked up in one pass. Syndromes the
-    table does not cover fall back to the GF(2) solver and count in
-    ``table.fallback_decodes``."""
+    table does not cover fall back to a GF(2) solve and count in
+    ``table.fallback_decodes``: pivot column ``col`` of the solution is
+    set when the syndrome bits ``sel`` have odd parity."""
     syndromes = np.concatenate((z_part, x_part))
     # keys[0] == 0 <= every syndrome, so the index is in range
     index = table.keys.searchsorted(syndromes, "right") - 1
@@ -162,7 +136,11 @@ def decode_sector_masks(table: SyndromeTable, x_part: np.ndarray,
     count = int(np.count_nonzero(missing))
     if count:
         table.fallback_decodes += count
-        masks[missing] = table.solver.solve_array(syndromes[missing])
+        unknown = syndromes[missing]
+        solved = np.zeros(count, np.uint64)
+        for col, sel in table.pivots:
+            solved |= parity64(unknown & np.uint64(sel)).astype(np.uint64) << np.uint64(col)
+        masks[missing] = solved
     return masks[:len(z_part)], masks[len(z_part):]
 
 

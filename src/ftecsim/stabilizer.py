@@ -7,6 +7,10 @@ Global phase is never tracked: syndromes and logical verdicts are
 phase-insensitive, and the Monte Carlo sampler only needs the Pauli frame
 modulo phase. Inner products reduce to AND + popcount on machine words,
 which is what keeps the sampler's inner loop cheap.
+
+One GF(2) row reduction, :func:`_gf2_pivots`, serves the whole package:
+the code's independence check reads its rank, and the decoder's fallback
+(``recovery.decode_sector_masks``) solves syndromes from its pivots.
 """
 
 from __future__ import annotations
@@ -92,16 +96,28 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits)
 
 
-def _symplectic_rank(rows: list[int], n: int) -> int:
-    """Rank over GF(2) of packed (x << n) | z rows."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
+def _gf2_pivots(rows: list[int]) -> list[tuple[int, int]]:
+    """Reduced row echelon form over GF(2) of packed rows, as ``(col, sel)``
+    pairs, one per independent row: the rows whose indices are the set bits
+    of ``sel`` XOR to a row with bit ``col`` set and every other pivot's
+    column clear. The pair count is the rank."""
+    pivots: list[tuple[int, tuple[int, int]]] = []
+    for i, row in enumerate(rows):
+        mask, sel = row, 1 << i
+        for col, (pmask, psel) in pivots:
+            if (mask >> col) & 1:
+                mask ^= pmask
+                sel ^= psel
+        if mask == 0:
+            continue
+        col = mask.bit_length() - 1
+        # reduce earlier pivot rows so each pivot column stays unique
+        pivots = [
+            (c, (pm ^ mask, ps ^ sel)) if (pm >> col) & 1 else (c, (pm, ps))
+            for c, (pm, ps) in pivots
+        ]
+        pivots.append((col, (mask, sel)))
+    return [(col, sel) for col, (mask, sel) in pivots]
 
 
 @dataclass(frozen=True)
@@ -145,7 +161,7 @@ class StabilizerCode:
                 if not commutes(g, h):
                     raise ValueError("stabilizer generators must pairwise commute")
         rows = [(g.x_bits << self.n) | g.z_bits for g in self.generators]
-        if _symplectic_rank(rows, self.n) != self.r:
+        if len(_gf2_pivots(rows)) != self.r:
             raise ValueError("stabilizer generators are not independent")
         for i in range(self.k):
             for g in self.generators:

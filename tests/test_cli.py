@@ -113,11 +113,14 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
         assert run_cli(argv) == 1, argv
         assert "must be <= 15 and <= 5" in capsys.readouterr().err, argv
     assert calls == []
-    # a negative bisection count is refused before any probe
+    # a negative bisection count or an empty probe is refused before any probe
     monkeypatch.setattr(harness, "_run_point", lambda *a, **k: calls.append(a))
     assert run_cli(["pseudothreshold", "--d", "3", "--decoder", "weak",
                     "--iterations", "-3"]) == 1
     assert "iterations must be >= 0, got -3" in capsys.readouterr().err
+    assert run_cli(["pseudothreshold", "--d", "3", "--decoder", "weak",
+                    "--shots-per-probe", "0"]) == 1
+    assert "shots_per_probe must be >= 1, got 0" in capsys.readouterr().err
     assert calls == []
     cfg = tmp_path / "cfg.json"
     # misspelled keys are named, not ignored

@@ -221,6 +221,23 @@ def test_two_stage_budget_arithmetic():
                                              BUDGET_EXHAUSTED.round_index)
 
 
+def test_policy_decision_answers_budget_zero():
+    """Every rule accepts the first syndrome at budget 0, on both
+    first-syndrome branches; an unknown kind still raises; and each
+    policy table's budget-0 root still leads to that decision."""
+    for kind in KINDS:
+        for s1_nonzero in (False, True):
+            assert policy_decision(kind, 0, s1_nonzero, "") == BUDGET_EXHAUSTED
+    with pytest.raises(ValueError, match="unknown decoder kind"):
+        policy_decision("nope", 0, True, "")
+    for kind in KINDS:
+        for t in range(1, 5):
+            table = policy_table(kind, t)
+            for changed in (0, 1):
+                state = table.successor[2 * table.root[0] + changed]
+                assert tuple(table.entries[:, state]) == (REASONS.index(USABLE_RUN), 1, 0)
+
+
 def test_policy_table_stop_state_has_no_successor():
     # a stopped shot cannot be advanced: its successor is past the table
     for kind in KINDS:

@@ -762,16 +762,22 @@ def test_config_validation():
 
 
 def test_counts_checked_before_any_work(monkeypatch):
-    """A non-integer or bool probe or pair count is refused, naming the
-    argument, before any probe or pair runs."""
+    """A non-integer or bool probe or pair count, or a probe shot count
+    below 1, is refused, naming the argument, before any probe or pair
+    runs."""
     monkeypatch.setattr(harness, "_run_chunk", None)  # a chunk would raise TypeError
     monkeypatch.setattr(harness, "_run_injected", None)
     cfg = ExperimentConfig(d=3, decoder="weak", workers=1)
     for value in (1.5, True, np.float64(2.0)):
         with pytest.raises(ValueError, match="iterations must be an integer"):
             estimate_pseudothreshold(cfg, 1e-4, 1e-2, 1000, iterations=value)
+        with pytest.raises(ValueError, match="shots_per_probe must be an integer"):
+            estimate_pseudothreshold(cfg, 1e-4, 1e-2, shots_per_probe=value)
         with pytest.raises(ValueError, match="samples must be an integer"):
             sample_fault_pairs(3, "weak", samples=value)
+    for value in (0, -5):
+        with pytest.raises(ValueError, match=f"shots_per_probe must be >= 1, got {value}"):
+            estimate_pseudothreshold(cfg, 1e-4, 1e-2, shots_per_probe=value)
     with pytest.raises(ValueError, match="seed must be an integer"):
         sample_fault_pairs(3, "weak", samples=10, seed=1.5)
 

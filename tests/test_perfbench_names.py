@@ -46,10 +46,15 @@ def test_imported_names_resolve():
 def test_setup_reads_table_entries():
     """``build_all`` measures the benchmark's set-up and reads the recovery
     table's attributes by name: the d=3 table holds 8 syndromes, counted
-    once per sector."""
+    once per sector. The two-stage shape that ``mc_d9_2stage`` times (x
+    and z schedules, weak tables for budgets 1 and 2) builds too, at d=5:
+    512 syndromes per sector and 22 reachable decision states."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     out = workloads.build_all(3, ("strong",), (1,), ("all",))
     assert out["recovery.table_entries"] == 16
+    out = workloads.build_all(5, ("weak",), (1, 2), ("all", "x", "z"))
+    assert out["recovery.table_entries"] == 1024
+    assert out["decoders.table_states"] == 22

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from ftecsim.stabilizer import (
     PauliOperator,
     StabilizerCode,
+    _gf2_pivots,
     commutes,
     logical_class,
     multiply,
@@ -177,3 +180,26 @@ def test_css_sector_validation(code3):
             code3.n, 1, gens, code3.logical_x, code3.logical_z,
             css=True, x_sector=(0, 1, 2, 3), z_sector=(4, 5),
         )
+
+
+def test_gf2_pivots_rank_and_reduced_form():
+    """On random row sets (fixed seed, up to 10 rows of up to 12 bits) the
+    pivot count is the rank, read off the brute-force span, and each
+    pivot's selected rows XOR to a row holding its column and no other
+    pivot's column: the property the decoder's fallback solve reads."""
+    rng = random.Random(20)
+    for _ in range(300):
+        bits = rng.randint(1, 12)
+        rows = [rng.getrandbits(bits) for _ in range(rng.randint(0, 10))]
+        span = {0}
+        for row in rows:
+            span |= {v ^ row for v in span}
+        pivots = _gf2_pivots(rows)
+        assert 1 << len(pivots) == len(span), rows
+        for col, sel in pivots:
+            combo = 0
+            for i, row in enumerate(rows):
+                if (sel >> i) & 1:
+                    combo ^= row
+            for other, _ in pivots:
+                assert (combo >> other) & 1 == (other == col), (rows, col, other)
