@@ -307,12 +307,12 @@ class CompiledSchedule:
             frames.syndrome[hit] ^= folded[:, 3]
         return report
 
-    def slices(self, p: float, active: np.ndarray) -> list[np.ndarray]:
-        """``active`` cut into slices of about ``_FAULTS_PER_DRAW`` expected
-        faults, to draw and fold one at a time; this bounds the size of a
-        round's arrays at high p."""
+    def slices(self, p: float, shots: int) -> list[range]:
+        """Positions 0..``shots``-1 of a round's running shots cut into
+        slices of about ``_FAULTS_PER_DRAW`` expected faults, to draw one at
+        a time; this bounds the size of a round's arrays at high p."""
         step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_locations, 1.0)))
-        return np.split(active, range(step, len(active), step))
+        return [range(k, min(k + step, shots)) for k in range(0, shots, step)]
 
 
 def compile_schedule(

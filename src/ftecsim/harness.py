@@ -1,6 +1,6 @@
 """Monte Carlo experiments, fault-injection checks, and threshold analysis.
 
-The Monte Carlo engine runs all shots of a chunk together, as numpy
+The Monte Carlo engine runs the shots of a batch together, as numpy
 arrays in the manner of a Pauli-frame simulator: every shot's frame and
 syndromes are uint64 words, and all shots still running take each round
 in step. A round draws the failing locations of the whole
@@ -12,11 +12,20 @@ state's decision; a shot leaves the active set when it stops. One
 driver, ``_run_shots``, runs every stage this way (in two-stage mode the
 Z-sector stage starts with each shot's remaining budget) and then applies
 each shot's chosen correction; only the source of each round's faults
-differs between its callers. The Monte Carlo chunk samples them and
-returns its counts as one vector, which ``run_point`` adds up. The
-fault-injection checks give each case one shot, which starts from its
-input error and folds only its injected faults, each in its own round
-counted over all stages.
+differs between its callers.
+
+A Monte Carlo hand-off is a group of consecutive chunks run as one batch
+(``_simulate_group``). At low p most shots never meet a fault: such a
+*quiet* shot follows each stage's noiseless path (``_Context.path``) and
+is only counted. Only the shots a fault has met, the *explicit* ones,
+are held in arrays; a quiet shot that a fault meets joins them at the
+noiseless state of that round. Above a fixed fault probability per
+noiseless window (``_QUIET_CUT``), and wherever a group would hold one
+chunk, a hand-off is one chunk whose shots all start explicit. A group
+returns one count row per chunk, which
+``run_point`` adds up. The fault-injection checks give each case one
+explicit shot, which starts from its input error and folds only its
+injected faults, each in its own round counted over all stages.
 
 The scalar reference runner ``run_shot_reference`` plays one shot, in
 either mode, through the same circuit semantics (``inject_round`` for
@@ -28,14 +37,17 @@ fault-injection checks against it.
 
 Reproducibility: shots are processed in fixed-size chunks and every chunk
 draws from its own counter-based Philox stream keyed by
-(seed, point_key, chunk_index). Aggregation adds counts in chunk order,
-so results are byte-identical for any worker count, and the optional
-stop-after-N-logical-errors rule is evaluated at chunk boundaries in
-chunk order for the same reason. Sampled fault pairs draw each chunk
-the same way, under one fixed point key. A campaign (``run_experiment``,
-``estimate_pseudothreshold``) runs all its points on one chunk runner,
-which with more than one worker is one process pool; a campaign that no
-``max_errors`` can cut hands it several chunks at a time.
+(seed, point_key, chunk_index), round by round, over exactly the shots
+of the chunk still running, whether they are quiet or explicit, and
+whatever group it runs in. Aggregation adds the chunks' rows in chunk
+order, so results are byte-identical for any worker count and grouping,
+and the optional stop-after-N-logical-errors rule is evaluated at chunk
+boundaries in chunk order for the same reason. Sampled fault pairs draw
+each chunk the same way, under one fixed point key. A campaign
+(``run_experiment``, ``estimate_pseudothreshold``) runs all its points on
+one chunk runner, which with more than one worker is one process pool; a
+campaign that no ``max_errors`` can cut hands it several groups at a
+time.
 """
 
 from __future__ import annotations
@@ -223,6 +235,21 @@ class _Context:
         self.z_logical = np.uint64(self.code.logical_x[0].x_bits)
         self.policy = policy_table(self.kind, self.t)
         self.cap = self.policy.max_rounds * len(self.stages)
+        # the noiseless path: a shot that meets no fault runs each stage at
+        # budget t through the states path[0], path[1], ... and stops after
+        # len(path) rounds, for the reason ``quiet_reason``
+        path, state, code = [], self.policy.root[self.t], CODE_CONTINUE
+        while code == CODE_CONTINUE:
+            path.append(state)
+            state, (code, _, _) = self.policy.advance(state, 0)
+        self.path = np.array(path)
+        self.quiet_reason = int(code)
+        # the cells a noiseless shot draws: its window
+        self.window = len(path) * sum(s.n_locations for s in self.stages)
+
+    def window_q(self, p: float) -> float:
+        """The probability that a fault meets a shot in its window at rate p."""
+        return 1.0 if p >= 1 else -math.expm1(self.window * math.log1p(-p))
 
 
 _CTX_CACHE: dict[tuple, _Context] = {}
@@ -236,16 +263,22 @@ def _context(key: tuple) -> _Context:
     return ctx
 
 
-def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
+def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), order=None):
     """Drive one stopping policy over a batch of shots, all rounds in step.
 
-    ``next_round(active, r)`` runs round r (1-based) on the shots
-    ``active`` (an index array) and returns their reported syndromes; each
-    shot starts in ``table.root`` at its own fault ``budget``. Returns,
-    per shot, the chosen syndrome (0 for no correction), the 1-based round
-    it came from (0 for none), the rounds used, the stop-reason code (an
-    index into ``REASONS``) and the minimum fault count of the final
-    difference vector.
+    Shot i starts in ``table.root`` at its own fault ``budget[i]``; the
+    shots run in ``order`` (by default, in index order).
+    ``next_round(active, r)`` runs round r (1-based) on the running shots
+    ``active`` (an index array in that order) and returns their reported
+    syndromes and the running shots: ``active``, or ``active`` with new
+    shots, numbered on from the last, joined in order. A shot that joins
+    in round r has met no fault before it: it starts from the state
+    ``path[r - 1]`` of the noiseless path with an all-zero history, and the
+    loop runs at least ``len(path)`` rounds. Returns, per shot, the chosen
+    syndrome (0 for no correction), the 1-based round it came from (0 for
+    none), the rounds used, the stop-reason code (an index into
+    ``REASONS``) and the minimum fault count of the final difference
+    vector.
     """
     n = len(budget)
     history = np.zeros((table.max_rounds, n), np.uint64)
@@ -253,12 +286,22 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
     rounds = np.zeros(n, np.int64)
     reason = np.zeros(n, np.int64)
     faults = np.zeros(n, np.int64)
-    active = np.arange(n)
+    active = np.arange(n) if order is None else order
     prev = np.zeros(n, np.uint64)
-    state = table.root[budget]
+    state = table.root[budget[active]]
     r = 0
-    while active.size:
-        syn = next_round(active, r + 1)
+    while active.size or r < len(path):
+        syn, running = next_round(active, r + 1)
+        if len(running) > len(active):  # shots joined at the noiseless state
+            old = running < len(rounds)
+            joined_prev = np.zeros(len(running), np.uint64)
+            joined_prev[old] = prev
+            joined_state = np.full(len(running), path[r])
+            joined_state[old] = state
+            active, prev, state = running, joined_prev, joined_state
+            history, chosen_round, rounds, reason, faults = (
+                np.concatenate((a, np.zeros((*a.shape[:-1], (~old).sum()), a.dtype)), axis=-1)
+                for a in (history, chosen_round, rounds, reason, faults))
         history[r, active] = syn
         r += 1
         state, (code, pick, evidenced) = table.advance(state, syn != prev)
@@ -273,7 +316,7 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray):
         faults[done] = evidenced[stop]
         keep = ~stop
         active, prev, state = active[keep], prev[keep], state[keep]
-    chosen = history[chosen_round - 1, np.arange(n)]
+    chosen = history[chosen_round - 1, np.arange(len(rounds))]
     chosen[chosen_round == 0] = 0
     return chosen, chosen_round, rounds, reason, faults
 
@@ -300,32 +343,39 @@ def _decode_into(ctx: _Context, frames: FrameBatch, syndrome: np.ndarray) -> Non
     frames.z[hit] ^= cz
 
 
-def _run_shots(ctx: _Context, frames: FrameBatch, fold_round) -> tuple:
+def _run_shots(ctx: _Context, frames: FrameBatch, fold_round, path=(), order=None) -> tuple:
     """Every stage of a batch of shots, one per frame of ``frames``, then
     each shot's chosen correction.
 
-    ``fold_round(compiled, active, rnd)`` runs one round of the stage
-    schedule ``compiled`` on the shots ``active``, whose round numbers
-    counted over all stages are ``rnd``, and returns their reported
-    syndromes. Each stage after the first runs with budget t minus the
-    faults evidenced by the previous stage's difference vector, as in
-    ``run_shot_reference``. The frames' x/z words are left holding the
-    residual before ideal EC. Returns the residual's syndrome (the frames'
-    ``syndrome`` words are not updated), the rounds used and the last
-    stage's stop-reason codes (indices into ``REASONS``).
+    ``fold_round(compiled, active, r, before)`` runs round r of the stage
+    schedule ``compiled`` on the shots ``active``, whose earlier stages
+    used ``before[active]`` rounds, and returns what ``_run_policy``'s
+    ``next_round`` returns. Shots join only with a noiseless ``path``; the
+    round source that adds them adds their zero frames to ``frames``, and
+    such a shot ran every earlier stage on that path. ``order()``, if
+    given, lists the shots in the order each stage hands them to
+    ``fold_round`` (by default, index order). Each stage after the first
+    runs with budget t minus the faults evidenced by the previous stage's
+    difference vector, as in ``run_shot_reference``. The frames' x/z words
+    are left holding the residual before ideal EC. Returns the residual's
+    syndrome (the frames' ``syndrome`` words are not updated), the rounds
+    used and the last stage's stop-reason codes (indices into
+    ``REASONS``).
     """
     n = len(frames.x)
     chosen = np.zeros(n, np.uint64)
     rounds = np.zeros(n, np.int64)
     budget = np.full(n, ctx.t, np.int64)
-    for compiled in ctx.stages:
+    for stage, compiled in enumerate(ctx.stages):
         # ``rounds`` holds the earlier stages' rounds until this stage ends
         def next_round(active, r, compiled=compiled):
-            return fold_round(compiled, active, rounds[active] + r)
+            return fold_round(compiled, active, r, rounds)
 
-        syn, _, used, reason, faults = _run_policy(ctx.policy, next_round, budget)
-        chosen |= syn << np.uint64(compiled.base)
-        rounds += used
+        syn, _, used, reason, faults = _run_policy(ctx.policy, next_round, budget, path,
+                                                   None if order is None else order())
+        joined = len(used) - len(rounds)
+        chosen = np.append(chosen, np.zeros(joined, np.uint64)) | syn << np.uint64(compiled.base)
+        rounds = np.append(rounds, np.full(joined, stage * len(path))) + used
         budget = np.maximum(ctx.t - faults, 0)
     # a correction's syndrome is the syndrome it was decoded from
     residual = frames.syndrome ^ chosen
@@ -340,26 +390,85 @@ def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> 
     return parity64(frames.x & ctx.x_logical) | parity64(frames.z & ctx.z_logical)
 
 
-def _simulate_chunk(ctx: _Context, p: float, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """All shots of one chunk, every round sampled at rate p. Returns the
-    chunk's counts as one int64 vector: the logical errors, then the shots
-    that used 0..``ctx.cap`` rounds, then the shots per ``REASONS`` entry
-    of their last stage's stop. Chunks aggregate by adding vectors."""
-    frames = FrameBatch(shots)
+def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list,
+                    quiet: bool) -> np.ndarray:
+    """Consecutive chunks of one point, of ``sizes`` shots, run as one
+    batch at rate p; chunk i draws every round from ``rngs[i]``. Returns
+    one count row per chunk: its logical errors, then its shots that used
+    0..``ctx.cap`` rounds, then its shots per ``REASONS`` entry of their
+    last stage's stop. Chunks aggregate by adding rows.
 
-    def fold_round(compiled, active, rnd):
-        return np.concatenate([
-            _apply_faults(compiled, frames, *compiled.draw(p, len(part), rng), part)
-            for part in compiled.slices(p, active)
-        ])
+    With ``quiet`` every shot starts *quiet*: its frame is zero and it
+    follows each stage's noiseless path (``ctx.path``), so it is only
+    counted. A fault that meets a quiet shot makes it *explicit*: it joins
+    at the noiseless state of that round. Only explicit shots are held in
+    arrays. Without ``quiet`` every shot of the one chunk starts explicit.
+    Either way, each round chunk i draws its faults over exactly the shots
+    of the chunk still running, in shot order and slice by slice
+    (``CompiledSchedule.slices``), as one chunk of explicit shots alone
+    does, so a chunk's row does not depend on its group.
+    """
+    offsets = np.cumsum([0, *sizes])
+    n = 0 if quiet else int(offsets[-1])
+    frames = FrameBatch(n)
+    sid = np.arange(n)  # each explicit shot's index in the group, in join order
+    path = ctx.path if quiet else ()
 
-    residual, rounds, reason = _run_shots(ctx, frames, fold_round)
+    def fold_round(compiled, active, r, _):
+        nonlocal sid
+        if not quiet:
+            return np.concatenate([
+                _apply_faults(compiled, frames, *compiled.draw(p, len(part), rngs[0]),
+                              active[part.start:part.stop])
+                for part in compiled.slices(p, len(active))]), active
+        run = sid[active]  # the running explicit shots, in shot order
+        # while quiet shots run, so does every shot but the explicit ones that stopped
+        quiet_run = r <= len(path)
+        if quiet_run:
+            stopped = np.ones(len(sid), bool)
+            stopped[active] = False
+            gone = np.sort(sid[stopped])
+        edges = np.searchsorted(gone if quiet_run else run, offsets)
+        hit, row = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for i, rng in enumerate(rngs):
+            lo, hi = edges[i], edges[i + 1]
+            # then running shot k of the chunk is shot k + (its stopped shots up to there)
+            skip = gone[lo:hi] - offsets[i] - np.arange(hi - lo) if quiet_run else None
+            for part in compiled.slices(p, sizes[i] - (hi - lo) if quiet_run else hi - lo):
+                pos, rows = compiled.draw(p, len(part), rng)
+                pos += part.start
+                hit.append(offsets[i] + pos + np.searchsorted(skip, pos, side="right")
+                           if quiet_run else run[lo + pos])
+                row.append(rows)
+        hit, row = np.concatenate(hit), np.concatenate(row)
+        if quiet_run:
+            # the quiet shots met now (no shot index is -1) join, in shot order
+            new = hit[np.append(run, -1)[np.searchsorted(run, hit)] != hit]
+            new = new[np.diff(new, prepend=-1) > 0]
+            at = np.searchsorted(run, new)
+            active = np.insert(active, at, np.arange(len(sid), len(sid) + len(new)))
+            run = np.insert(run, at, new)
+            sid = np.append(sid, new)
+            frames.x, frames.z, frames.syndrome = (
+                np.append(a, np.zeros(len(new), np.uint64))
+                for a in (frames.x, frames.z, frames.syndrome))
+        return _apply_faults(compiled, frames, np.searchsorted(run, hit), row, active), active
+
+    # a later stage starts with the explicit shots in shot order
+    residual, rounds, reason = _run_shots(ctx, frames, fold_round, path,
+                                          (lambda: np.argsort(sid)) if quiet else None)
     errors = _logical_errors(ctx, frames, residual)
-    return np.concatenate((
-        [errors.sum()],
-        np.bincount(rounds, minlength=ctx.cap + 1),
-        np.bincount(reason, minlength=len(REASONS)),
-    ))
+    chunk = np.searchsorted(offsets, sid, side="right") - 1 if quiet else np.zeros(n, np.intp)
+
+    def per_chunk(values, width):
+        """Each chunk's explicit shots per value 0..width-1."""
+        return np.bincount(chunk * width + values, minlength=len(sizes) * width).reshape(-1, width)
+
+    hist, stops = per_chunk(rounds, ctx.cap + 1), per_chunk(reason, len(REASONS))
+    quiet_shots = np.diff(offsets) - hist.sum(1)
+    hist[:, len(ctx.path) * len(ctx.stages)] += quiet_shots
+    stops[:, ctx.quiet_reason] += quiet_shots
+    return np.column_stack((np.bincount(chunk[errors], minlength=len(sizes)), hist, stops))
 
 
 def _chunk_seed(seed: int, point_key: int, chunk_index: int) -> np.random.Generator:
@@ -367,9 +476,32 @@ def _chunk_seed(seed: int, point_key: int, chunk_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _run_chunk(args) -> tuple:
-    (ctx_key, p, shots, seed, point_key, chunk_index) = args
-    return _simulate_chunk(_context(ctx_key), p, shots, _chunk_seed(seed, point_key, chunk_index))
+# Below this window fault probability a point's chunks go in groups whose
+# shots start quiet; at or above it, and wherever a group would hold one
+# chunk, a hand-off is one chunk whose shots all start explicit. Measured
+# with interleaved runs at d = 3, 5 and 9 (CHANGES.md): a quiet group of
+# two chunks took 0.74-0.85x the time of two explicit chunks at
+# q = 0.25-0.33 and 0.83-1.03x at q = 0.38-0.45; one quiet chunk took
+# 0.87-1.31x the time of one explicit chunk at q = 0.07-0.45.
+_QUIET_CUT = 0.4
+
+
+def _run_chunk(args) -> np.ndarray:
+    """One hand-off: the chunks ``chunks`` of a point as one group
+    (:func:`_simulate_group`); one count row per chunk."""
+    (ctx_key, p, shots, seed, point_key, chunks, quiet) = args
+    return _simulate_group(_context(ctx_key), p,
+                           [min(CHUNK_SHOTS, shots - i * CHUNK_SHOTS) for i in chunks],
+                           [_chunk_seed(seed, point_key, i) for i in chunks], quiet)
+
+
+def _group_size(q: float, n_chunks: int, workers: int) -> int:
+    """Chunks per hand-off of a point below ``_QUIET_CUT``, with window
+    fault probability q: 2^floor(log2(1/q)), so that a group simulates
+    about one chunk's worth of explicit shots, but at most each worker's
+    share of the point."""
+    size = -(-n_chunks // workers)
+    return size if q == 0 else min(size, 2 ** int(-math.log2(q)))
 
 
 def _n_chunks(shots: int) -> int:
@@ -378,17 +510,18 @@ def _n_chunks(shots: int) -> int:
 
 @contextlib.contextmanager
 def _chunk_runner(config: ExperimentConfig):
-    """One campaign's chunk runner: ``run(jobs)`` yields each job's counts
-    in job order.
+    """One campaign's chunk runner: ``run(jobs)`` yields each hand-off's
+    count rows in job order.
 
     One worker, or points of one chunk, run in this process. Otherwise one
     pool of ``min(workers, chunks per point)`` processes serves every point
-    of the campaign. Without ``max_errors`` each hand-off carries several
-    chunks; with it, one, so past its cut a point runs only the few
-    chunks already queued to a worker. A pool forks its workers at the
-    first hand-off, after the caller has built the engine context, and
-    is shut down, with its unqueued hand-offs cancelled, when the
-    campaign returns or raises.
+    of the campaign. Without ``max_errors`` a pool takes several hand-offs
+    at a time; with it, one, so past its cut a point runs only the few
+    hand-offs already queued to a worker, each about one chunk's worth of
+    simulated shots (:func:`_group_size`). A pool forks its workers at the
+    first hand-off, after the caller has built the engine context, and is
+    shut down, with its unqueued hand-offs cancelled, when the campaign
+    returns or raises.
     """
     n_chunks = _n_chunks(config.shots)
     workers = min(config.workers or 1, n_chunks)
@@ -399,11 +532,11 @@ def _chunk_runner(config: ExperimentConfig):
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
-    # a hand-off already queued to a worker cannot be cancelled, so a point
-    # that may be cut hands over one chunk at a time
-    chunksize = 1 if config.max_errors is not None else math.ceil(n_chunks / (4 * workers))
     try:
-        yield lambda jobs: pool.map(_run_chunk, jobs, chunksize=chunksize)
+        # a hand-off already queued to a worker cannot be cancelled, so a point
+        # that may be cut hands over one group at a time
+        yield lambda jobs: pool.map(_run_chunk, jobs, chunksize=(
+            1 if config.max_errors is not None else math.ceil(len(jobs) / (4 * workers))))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -419,13 +552,17 @@ def _run_point(config: ExperimentConfig, p: float, point_key: int, run) -> Exper
     _check_rate(p)
     ctx_key = (config.d, config.decoder, config.css_two_stage, config.built_to_weight)
     ctx = _context(ctx_key)
-    jobs = [(ctx_key, p, min(CHUNK_SHOTS, config.shots - i * CHUNK_SHOTS), config.seed,
-             point_key, i) for i in range(_n_chunks(config.shots))]
+    n_chunks = _n_chunks(config.shots)
+    q = ctx.window_q(p)
+    size = _group_size(q, n_chunks, config.workers or 1) if q < _QUIET_CUT else 1
+    quiet = size > 1
+    jobs = [(ctx_key, p, config.shots, config.seed, point_key,
+             range(i, min(i + size, n_chunks)), quiet) for i in range(0, n_chunks, size)]
     total = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
     # leaving the loop drops the pool's iterator, which cancels a cut point's
     # hand-offs not yet queued to a worker; the few already queued still run,
     # ahead of the next point's
-    for counts in run(jobs):
+    for counts in (row for rows in run(jobs) for row in rows):
         total += counts
         if config.max_errors is not None and total[0] >= config.max_errors:
             break
@@ -568,9 +705,9 @@ def _run_injected(ctx: _Context, frames: FrameBatch, rnd: np.ndarray, row: np.nd
     used and the last stage's stop-reason code (an index into
     ``REASONS``).
     """
-    def fold_round(compiled, active, now):
-        pos, j = np.nonzero(rnd[active] == now[:, None])
-        return _apply_faults(compiled, frames, pos, row[active[pos], j], active)
+    def fold_round(compiled, active, r, before):
+        pos, j = np.nonzero(rnd[active] == (before[active] + r)[:, None])
+        return _apply_faults(compiled, frames, pos, row[active[pos], j], active), active
 
     residual, rounds, reason = _run_shots(ctx, frames, fold_round)
     x, z = frames.x.copy(), frames.z.copy()
@@ -609,8 +746,7 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
     ctx = _context((d, decoder, False, None))
     compiled = ctx.stages[0]
     rows = len(compiled.words)
-    no_fault = np.zeros((1, 1), np.int64)  # round 0
-    reached = int(_run_injected(ctx, FrameBatch(1), no_fault, no_fault)[3][0])
+    reached = len(ctx.path)
     report = FaultEnumReport(d, decoder, 1, 0, (ctx.cap - reached) * rows, 0, 0)
     # cases: X, Y and Z on each qubit, then every table row in each reached round
     inputs = 3 * ctx.code.n

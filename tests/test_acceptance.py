@@ -180,7 +180,12 @@ def _fit_loglog_slope(points):
 
 
 def test_criterion_06_distance_preservation():
-    """log-log slope of p_L(p) over [1e-4, 3e-4] is t+1 within 0.3."""
+    """log-log slope of p_L(p) over [1e-4, 3e-4] is t+1 within 0.3.
+
+    At d=5 the slopes from 2M shots per point spread wider than the band:
+    at seeds 1-5 four of the fifteen fall outside it (CHANGES.md), so any
+    change to what the engine draws must wait for an estimator with a
+    tighter spread (ROADMAP item 3)."""
     grids = {
         3: ([1e-4, 1.7321e-4, 3e-4], 10_000_000),
         5: ([1e-4, 1.3161e-4, 1.7321e-4, 2.2795e-4, 3e-4], 2_000_000),

@@ -268,9 +268,10 @@ def test_batched_round_noise_extremes(code5):
     refs, batch = _random_frames(compiled, rng, 50)
     active = np.arange(50)
     # p = 0: one slice holds every active shot
-    assert [len(part) for part in compiled.slices(0.0, active)] == [50]
+    assert [len(part) for part in compiled.slices(0.0, len(active))] == [50]
+    assert compiled.slices(0.0, 0) == []
     # p = 1: a chunk goes in slices of at most 2^18 expected faults
-    parts = compiled.slices(1.0, np.arange(4096))
+    parts = compiled.slices(1.0, 4096)
     assert len(parts) > 1 and np.array_equal(np.concatenate(parts), np.arange(4096))
     assert max(len(part) for part in parts) * compiled.n_locations <= 1 << 18
     # p = 0, and p so small that the geometric gaps saturate int64: no

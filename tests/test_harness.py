@@ -42,13 +42,13 @@ from ftecsim.stabilizer import PauliOperator, syndrome_of
 
 class _Replay:
     """Round source for `_run_policy`: replays fixed syndrome streams,
-    one row per shot."""
+    one row per shot; no shot joins."""
 
     def __init__(self, streams):
         self.streams = np.array(streams, dtype=np.uint64)
 
     def __call__(self, active, r):
-        return self.streams[active, r - 1]
+        return self.streams[active, r - 1], active
 
 
 def _random_stream(rng, length):
@@ -152,10 +152,90 @@ def test_early_stop_determinism():
     assert a.shots < 100_000  # the cut actually fired
 
 
+_GROUP_CASES = [(d, decoder, two_stage) for d in (3, 5)
+                for decoder, two_stage in (("shor", False), ("strong", False), ("weak", False),
+                                           ("strong", True), ("weak", True))]
+_GROUP_CASES.append((9, "weak", True))
+
+
+@pytest.mark.parametrize("d, decoder, two_stage", _GROUP_CASES)
+def test_group_rows_equal_one_chunk_at_a_time(d, decoder, two_stage):
+    """A group of G chunks whose shots start quiet gives each chunk's count
+    row exactly as that chunk run alone with every shot explicit, and
+    leaves each chunk's stream at the same place, so every draw covered
+    the same number of running shots. G = 1, 3 and 32, each with a short
+    last chunk, from no noise to every location failing."""
+    ctx = harness._context((d, decoder, two_stage, None))
+    for p in (0.0, 5e-5, 1e-3, 1e-2, 1.0):
+        total = (3072 if p < 1e-2 else 384) // (8 if d == 9 else 1)  # shots in the group
+        for g in (1, 3, 32):
+            sizes = [total // g] * (g - 1) + [total // g // 3 + 1]
+            grouped = [harness._chunk_seed(7, g, i) for i in range(g)]
+            alone = [harness._chunk_seed(7, g, i) for i in range(g)]
+            rows = harness._simulate_group(ctx, p, sizes, grouped, True)
+            want = [harness._simulate_group(ctx, p, [n], [rng], False)[0]
+                    for n, rng in zip(sizes, alone)]
+            assert rows.tolist() == np.array(want).tolist(), (p, g)
+            # the streams' next numbers agree: each consumed the same draws
+            assert ([rng.integers(1 << 62) for rng in grouped]
+                    == [rng.integers(1 << 62) for rng in alone]), (p, g)
+
+
+def test_fixed_seed_outputs_pinned():
+    """Fixed-seed outputs of the chunk-at-a-time engine, pinned: a change to
+    what any chunk draws, or to how its shots are counted, fails here."""
+    for d, decoder, two_stage, p, shots, errors, hist, stops in (
+        (3, "weak", False, 7e-4, 131072, 71, {1: 123944, 2: 7128},
+         {USABLE_RUN: 769, WEAK_NO_CORRECTION: 130303}),
+        (5, "strong", False, 1e-4, 65536, 0, {3: 60140, 4: 4880, 5: 516}, None),
+        (5, "weak", True, 1e-3, 20000, 27, {4: 13781, 5: 5353, 6: 858, 7: 8}, None),
+    ):
+        cfg = ExperimentConfig(d=d, decoder=decoder, css_two_stage=two_stage, shots=shots,
+                               seed=3)
+        stats = run_point(cfg, p)
+        assert (stats.logical_errors, stats.rounds_histogram) == (errors, hist)
+        assert stops is None or stats.stopped_by == stops
+    result = estimate_pseudothreshold(ExperimentConfig(d=3, decoder="weak", seed=3), 5e-5, 8e-3,
+                                      shots_per_probe=131072, iterations=3)
+    assert result.estimate == 0.0006861337354823592
+    assert [s.logical_errors for _, s in result.probes] == [0, 6416, 40, 559, 190]
+
+
+def test_quiet_shots_are_never_simulated(monkeypatch):
+    """At d=3 weak and p=5e-5, the engine's one fold entry sees only the
+    shots a fault met: each explicit shot folds in at most every round up
+    to the cap, every explicit shot met a fault, and they are few. At p=0
+    no shot becomes explicit."""
+    calls = []
+    apply_faults = harness._apply_faults
+
+    def spy(compiled, frames, shot, row, active):
+        calls.append((frames, len(shot), len(active)))
+        return apply_faults(compiled, frames, shot, row, active)
+
+    monkeypatch.setattr(harness, "_apply_faults", spy)
+    cfg = ExperimentConfig(d=3, decoder="weak", shots=32 * harness.CHUNK_SHOTS, seed=5,
+                           workers=1)
+    ctx = harness._context((3, "weak", False, None))
+    for p in (5e-5, 0.0):
+        calls.clear()
+        stats = run_point(cfg, p)
+        batches = {id(frames): frames for frames, _, _ in calls}
+        explicit = sum(len(frames.x) for frames in batches.values())
+        folded = sum(active for _, _, active in calls)
+        assert folded <= explicit * ctx.cap
+        assert explicit <= sum(faults for _, faults, _ in calls)
+        if p:
+            assert 0 < explicit < 0.01 * stats.shots
+        else:
+            assert explicit == folded == 0
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The worker count of every process pool the harness starts, and in
-    ``pools.chunksizes`` the hand-off size of every ``map`` on one."""
+    ``pools.chunksizes`` and ``pools.jobs`` the hand-off size and the jobs
+    of every ``map`` on one."""
     import concurrent.futures
 
     class Made(list):
@@ -163,15 +243,17 @@ def pools(monkeypatch):
 
     made = Made()
     made.chunksizes = []
+    made.jobs = []
 
     class Counting(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             made.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-        def map(self, fn, *iterables, chunksize=1, **kwargs):
+        def map(self, fn, jobs, chunksize=1, **kwargs):
             made.chunksizes.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+            made.jobs.append(list(jobs))
+            return super().map(fn, made.jobs[-1], chunksize=chunksize, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
     return made
@@ -203,15 +285,33 @@ def test_experiment_one_pool_same_stats_after_a_cut(pools):
 
 
 def test_handoff_size_follows_max_errors(pools):
-    """A campaign that ``max_errors`` can cut hands its pool one chunk at
-    a time, since a queued hand-off runs to its end; one that cannot hands
-    ``ceil(chunks / (4 * workers))`` chunks at a time."""
-    cfg = ExperimentConfig(d=3, decoder="weak", p_values=(1e-3, 2e-3),
+    """A campaign that ``max_errors`` can cut hands its pool one job at a
+    time, since a queued hand-off runs to its end, and a job simulates
+    about one chunk's worth of shots: a group of G chunks whose shots start
+    quiet, at window fault probability q with G q <= 1, or one chunk whose
+    shots all start explicit. One that cannot be cut hands over several
+    chunks at a time. Both give the same points."""
+    cfg = ExperimentConfig(d=3, decoder="weak", p_values=(1e-3, 8e-3),
                            shots=9 * harness.CHUNK_SHOTS, seed=2, workers=2)
+    ctx = harness._context((3, "weak", False, None))
+    q = [ctx.window_q(p) for p in cfg.p_values]
+    assert 0.09 < q[0] < 0.1 and q[1] > 0.5  # quiet groups of 5 (its share), then explicit
+
+    def handoffs():
+        return [[[len(job[5]) for job in jobs[i:i + size]] for i in range(0, len(jobs), size)]
+                for jobs, size in zip(pools.jobs, pools.chunksizes)]
+
     whole = run_experiment(cfg)
-    assert pools.chunksizes == [2, 2]
+    assert pools.chunksizes == [1, 2]
+    assert handoffs() == [[[5], [4]], [[1, 1]] * 4 + [[1]]]
+    assert [job[6] for jobs in pools.jobs for job in jobs] == [True] * 2 + [False] * 9
+    pools.chunksizes.clear()
+    pools.jobs.clear()
     cut = run_experiment(dataclasses.replace(cfg, max_errors=10**9))
-    assert pools.chunksizes == [2, 2, 1, 1] and pools == [2, 2]
+    assert pools.chunksizes == [1, 1] and pools == [2, 2]
+    work = [max(len(job[5]) * (q_p if job[6] else 1) for job in jobs)
+            for q_p, jobs in zip(q, pools.jobs)]
+    assert work == [5 * q[0], 1] and max(work) <= 1  # chunks of explicit shots per hand-off
     assert [s.shots for s in cut] == [s.shots for s in whole]
 
 
