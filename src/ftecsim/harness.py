@@ -19,10 +19,9 @@ A Monte Carlo hand-off is a group of consecutive chunks run as one batch
 *quiet* shot follows each stage's noiseless path (``_Context.path``) and
 is only counted. Only the shots a fault has met, the *explicit* ones,
 are held in arrays; a quiet shot that a fault meets joins them at the
-noiseless state of that round. Above a fixed fault probability per
-noiseless window (``_QUIET_CUT``), and wherever a group would hold one
-chunk, a hand-off is one chunk whose shots all start explicit. A group
-returns one count row per chunk, which
+noiseless state of that round. A group of one chunk, which is every
+hand-off above window fault probability 1/2 (``_group_size``), starts
+every shot explicit. A group returns one count row per chunk, which
 ``run_point`` adds up. The fault-injection checks give each case one
 explicit shot, which starts from its input error and folds only its
 injected faults, each in its own round counted over all stages.
@@ -54,6 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -88,7 +88,6 @@ from .recovery import (
     build_table,
     decode_sector_masks,
     enumeration_count,
-    parity64,
     popcount64,
 )
 from .stabilizer import PauliOperator, StabilizerCode
@@ -252,15 +251,9 @@ class _Context:
         return 1.0 if p >= 1 else -math.expm1(self.window * math.log1p(-p))
 
 
-_CTX_CACHE: dict[tuple, _Context] = {}
-
-
+@functools.cache
 def _context(key: tuple) -> _Context:
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = _Context(*key)
-        _CTX_CACHE[key] = ctx
-    return ctx
+    return _Context(*key)
 
 
 def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), order=None):
@@ -387,27 +380,28 @@ def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> 
     """Ideal EC on the corrected frames (``residual`` from :func:`_run_shots`);
     True where a logical error remains."""
     _decode_into(ctx, frames, residual)
-    return parity64(frames.x & ctx.x_logical) | parity64(frames.z & ctx.z_logical)
+    counts = popcount64(frames.x & ctx.x_logical) | popcount64(frames.z & ctx.z_logical)
+    return (counts & np.uint64(1)).astype(bool)
 
 
-def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list,
-                    quiet: bool) -> np.ndarray:
+def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np.ndarray:
     """Consecutive chunks of one point, of ``sizes`` shots, run as one
     batch at rate p; chunk i draws every round from ``rngs[i]``. Returns
     one count row per chunk: its logical errors, then its shots that used
     0..``ctx.cap`` rounds, then its shots per ``REASONS`` entry of their
     last stage's stop. Chunks aggregate by adding rows.
 
-    With ``quiet`` every shot starts *quiet*: its frame is zero and it
-    follows each stage's noiseless path (``ctx.path``), so it is only
-    counted. A fault that meets a quiet shot makes it *explicit*: it joins
-    at the noiseless state of that round. Only explicit shots are held in
-    arrays. Without ``quiet`` every shot of the one chunk starts explicit.
-    Either way, each round chunk i draws its faults over exactly the shots
-    of the chunk still running, in shot order and slice by slice
-    (``CompiledSchedule.slices``), as one chunk of explicit shots alone
-    does, so a chunk's row does not depend on its group.
+    In a group of more than one chunk every shot starts *quiet*: its frame
+    is zero and it follows each stage's noiseless path (``ctx.path``), so
+    it is only counted. A fault that meets a quiet shot makes it
+    *explicit*: it joins at the noiseless state of that round. Only
+    explicit shots are held in arrays. In a group of one chunk every shot
+    starts explicit. Either way, each round chunk i draws its faults over
+    exactly the shots of the chunk still running, in shot order and slice
+    by slice (``CompiledSchedule.slices``), as one chunk of explicit shots
+    alone does, so a chunk's row does not depend on its group.
     """
+    quiet = len(sizes) > 1
     offsets = np.cumsum([0, *sizes])
     n = 0 if quiet else int(offsets[-1])
     frames = FrameBatch(n)
@@ -476,30 +470,20 @@ def _chunk_seed(seed: int, point_key: int, chunk_index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(ss))
 
 
-# Below this window fault probability a point's chunks go in groups whose
-# shots start quiet; at or above it, and wherever a group would hold one
-# chunk, a hand-off is one chunk whose shots all start explicit. Measured
-# with interleaved runs at d = 3, 5 and 9 (CHANGES.md): a quiet group of
-# two chunks took 0.74-0.85x the time of two explicit chunks at
-# q = 0.25-0.33 and 0.83-1.03x at q = 0.38-0.45; one quiet chunk took
-# 0.87-1.31x the time of one explicit chunk at q = 0.07-0.45.
-_QUIET_CUT = 0.4
-
-
 def _run_chunk(args) -> np.ndarray:
     """One hand-off: the chunks ``chunks`` of a point as one group
     (:func:`_simulate_group`); one count row per chunk."""
-    (ctx_key, p, shots, seed, point_key, chunks, quiet) = args
+    (ctx_key, p, shots, seed, point_key, chunks) = args
     return _simulate_group(_context(ctx_key), p,
                            [min(CHUNK_SHOTS, shots - i * CHUNK_SHOTS) for i in chunks],
-                           [_chunk_seed(seed, point_key, i) for i in chunks], quiet)
+                           [_chunk_seed(seed, point_key, i) for i in chunks])
 
 
 def _group_size(q: float, n_chunks: int, workers: int) -> int:
-    """Chunks per hand-off of a point below ``_QUIET_CUT``, with window
-    fault probability q: 2^floor(log2(1/q)), so that a group simulates
-    about one chunk's worth of explicit shots, but at most each worker's
-    share of the point."""
+    """Chunks per hand-off of a point with window fault probability q:
+    2^floor(log2(1/q)), so that a group simulates about one chunk's worth
+    of explicit shots, but at most each worker's share of the point. Above
+    q = 1/2 that is one chunk, whose shots all start explicit."""
     size = -(-n_chunks // workers)
     return size if q == 0 else min(size, 2 ** int(-math.log2(q)))
 
@@ -553,11 +537,9 @@ def _run_point(config: ExperimentConfig, p: float, point_key: int, run) -> Exper
     ctx_key = (config.d, config.decoder, config.css_two_stage, config.built_to_weight)
     ctx = _context(ctx_key)
     n_chunks = _n_chunks(config.shots)
-    q = ctx.window_q(p)
-    size = _group_size(q, n_chunks, config.workers or 1) if q < _QUIET_CUT else 1
-    quiet = size > 1
-    jobs = [(ctx_key, p, config.shots, config.seed, point_key,
-             range(i, min(i + size, n_chunks)), quiet) for i in range(0, n_chunks, size)]
+    size = _group_size(ctx.window_q(p), n_chunks, config.workers or 1)
+    jobs = [(ctx_key, p, config.shots, config.seed, point_key, range(i, min(i + size, n_chunks)))
+            for i in range(0, n_chunks, size)]
     total = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
     # leaving the loop drops the pool's iterator, which cancels a cut point's
     # hand-offs not yet queued to a worker; the few already queued still run,

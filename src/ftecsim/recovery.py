@@ -139,26 +139,23 @@ def decode_sector_masks(table: SyndromeTable, x_part: np.ndarray,
         unknown = syndromes[missing]
         solved = np.zeros(count, np.uint64)
         for col, sel in table.pivots:
-            solved |= parity64(unknown & np.uint64(sel)).astype(np.uint64) << np.uint64(col)
+            solved |= (popcount64(unknown & np.uint64(sel)) & _ONE) << np.uint64(col)
         masks[missing] = solved
     return masks[:len(z_part)], masks[len(z_part):]
 
 
-def parity64(words: np.ndarray) -> np.ndarray:
-    """Parity of each uint64 word, as a bool array."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        words = words ^ (words >> np.uint64(shift))
-    return (words & np.uint64(1)).astype(bool)
+# built once: the GF(2) fallback counts bits once per pivot column, on a few words
+_ONE, _TWO, _FOUR, _TOP = (np.uint64(s) for s in (1, 2, 4, 56))
+_M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 
 
 def popcount64(words: np.ndarray) -> np.ndarray:
     """Set bits of each uint64 word, as a uint64 array (a SWAR count, so
     it runs on numpy releases without ``np.bitwise_count``)."""
-    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    words = (words & np.uint64(0x3333333333333333)) + (
-        (words >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (words * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    words = words - ((words >> _ONE) & _M1)
+    words = (words & _M2) + ((words >> _TWO) & _M2)
+    words = (words + (words >> _FOUR)) & _M4
+    return (words * _H01) >> _TOP
 
 
 def decode(table: SyndromeTable, code: StabilizerCode, syndrome: int) -> PauliOperator:

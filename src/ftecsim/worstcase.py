@@ -37,6 +37,7 @@ one effective fault for worst-case purposes.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -98,9 +99,7 @@ def _packed(delta: str, t: int) -> int:
     return int(delta[::-1], 2) if delta else 0
 
 
-_TABLES: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-
+@functools.cache
 def _combination_table(m: int, t: int) -> tuple[np.ndarray, ...]:
     """Every assignment of at most t faults, at most one per round, over
     m rounds as four uint64 columns ``(once, twice, type_i, type_ii)``,
@@ -113,24 +112,21 @@ def _combination_table(m: int, t: int) -> tuple[np.ndarray, ...]:
     a type I and a child with a type II fault on the new round, so it has
     sum over k <= t of C(m, k) * 2**k rows.
     """
-    table = _TABLES.get((m, t))
-    if table is None:
-        rows = np.zeros((4, 1), dtype=np.uint64)
-        count = np.zeros(1, dtype=np.int64)
-        for i in range(1, m + 1):
-            grow = count < t
-            parts, counts = [rows], [count]
-            for column, kind in ((2, "I"), (3, "II")):
-                child = rows[:, grow]
-                mask = np.uint64(_contribution(kind, i, m))
-                child[1] |= child[0] & mask
-                child[0] |= mask
-                child[column] |= np.uint64(1 << (i - 1))
-                parts.append(child)
-                counts.append(count[grow] + 1)
-            rows, count = np.concatenate(parts, axis=1), np.concatenate(counts)
-        table = _TABLES[(m, t)] = tuple(rows)
-    return table
+    rows = np.zeros((4, 1), dtype=np.uint64)
+    count = np.zeros(1, dtype=np.int64)
+    for i in range(1, m + 1):
+        grow = count < t
+        parts, counts = [rows], [count]
+        for column, kind in ((2, "I"), (3, "II")):
+            child = rows[:, grow]
+            mask = np.uint64(_contribution(kind, i, m))
+            child[1] |= child[0] & mask
+            child[0] |= mask
+            child[column] |= np.uint64(1 << (i - 1))
+            parts.append(child)
+            counts.append(count[grow] + 1)
+        rows, count = np.concatenate(parts, axis=1), np.concatenate(counts)
+    return tuple(rows)
 
 
 def consistent_combinations(delta: str, t: int) -> Iterator[FaultCombination]:
@@ -149,9 +145,7 @@ def consistent_combinations(delta: str, t: int) -> Iterator[FaultCombination]:
         yield FaultCombination(faults, choices)
 
 
-_UNUSABLE_TABLES: dict[tuple[int, int], list[int]] = {}
-
-
+@functools.cache
 def _unusable_table(length: int, t: int) -> list[int]:
     """For every vector of ``length`` bits (bit p-1 is position p), a mask
     with bit ``end`` set for each zero run [start, end] that some consistent
@@ -164,28 +158,24 @@ def _unusable_table(length: int, t: int) -> list[int]:
     any subset of ``twice``, so each row is expanded over those subsets
     and its covered runs are OR-ed into its vectors' entries.
     """
-    table = _UNUSABLE_TABLES.get((length, t))
-    if table is None:
-        once, twice = _combination_table(length + 1, t)[:2]
-        target = once & ~twice
-        for pos in range(length):
-            bit = np.uint64(1 << pos)
-            free = (twice & bit) != 0
-            target = np.concatenate([target, target[free] | bit])
-            once = np.concatenate([once, once[free]])
-            twice = np.concatenate([twice, twice[free]])
-        # at m = 1 a type I fault on round 1 sets a position the empty vector lacks
-        fits = (target >> np.uint64(length)) == 0
-        target, once = target[fits], once[fits]
-        zeros = ~target & np.uint64((1 << length) - 1)
-        starts = zeros & ~(zeros << np.uint64(1))
-        # a run's start bit carries past its end exactly when all its zeros are covered
-        past = ((zeros & once) + starts) & ~zeros
-        table = np.zeros(1 << length, dtype=np.uint64)
-        np.bitwise_or.at(table, target, past)
-        table = table.tolist()
-        _UNUSABLE_TABLES[(length, t)] = table
-    return table
+    once, twice = _combination_table(length + 1, t)[:2]
+    target = once & ~twice
+    for pos in range(length):
+        bit = np.uint64(1 << pos)
+        free = (twice & bit) != 0
+        target = np.concatenate([target, target[free] | bit])
+        once = np.concatenate([once, once[free]])
+        twice = np.concatenate([twice, twice[free]])
+    # at m = 1 a type I fault on round 1 sets a position the empty vector lacks
+    fits = (target >> np.uint64(length)) == 0
+    target, once = target[fits], once[fits]
+    zeros = ~target & np.uint64((1 << length) - 1)
+    starts = zeros & ~(zeros << np.uint64(1))
+    # a run's start bit carries past its end exactly when all its zeros are covered
+    past = ((zeros & once) + starts) & ~zeros
+    table = np.zeros(1 << length, dtype=np.uint64)
+    np.bitwise_or.at(table, target, past)
+    return table.tolist()
 
 
 def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:

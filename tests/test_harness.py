@@ -160,20 +160,21 @@ _GROUP_CASES.append((9, "weak", True))
 
 @pytest.mark.parametrize("d, decoder, two_stage", _GROUP_CASES)
 def test_group_rows_equal_one_chunk_at_a_time(d, decoder, two_stage):
-    """A group of G chunks whose shots start quiet gives each chunk's count
-    row exactly as that chunk run alone with every shot explicit, and
-    leaves each chunk's stream at the same place, so every draw covered
-    the same number of running shots. G = 1, 3 and 32, each with a short
-    last chunk, from no noise to every location failing."""
+    """A group of G > 1 chunks, whose shots start quiet, gives each chunk's
+    count row exactly as that chunk run alone, a group of one whose shots
+    all start explicit, and leaves each chunk's stream at the same place,
+    so every draw covered the same number of running shots. G = 2, 3 and
+    32, each with a short last chunk, from no noise to every location
+    failing."""
     ctx = harness._context((d, decoder, two_stage, None))
     for p in (0.0, 5e-5, 1e-3, 1e-2, 1.0):
         total = (3072 if p < 1e-2 else 384) // (8 if d == 9 else 1)  # shots in the group
-        for g in (1, 3, 32):
+        for g in (2, 3, 32):
             sizes = [total // g] * (g - 1) + [total // g // 3 + 1]
             grouped = [harness._chunk_seed(7, g, i) for i in range(g)]
             alone = [harness._chunk_seed(7, g, i) for i in range(g)]
-            rows = harness._simulate_group(ctx, p, sizes, grouped, True)
-            want = [harness._simulate_group(ctx, p, [n], [rng], False)[0]
+            rows = harness._simulate_group(ctx, p, sizes, grouped)
+            want = [harness._simulate_group(ctx, p, [n], [rng])[0]
                     for n, rng in zip(sizes, alone)]
             assert rows.tolist() == np.array(want).tolist(), (p, g)
             # the streams' next numbers agree: each consumed the same draws
@@ -189,6 +190,13 @@ def test_fixed_seed_outputs_pinned():
          {USABLE_RUN: 769, WEAK_NO_CORRECTION: 130303}),
         (5, "strong", False, 1e-4, 65536, 0, {3: 60140, 4: 4880, 5: 516}, None),
         (5, "weak", True, 1e-3, 20000, 27, {4: 13781, 5: 5353, 6: 858, 7: 8}, None),
+        # window fault probability q = 0.45: groups of two chunks whose shots start quiet
+        (3, "weak", False, 6.2e-3, 16384, 496, {1: 10196, 2: 6188},
+         {USABLE_RUN: 508, WEAK_NO_CORRECTION: 15876}),
+        (5, "strong", False, 5.9e-4, 16384, 25, {3: 9861, 4: 4940, 5: 1583},
+         {PAIR_COUNT: 457, USABLE_RUN: 15927}),
+        (5, "weak", True, 8.9e-4, 16384, 18, {4: 11852, 5: 3920, 6: 605, 7: 7},
+         {PAIR_COUNT: 205, USABLE_RUN: 2658, WEAK_NO_CORRECTION: 13521}),
     ):
         cfg = ExperimentConfig(d=d, decoder=decoder, css_two_stage=two_stage, shots=shots,
                                seed=3)
@@ -287,10 +295,10 @@ def test_experiment_one_pool_same_stats_after_a_cut(pools):
 def test_handoff_size_follows_max_errors(pools):
     """A campaign that ``max_errors`` can cut hands its pool one job at a
     time, since a queued hand-off runs to its end, and a job simulates
-    about one chunk's worth of shots: a group of G chunks whose shots start
-    quiet, at window fault probability q with G q <= 1, or one chunk whose
-    shots all start explicit. One that cannot be cut hands over several
-    chunks at a time. Both give the same points."""
+    about one chunk's worth of shots: a group of G > 1 chunks, whose shots
+    start quiet, at window fault probability q with G q <= 1, or one chunk,
+    whose shots all start explicit. One that cannot be cut hands over
+    several chunks at a time. Both give the same points."""
     cfg = ExperimentConfig(d=3, decoder="weak", p_values=(1e-3, 8e-3),
                            shots=9 * harness.CHUNK_SHOTS, seed=2, workers=2)
     ctx = harness._context((3, "weak", False, None))
@@ -304,15 +312,35 @@ def test_handoff_size_follows_max_errors(pools):
     whole = run_experiment(cfg)
     assert pools.chunksizes == [1, 2]
     assert handoffs() == [[[5], [4]], [[1, 1]] * 4 + [[1]]]
-    assert [job[6] for jobs in pools.jobs for job in jobs] == [True] * 2 + [False] * 9
+    assert [len(job[5]) > 1 for jobs in pools.jobs for job in jobs] == [True] * 2 + [False] * 9
     pools.chunksizes.clear()
     pools.jobs.clear()
     cut = run_experiment(dataclasses.replace(cfg, max_errors=10**9))
     assert pools.chunksizes == [1, 1] and pools == [2, 2]
-    work = [max(len(job[5]) * (q_p if job[6] else 1) for job in jobs)
+    work = [max(len(job[5]) * (q_p if len(job[5]) > 1 else 1) for job in jobs)
             for q_p, jobs in zip(q, pools.jobs)]
     assert work == [5 * q[0], 1] and max(work) <= 1  # chunks of explicit shots per hand-off
     assert [s.shots for s in cut] == [s.shots for s in whole]
+
+
+def test_group_size_follows_window_q():
+    """``window_q`` is 1 - (1-p)^(len(path) x locations), the chance that a
+    fault meets a noiseless shot; ``_group_size`` is 2^floor(log2(1/q))
+    chunks, at most each worker's share of the point, and the share at
+    q = 0. So above q = 1/2 every hand-off is one chunk."""
+    for key in ((3, "weak", False, None), (5, "strong", False, None), (5, "weak", True, None),
+                (3, "shor", False, None)):
+        ctx = harness._context(key)
+        window = len(ctx.path) * sum(s.n_locations for s in ctx.stages)
+        for p in (1e-5, 7e-4, 1e-2, 0.3):
+            assert math.isclose(ctx.window_q(p), 1 - (1 - p) ** window, rel_tol=1e-9), (key, p)
+        assert (ctx.window_q(0.0), ctx.window_q(1.0)) == (0.0, 1.0)
+    size = harness._group_size
+    assert [size(q, 100, 1) for q in (0.51, 0.75, 1.0)] == [1, 1, 1]
+    assert [size(q, 100, 1) for q in (0.26, 0.4, 0.45, 0.5)] == [2, 2, 2, 2]
+    assert [size(q, 100, 1) for q in (0.2, 0.1, 1e-3)] == [4, 8, 100]
+    assert [size(1e-3, 9, w) for w in (1, 2, 3, 9, 16)] == [9, 5, 3, 1, 1]  # the worker share
+    assert [size(0.0, 9, w) for w in (1, 2, 4)] == [9, 5, 3]
 
 
 def test_pool_sized_to_the_chunks(pools):

@@ -238,17 +238,22 @@ def test_oracle_table_built_once_per_length_and_budget(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(worstcase, "_combination_table", counting)
-    monkeypatch.setattr(worstcase, "_TABLES", {})
-    monkeypatch.setattr(worstcase, "_UNUSABLE_TABLES", {})
+    _combination_table.cache_clear()
+    worstcase._unusable_table.cache_clear()
     assert oracle_unusable_runs("0100010", 3) == {(1, 1), (7, 7)}
     assert oracle_unusable_runs("0000000", 3) == set()
     assert [key for key, _ in calls] == [(8, 3)]
-    assert list(worstcase._UNUSABLE_TABLES) == [(7, 3)]
+    # one per-vector table, for (7, 3): built by the first query, read by the rest
+    unusable = worstcase._unusable_table
+    assert (unusable.cache_info().misses, unusable.cache_info().currsize) == (1, 1)
+    unusable(7, 3)
+    assert (unusable.cache_info().misses, unusable.cache_info().hits) == (1, 2)
     # the definition-level filter reads the same cached arrays, not a rebuild
     assert (("II", 2), ("II", 6)) in [c.faults for c in consistent_combinations("0100010", 3)]
     assert [key for key, _ in calls] == [(8, 3), (8, 3)]
     assert calls[1][1] is calls[0][1]
-    assert list(worstcase._TABLES) == [(8, 3)]
+    info = _combination_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def definition_table(m, t):
