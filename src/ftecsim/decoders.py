@@ -277,19 +277,17 @@ class PolicyTable:
     column of ``entries`` holds the stop-reason code, the 1-based round
     whose syndrome corrects (0 for none), and ``diffvec.min_faults`` of
     the difference vector, which the two-stage rule subtracts from the
-    stage-2 budget (0 for the Shor rule). A stop state's successors point
-    past the last state, so advancing a stopped shot raises IndexError.
+    stage-2 budget (0 for the Shor rule). ``stops[state]`` is True where
+    that code is a stop. A stop state's successors point past the last
+    state, so reading the entry of a stopped shot's next state raises
+    IndexError.
     """
 
     root: np.ndarray  # (t + 1,) int64
     successor: np.ndarray  # (2 * states,) int64
     entries: np.ndarray  # (3, states) int64
+    stops: np.ndarray  # (states,) bool
     max_rounds: int
-
-    def advance(self, state, changed):
-        """The states after one more round, and their entry rows."""
-        state = self.successor[2 * state + changed]
-        return state, np.take(self.entries, state, axis=1)
 
 
 def policy_table(kind: str, t: int) -> PolicyTable:
@@ -324,10 +322,12 @@ def policy_table(kind: str, t: int) -> PolicyTable:
             for i, delta in continuing:
                 successor[i] = [index[_state_key(kind, delta + b)] for b in "01"]
     end = len(entries)
+    entries = np.array(entries, dtype=np.int64).T.copy()
     return PolicyTable(
         root=np.array(root, dtype=np.int64),
         successor=np.array([s for i in range(end) for s in successor.get(i, (end, end))],
                            dtype=np.int64),
-        entries=np.array(entries, dtype=np.int64).T.copy(),
+        entries=entries,
+        stops=entries[0] != CODE_CONTINUE,
         max_rounds=PolicyConfig(kind, t).max_rounds_cap(),
     )

@@ -7,8 +7,9 @@ in step. A round draws the failing locations of the whole
 shots x locations grid and folds each fault's four-word XOR effect into
 its shot (``CompiledSchedule.fold``). Every stopping rule is one
 transition table (``decoders.PolicyTable``): per round, each shot moves
-to its state's successor for "syndrome changed or not" and reads that
-state's decision; a shot leaves the active set when it stops. One
+to its state's successor for "syndrome changed or not" and reads whether
+that state stops; a shot leaves the active set when it stops, and its
+decision is read from its stop state once every shot has stopped. One
 driver, ``_run_shots``, runs every stage this way (in two-stage mode the
 Z-sector stage starts with each shot's remaining budget) and then applies
 each shot's chosen correction; only the source of each round's faults
@@ -63,7 +64,6 @@ import numpy as np
 from . import decoders
 from .colorcode import build_hex_color_code
 from .decoders import (
-    CODE_CONTINUE,
     CONTINUE,
     REASONS,
     STOP_CORRECT,
@@ -237,12 +237,12 @@ class _Context:
         # the noiseless path: a shot that meets no fault runs each stage at
         # budget t through the states path[0], path[1], ... and stops after
         # len(path) rounds, for the reason ``quiet_reason``
-        path, state, code = [], self.policy.root[self.t], CODE_CONTINUE
-        while code == CODE_CONTINUE:
+        path, state = [], self.policy.root[self.t]
+        while not self.policy.stops[state]:
             path.append(state)
-            state, (code, _, _) = self.policy.advance(state, 0)
+            state = self.policy.successor[2 * state]
         self.path = np.array(path)
-        self.quiet_reason = int(code)
+        self.quiet_reason = int(self.policy.entries[0, state])
         # the cells a noiseless shot draws: its window
         self.window = len(path) * sum(s.n_locations for s in self.stages)
 
@@ -275,10 +275,8 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), ord
     """
     n = len(budget)
     history = np.zeros((table.max_rounds, n), np.uint64)
-    chosen_round = np.zeros(n, np.int64)
+    final = np.zeros(n, np.int64)  # each shot's stop state
     rounds = np.zeros(n, np.int64)
-    reason = np.zeros(n, np.int64)
-    faults = np.zeros(n, np.int64)
     active = np.arange(n) if order is None else order
     prev = np.zeros(n, np.uint64)
     state = table.root[budget[active]]
@@ -292,23 +290,22 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), ord
             joined_state = np.full(len(running), path[r])
             joined_state[old] = state
             active, prev, state = running, joined_prev, joined_state
-            history, chosen_round, rounds, reason, faults = (
+            history, final, rounds = (
                 np.concatenate((a, np.zeros((*a.shape[:-1], (~old).sum()), a.dtype)), axis=-1)
-                for a in (history, chosen_round, rounds, reason, faults))
+                for a in (history, final, rounds))
         history[r, active] = syn
         r += 1
-        state, (code, pick, evidenced) = table.advance(state, syn != prev)
+        state = table.successor[2 * state + (syn != prev)]
         prev = syn
-        stop = code != CODE_CONTINUE
+        stop = table.stops[state]
         if not stop.any():
             continue
         done = active[stop]
-        chosen_round[done] = pick[stop]
+        final[done] = state[stop]
         rounds[done] = r
-        reason[done] = code[stop]
-        faults[done] = evidenced[stop]
         keep = ~stop
         active, prev, state = active[keep], prev[keep], state[keep]
+    reason, chosen_round, faults = table.entries[:, final]
     chosen = history[chosen_round - 1, np.arange(len(rounds))]
     chosen[chosen_round == 0] = 0
     return chosen, chosen_round, rounds, reason, faults

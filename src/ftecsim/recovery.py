@@ -6,8 +6,12 @@ corrections by the X-sector bits. On a self-dual code (the 6.6.6 color
 codes, H_X = H_Z) both sectors see the same columns, so one table serves
 both. It enumerates pure-type errors in increasing weight with
 first-writer-wins, so every stored entry is a minimum-weight
-representative for its syndrome. Syndromes beyond the enumerated weight
-fall back to an any-solution GF(2) solve, read off the pivots of the one
+representative for its syndrome. The table is sorted by key and indexed
+by the key's top bits; up to 18 syndrome bits (d <= 7) the key is the
+syndrome itself, and past that (d = 9 has 30) it is an invertible
+GF(2)-linear mix of it (:func:`_mix`), which spreads the top bits.
+Syndromes beyond the enumerated weight fall back to an any-solution
+GF(2) solve, one product with a matrix read off the pivots of the one
 row reduction in ``stabilizer._gf2_pivots``; those syndromes only arise
 past the fault budget, where no fault-tolerance guarantee applies.
 """
@@ -23,6 +27,9 @@ from .stabilizer import (PauliOperator, StabilizerCode, _gf2_pivots, logical_cla
                          syndrome_of)
 
 DEFAULT_BUDGET = 2_000_000
+# the lookup index has one bucket per value of a key's top 18 bits: every
+# syndrome its own bucket up to d = 7, and ``starts`` at 2 MB
+_BUCKET_BITS = 18
 
 
 def _sector_rows(code: StabilizerCode, sector: tuple[int, ...]) -> list[int]:
@@ -34,23 +41,42 @@ def _sector_rows(code: StabilizerCode, sector: tuple[int, ...]) -> list[int]:
 class SyndromeTable:
     """One minimum-weight lookup for both sectors, plus the GF(2) fallback.
 
-    ``keys`` are the distinct sector syndromes of the enumerated supports,
-    sorted, and ``masks[i]`` is the qubit mask of the first support (in
-    weight, then ``itertools.combinations``, order) whose syndrome is
-    ``keys[i]``. Both are uint64 arrays, so a code has at most 64 qubits.
-    ``pivots`` is ``stabilizer._gf2_pivots`` of the sector rows, which the
-    fallback solves from.
+    ``keys`` are the ``_mix`` keys of the distinct m-bit sector syndromes
+    of the enumerated supports, sorted: the syndromes themselves for
+    m <= 18 (d <= 7), their mix beyond. ``masks[i]`` is the qubit mask of
+    the first support (in weight, then ``itertools.combinations``, order)
+    whose key is ``keys[i]``. Both are uint64 arrays, so a code has at most
+    64 qubits. The keys whose top bits (``key >> shift``) read h fill
+    positions ``starts[h]`` to ``starts[h + 1] - 1``; ``steps`` bisection
+    steps find a key in the largest such bucket. ``solve[i]`` is the
+    fallback's correction for the syndrome bit i alone: the pivot columns
+    of ``stabilizer._gf2_pivots`` whose selectors hold row i.
     """
 
     keys: np.ndarray
     masks: np.ndarray
-    pivots: list[tuple[int, int]]
+    m: int
+    starts: np.ndarray
+    shift: int
+    steps: int
+    solve: np.ndarray
     fallback_decodes: int = 0
 
     # the per-sector names (X masks by Z-sector syndrome and the reverse),
     # which the benchmark's set-up count reads: both are the one mask array
     x_corrections = property(lambda self: self.masks)
     z_corrections = x_corrections
+
+
+def _mix(words: np.ndarray, m: int) -> np.ndarray:
+    """The table keys of m-bit syndromes: the words themselves for m <= 18,
+    else ``x ^= x << 13; x ^= x << 7`` on m bits. Either map is invertible
+    and GF(2)-linear, so the key of an XOR is the XOR of the keys."""
+    if m <= _BUCKET_BITS:
+        return words
+    low = np.uint64((1 << m) - 1)
+    words = words ^ (words << _SHIFT_A) & low
+    return words ^ (words << _SHIFT_B) & low
 
 
 def enumeration_count(n: int, max_weight: int) -> int:
@@ -64,10 +90,10 @@ def build_table(
 
     Each weight's supports are the previous weight's, each followed by
     every qubit after its last (``itertools.combinations`` order), with the
-    parent's syndrome and mask plus one column and one bit. One sort of the
-    words ``syndrome << index_bits | index`` puts each syndrome's first
-    writer first, so the sector rows plus the index bits must fit in 64
-    bits (``ValueError`` otherwise).
+    parent's key and mask plus one column's key and one bit. One sort of
+    the words ``key << index_bits | index`` puts each key's first writer
+    first and the keys in bucket order, so the sector rows plus the index
+    bits must fit in 64 bits (``ValueError`` otherwise).
     """
     if not code.css:
         raise ValueError("lookup decoding is implemented for CSS codes only")
@@ -84,12 +110,14 @@ def build_table(
             f"budget is {budget}; lower max_weight or raise the budget"
         )
     index_bits = (required - 1).bit_length()
-    if len(rows) + index_bits > 64:
-        raise ValueError(f"{len(rows)} sector rows and {index_bits} index bits "
+    m = len(rows)
+    if m + index_bits > 64:
+        raise ValueError(f"{m} sector rows and {index_bits} index bits "
                          "exceed a 64-bit sort word; lower max_weight")
-    # column q: the syndrome of an error on qubit q, bit i set where row i holds q
+    # column q: the key of the syndrome of an error on qubit q (bit i set where
+    # row i holds q); the mix is linear, so the supports' XORs are keys too
     bits = (np.array(rows, np.uint64)[:, None] >> np.arange(code.n, dtype=np.uint64)) & 1
-    col_words = np.bitwise_or.reduce(bits << np.arange(len(rows), dtype=np.uint64)[:, None])
+    col_words = _mix(np.bitwise_or.reduce(bits << np.arange(m, dtype=np.uint64)[:, None]), m)
     qubit_words = np.uint64(1) << np.arange(code.n, dtype=np.uint64)
     keys = np.zeros(required, np.uint64)  # weight 0: the zero syndrome, no correction
     masks = np.zeros(required, np.uint64)
@@ -105,10 +133,21 @@ def build_table(
         start, stop = stop, end
     packed = keys << np.uint64(index_bits) | np.arange(required, dtype=np.uint64)
     packed.sort()
-    syndromes = packed >> np.uint64(index_bits)
-    first = np.concatenate(([True], syndromes[1:] != syndromes[:-1]))
-    index = packed[first] & np.uint64((1 << index_bits) - 1)
-    return SyndromeTable(syndromes[first], masks[index], _gf2_pivots(rows))
+    keys = packed >> np.uint64(index_bits)
+    # each key's run starts with its first writer; one array at a time, so
+    # each full-length one is freed before the next is taken
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys = keys.take(first)
+    packed = packed.take(first)
+    packed &= np.uint64((1 << index_bits) - 1)
+    masks = masks.take(packed.view(np.int64))
+    shift = m - min(m, _BUCKET_BITS)
+    sizes = np.bincount((keys >> np.uint64(shift)).view(np.int64), minlength=1 << (m - shift))
+    pivots = _gf2_pivots(rows)
+    solve = np.array([sum(1 << col for col, sel in pivots if sel >> i & 1) for i in range(m)],
+                     np.uint64)
+    return SyndromeTable(keys, masks, m, np.concatenate(([0], np.cumsum(sizes))), shift,
+                         int(sizes.max() - 1).bit_length(), solve)
 
 
 def split_sectors(code: StabilizerCode, syndrome: int) -> tuple[int, int]:
@@ -124,27 +163,35 @@ def split_sectors(code: StabilizerCode, syndrome: int) -> tuple[int, int]:
 def decode_sector_masks(table: SyndromeTable, x_part: np.ndarray,
                         z_part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x_masks, z_masks) corrections for uint64 arrays of X-sector and
-    Z-sector syndromes, both sectors looked up in one pass. Syndromes the
+    Z-sector syndromes, both sectors looked up in one pass: each key's
+    bucket, then ``table.steps`` bisection steps inside it. Syndromes the
     table does not cover fall back to a GF(2) solve and count in
-    ``table.fallback_decodes``: pivot column ``col`` of the solution is
-    set when the syndrome bits ``sel`` have odd parity."""
+    ``table.fallback_decodes``: the XOR of ``table.solve[i]`` over the
+    syndrome's set bits i."""
     syndromes = np.concatenate((z_part, x_part))
-    # keys[0] == 0 <= every syndrome, so the index is in range
-    index = table.keys.searchsorted(syndromes, "right") - 1
-    masks = table.masks[index]
-    missing = table.keys[index] != syndromes
+    keys = _mix(syndromes, table.m)
+    bucket = keys >> np.uint64(table.shift) if table.shift else keys
+    # a key in bucket h lies at lo <= i < hi; an empty bucket at the end has
+    # lo == len(keys), hence the clipped reads, whose keys then differ
+    lo = table.starts[bucket]
+    if table.steps:
+        hi = table.starts[bucket + _ONE]
+        for _ in range(table.steps):
+            mid = (lo + hi) >> 1
+            right = table.keys.take(mid, mode="clip") <= keys
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    masks = table.masks.take(lo, mode="clip")
+    missing = table.keys.take(lo, mode="clip") != keys
     count = int(np.count_nonzero(missing))
     if count:
         table.fallback_decodes += count
-        unknown = syndromes[missing]
-        solved = np.zeros(count, np.uint64)
-        for col, sel in table.pivots:
-            solved |= (popcount64(unknown & np.uint64(sel)) & _ONE) << np.uint64(col)
-        masks[missing] = solved
+        bits = syndromes[missing] >> np.arange(table.m, dtype=np.uint64)[:, None] & _ONE
+        masks[missing] = np.bitwise_xor.reduce(bits * table.solve[:, None], axis=0)
     return masks[:len(z_part)], masks[len(z_part):]
 
 
-# built once: the GF(2) fallback counts bits once per pivot column, on a few words
+# built once: the shifts of the key mix and the constants of ``popcount64``
+_SHIFT_A, _SHIFT_B = np.uint64(13), np.uint64(7)
 _ONE, _TWO, _FOUR, _TOP = (np.uint64(s) for s in (1, 2, 4, 56))
 _M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 

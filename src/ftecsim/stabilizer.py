@@ -10,7 +10,8 @@ which is what keeps the sampler's inner loop cheap.
 
 One GF(2) row reduction, :func:`_gf2_pivots`, serves the whole package:
 the code's independence check reads its rank, and the decoder's fallback
-(``recovery.decode_sector_masks``) solves syndromes from its pivots.
+(``recovery.decode_sector_masks``) solves syndromes with a matrix that
+``recovery.build_table`` reads off its pivots.
 """
 
 from __future__ import annotations

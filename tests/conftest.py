@@ -23,6 +23,12 @@ def run_stream(kind: str, t: int, stream):
     return decision
 
 
+def advance(table, state, changed):
+    """One round of a policy table: the next state and its entry column."""
+    state = table.successor[2 * state + changed]
+    return state, table.entries[:, state]
+
+
 @pytest.fixture(scope="session")
 def code3():
     return build_hex_color_code(3)

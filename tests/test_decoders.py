@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from conftest import run_stream
+from conftest import advance, run_stream
 from ftecsim.colorcode import build_hex_color_code
 from ftecsim.decoders import (
     BUDGET_EXHAUSTED,
@@ -179,6 +179,7 @@ def test_policy_tables_match_rule_exhaustively():
                             else REASONS.index(decision.stopped_by))
                 assert (code, pick) == (expected, decision.round_index or 0), (kind, t, delta)
                 assert kind == "shor" or faults == min_faults(delta), (kind, t, delta)
+                assert table.stops[state] == (code != CODE_CONTINUE)
                 following = successor[2 * state: 2 * state + 2]
                 if code == CODE_CONTINUE:
                     stack += [(s, delta + b) for s, b in zip(following, "01")]
@@ -216,7 +217,7 @@ def test_two_stage_budget_arithmetic():
     for kind in ("strong", "weak"):
         table = policy_table(kind, 2)
         for changed in (False, True):
-            _, (code, pick, _) = table.advance(table.root[0], changed)
+            _, (code, pick, _) = advance(table, table.root[0], changed)
             assert (REASONS[code], pick) == (BUDGET_EXHAUSTED.stopped_by,
                                              BUDGET_EXHAUSTED.round_index)
 
@@ -245,9 +246,9 @@ def test_policy_table_stop_state_has_no_successor():
         for changed in (False, True):
             state, code = table.root[2], CODE_CONTINUE
             while code == CODE_CONTINUE:
-                state, (code, _, _) = table.advance(state, changed)
+                state, (code, _, _) = advance(table, state, changed)
             with pytest.raises(IndexError):
-                table.advance(state, changed)
+                advance(table, state, changed)
 
 
 def test_two_stage_rejects_shor():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import run_stream
+from conftest import advance, run_stream
 from ftecsim import harness
 from ftecsim.decoders import (
     BUDGET_EXHAUSTED,
@@ -93,6 +93,97 @@ def test_engine_policy_stream_matches_state_machines():
                     "weak": {USABLE_RUN, PAIR_COUNT, WEAK_NO_CORRECTION}}
 
 
+def _run_policy_per_round_entries(table, next_round, budget, path=(), order=None):
+    """The earlier policy loop, kept as the reference of ``_run_policy``:
+    each round reads the new states' three entry rows and scatters every
+    stop's four values."""
+    n = len(budget)
+    history = np.zeros((table.max_rounds, n), np.uint64)
+    chosen_round, rounds, reason, faults = (np.zeros(n, np.int64) for _ in range(4))
+    active = np.arange(n) if order is None else order
+    prev = np.zeros(n, np.uint64)
+    state = table.root[budget[active]]
+    r = 0
+    while active.size or r < len(path):
+        syn, running = next_round(active, r + 1)
+        if len(running) > len(active):
+            old = running < len(rounds)
+            joined_prev = np.zeros(len(running), np.uint64)
+            joined_prev[old] = prev
+            joined_state = np.full(len(running), path[r])
+            joined_state[old] = state
+            active, prev, state = running, joined_prev, joined_state
+            history, chosen_round, rounds, reason, faults = (
+                np.concatenate((a, np.zeros((*a.shape[:-1], (~old).sum()), a.dtype)), axis=-1)
+                for a in (history, chosen_round, rounds, reason, faults))
+        history[r, active] = syn
+        r += 1
+        state, (code, pick, evidenced) = advance(table, state, syn != prev)
+        prev = syn
+        stop = code != CODE_CONTINUE
+        done = active[stop]
+        chosen_round[done] = pick[stop]
+        rounds[done] = r
+        reason[done] = code[stop]
+        faults[done] = evidenced[stop]
+        active, prev, state = active[~stop], prev[~stop], state[~stop]
+    chosen = history[chosen_round - 1, np.arange(len(rounds))]
+    chosen[chosen_round == 0] = 0
+    return chosen, chosen_round, rounds, reason, faults
+
+
+class _Script:
+    """Round source with joins: shot i reports ``streams[i]``; a shot that
+    joins in round r reports zeros before it. While the noiseless path
+    lasts, each round a seeded draw adds new shots (one to three in round
+    1, up to three later) at random places among the running ones,
+    keeping their order."""
+
+    def __init__(self, streams, path_rounds, seed):
+        self.streams, self.path_rounds, self.seed = streams, path_rounds, seed
+        self.joined = {}  # shot -> the round it joined in
+        self.total = 0
+
+    def __call__(self, active, r):
+        if self.total == 0:
+            self.total = int(active.max(initial=-1)) + 1
+        draw = np.random.default_rng((self.seed, r))
+        if r <= self.path_rounds:
+            for _ in range(int(draw.integers(r == 1, 4))):
+                active = np.insert(active, int(draw.integers(0, len(active) + 1)), self.total)
+                self.joined[self.total] = r
+                self.total += 1
+        syn = np.array([self.streams[i % len(self.streams)][r - 1]
+                        if r >= self.joined.get(i, 1) else 0 for i in active.tolist()],
+                       np.uint64)
+        return syn, active
+
+
+def test_run_policy_matches_per_round_entry_loop():
+    """``_run_policy``'s stop flags and one entry read per shot give the five
+    arrays of the per-round-entry loop, for every kind and t = 1..4: random
+    syndromes, budgets 0..t, a shuffled order, and shots joining along the
+    noiseless path."""
+    rng = np.random.default_rng(2024)
+    for kind in KINDS:
+        for t in (1, 2, 3, 4):
+            table = policy_table(kind, t)
+            path, state = [], table.root[t]
+            while not table.stops[state]:
+                path.append(state)
+                state = table.successor[2 * state]
+            streams = [_random_stream(rng, table.max_rounds + 1) for _ in range(200)]
+            budget = rng.integers(0, t + 1, size=200)
+            for joins, order in (((), None), (path, None), (path, rng.permutation(200))):
+                seed = int(rng.integers(1 << 30))
+                got, expected = (run(table, _Script(streams, len(joins), seed), budget, joins,
+                                     order)
+                                 for run in (_run_policy, _run_policy_per_round_entries))
+                for a, b in zip(got, expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kind, t)
+                assert len(got[0]) > 200 or not joins
+
+
 def test_history_min_faults_matches_diffvec():
     """The min-faults row along every reachable prefix of random
     histories, walking the successors for every budget up to t=4."""
@@ -106,7 +197,7 @@ def test_history_min_faults_matches_diffvec():
             for budget in range(1, 5):
                 state, prev = table.root[budget], 0
                 for length, syn in enumerate(stream):
-                    state, (code, _, faults) = table.advance(state, syn != prev)
+                    state, (code, _, faults) = advance(table, state, syn != prev)
                     prev = syn
                     assert faults == min_faults(delta[:length])
                     if code != CODE_CONTINUE:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from ftecsim import build_hex_color_code
 from ftecsim.harness import default_built_to_weight
 from ftecsim.recovery import (
+    _mix,
+    _sector_rows,
     build_table,
     decode,
     decode_sector_masks,
@@ -14,7 +17,7 @@ from ftecsim.recovery import (
     popcount64,
     split_sectors,
 )
-from ftecsim.stabilizer import PauliOperator, multiply, syndrome_of
+from ftecsim.stabilizer import PauliOperator, _gf2_pivots, multiply, syndrome_of
 
 
 def all_paulis_up_to(n, wmax):
@@ -60,9 +63,11 @@ def _loop_table(code, weight):
     return expected
 
 
+@functools.cache
 def _combinations_table(code, weight):
     """(keys, masks) from the earlier array build: ``itertools.combinations``
-    supports, each XORed over its columns, and ``np.unique``'s first index."""
+    supports, each XORed over its columns, and ``np.unique``'s first index:
+    the true syndromes, sorted, each with its first writer."""
     cols = np.array(_sector_columns(code), np.uint64)
     keys, masks = [np.zeros(1, np.uint64)], [np.zeros(1, np.uint64)]
     for w in range(1, weight + 1):
@@ -74,12 +79,57 @@ def _combinations_table(code, weight):
     return keys, np.concatenate(masks)[first]
 
 
+def _key_map(words, m):
+    """The table's key map L, restated: the syndrome itself up to 18 bits,
+    else ``x ^= x << 13; x ^= x << 7`` on m bits."""
+    if m <= 18:
+        return words
+    low = np.uint64((1 << m) - 1)
+    words = words ^ (words << np.uint64(13)) & low
+    return words ^ (words << np.uint64(7)) & low
+
+
+def _unmix(keys, m):
+    """The inverse of ``_key_map``: undo each step by fixed-point iteration."""
+    low = np.uint64((1 << m) - 1)
+    for shift in (7, 13) if m > 18 else ():
+        words = keys
+        for _ in range(m // shift + 1):
+            words = keys ^ (words << np.uint64(shift)) & low
+        keys = words
+    return keys
+
+
+def _check_index(table):
+    """The bucket index: one bucket per value of the keys' top bits, the
+    buckets contiguous and in key order, each key inside its own bucket,
+    and ``steps`` bisection steps enough for the largest bucket."""
+    keys, starts = table.keys, table.starts
+    assert len(starts) == (1 << min(table.m, 18)) + 1
+    assert table.shift == table.m - min(table.m, 18)
+    assert starts[0] == 0 and starts[-1] == len(keys)
+    assert (starts[1:] >= starts[:-1]).all()
+    assert (keys[1:] > keys[:-1]).all()
+    position = np.arange(len(keys))
+    bucket = keys >> np.uint64(table.shift)
+    assert ((starts[bucket] <= position) & (position < starts[bucket + np.uint64(1)])).all()
+    largest = int(np.diff(starts).max())
+    assert 1 << table.steps >= largest > 1 << table.steps >> 1
+
+
 def _check_table(code, weight, loop=True):
+    """The table against the earlier array build: up to d=7 byte for byte;
+    at d=9 its keys are the build's syndromes mapped through L and sorted,
+    with the build's masks in that order."""
     table = build_table(code, weight)
     keys, masks = _combinations_table(code, weight)
+    order = np.argsort(_key_map(keys, table.m), kind="stable")
+    if table.m <= 18:
+        assert (order == np.arange(len(keys))).all()
     assert table.keys.dtype == table.masks.dtype == np.uint64
-    assert table.keys.tobytes() == keys.tobytes()
-    assert table.masks.tobytes() == masks.tobytes()
+    assert table.keys.tobytes() == _key_map(keys, table.m)[order].tobytes()
+    assert table.masks.tobytes() == masks[order].tobytes()
+    _check_index(table)
     if loop:
         expected = _loop_table(code, weight)
         assert table.keys.tolist() == sorted(expected)
@@ -90,7 +140,7 @@ def _check_table(code, weight, loop=True):
 def test_table_matches_first_writer_wins_enumeration(d):
     """The build at the default weight against the array build it replaced
     and, below d=9 (where it takes seconds), the plain loop. At d=9 that is
-    559,736 supports and 465,741 syndromes."""
+    559,736 supports and 465,741 syndromes, whose 30-bit keys are mixed."""
     code = build_hex_color_code(d)
     _check_table(code, default_built_to_weight(code, (d - 1) // 2), loop=d < 9)
 
@@ -216,6 +266,75 @@ def test_lookup_counts_misses_and_reproduces_syndromes(code5):
     assert type(table.fallback_decodes) is int  # the benchmark writes it to JSON
     for x, z, mx, mz in zip(x_part.tolist(), z_part.tolist(), cx.tolist(), cz.tolist()):
         assert split_sectors(code5, syndrome_of(code5, PauliOperator(19, mx, mz))) == (x, z)
+
+
+def test_key_map_is_invertible_and_linear():
+    """``_mix`` is the restated L, an XOR-preserving bijection on m bits."""
+    rng = np.random.default_rng(30)
+    for m in (3, 18, 19, 30, 40):
+        a, b = rng.integers(0, 1 << m, size=(2, 1000), dtype=np.uint64)
+        assert (_mix(a, m) == _key_map(a, m)).all() and (_mix(a, m) >> np.uint64(m) == 0).all()
+        assert (_mix(a ^ b, m) == _mix(a, m) ^ _mix(b, m)).all()
+        assert (_unmix(_mix(a, m), m) == a).all()
+
+
+def _reference_decode(code, weight, x_part, z_part):
+    """The earlier lookup: ``np.searchsorted`` over the sorted true
+    syndromes, and one ``popcount64`` parity per pivot column for the rest.
+    Returns both mask arrays and the count of syndromes it solved."""
+    keys, masks = _combinations_table(code, weight)
+    syndromes = np.concatenate((z_part, x_part))
+    index = keys.searchsorted(syndromes, "right") - 1
+    found = masks[index]
+    missing = keys[index] != syndromes
+    unknown = syndromes[missing]
+    solved = np.zeros(len(unknown), np.uint64)
+    for col, sel in _gf2_pivots(_sector_rows(code, code.z_sector)):
+        solved |= (popcount64(unknown & np.uint64(sel)) & np.uint64(1)) << np.uint64(col)
+    found[missing] = solved
+    return found[:len(z_part)], found[len(z_part):], int(missing.sum())
+
+
+@pytest.mark.parametrize("d, weight", [(3, 0), (5, 1), (7, 2), (9, 2), (9, 4)])
+def test_lookup_matches_binary_search_and_pivot_loop(d, weight):
+    """The bucketed lookup and the one-product fallback against the earlier
+    binary search and per-pivot loop, on covered and uncovered syndromes,
+    the edge words (zero, all ones, the syndromes whose keys are the first
+    and the last of every bucket's range), an empty batch and a batch with
+    exactly one miss: equal masks and an equal ``fallback_decodes`` delta.
+    (9, 4) is the default d=9 table, whose buckets take bisection steps;
+    every key of the largest bucket is looked up."""
+    code = build_hex_color_code(d)
+    table = build_table(code, weight)
+    m = table.m
+    covered = _combinations_table(code, weight)[0]
+    rng = np.random.default_rng(d * 10 + weight)
+    edge_keys = np.array([0, (1 << m) - 1], np.uint64)
+    # the first and the last key of each top-bits value, near the ends and in between
+    tops = np.array([0, 1, 2, (1 << min(m, 18)) - 2, (1 << min(m, 18)) - 1], np.uint64)
+    low = np.uint64((1 << table.shift) - 1)
+    largest = int(np.diff(table.starts).argmax())
+    edge_keys = np.concatenate((edge_keys, tops << np.uint64(table.shift),
+                                tops << np.uint64(table.shift) | low))
+    words = np.concatenate((
+        rng.choice(covered, size=600),
+        rng.integers(0, 1 << m, size=600, dtype=np.uint64),
+        covered[-3:], _unmix(edge_keys, m), _unmix(table.keys[-3:], m),
+        _unmix(table.keys[table.starts[largest]:table.starts[largest + 1]], m),
+    ))
+    rng.shuffle(words)
+    x_part, z_part = words[: len(words) // 2], words[len(words) // 2:]
+    cases = [(x_part, z_part), (x_part[:0], z_part[:0])]
+    miss = words[~np.isin(words, covered)][:1]
+    assert len(miss) == 1  # every table here leaves syndromes uncovered
+    cases.append((np.concatenate((covered[:5], miss)), covered[5:9]))
+    for x, z in cases:
+        ref_x, ref_z, ref_count = _reference_decode(code, weight, x, z)
+        before = table.fallback_decodes
+        got_x, got_z = decode_sector_masks(table, x, z)
+        assert got_x.tobytes() == ref_x.tobytes() and got_z.tobytes() == ref_z.tobytes()
+        assert table.fallback_decodes - before == ref_count
+    assert ref_count == 1
 
 
 def test_popcount64_matches_bit_count():
