@@ -143,9 +143,10 @@ def _curve(probes) -> list[dict]:
 
 
 def _cmd_pseudothreshold(args) -> int:
+    config = _config(args)
     try:
         result = estimate_pseudothreshold(
-            _config(args),
+            config,
             args.p_lo,
             args.p_hi,
             shots_per_probe=args.shots_per_probe,
@@ -160,6 +161,11 @@ def _cmd_pseudothreshold(args) -> int:
         "seed": args.seed,
         "d": args.d,
         "decoder": args.decoder,
+        "css_two_stage": config.css_two_stage,
+        "workers": config.workers or 1,
+        "p_lo": args.p_lo,
+        "p_hi": args.p_hi,
+        "iterations": args.iterations,
         "pseudothreshold": result.estimate,
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,

@@ -165,6 +165,14 @@ def _flip_and_deposit(kind: str, value, letter: str) -> tuple[bool, str]:
     return kind == MEASUREMENT or value in ("X", "Y"), "I"
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal ``values``."""
+    first = np.zeros(len(values), bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 class CompiledSchedule:
     """One measurement schedule and its fault table.
 
@@ -297,7 +305,7 @@ class CompiledSchedule:
         """
         report = (frames.syndrome[active] >> np.uint64(self.base)) & np.uint64(self.local_mask)
         if len(shot):
-            starts = np.flatnonzero(np.diff(shot, prepend=-1))
+            starts = np.flatnonzero(_run_starts(shot))  # where each shot's faults start
             folded = np.bitwise_xor.reduceat(np.take(self.words, row, axis=0), starts, axis=0)
             hit = shot[starts]
             report[hit] ^= folded[:, 0]

@@ -78,6 +78,7 @@ from .extraction import (
     FrameBatch,
     NoiseModel,
     _check_rate,
+    _run_starts,
     compile_schedule,
     inject_round,
     sample_round,
@@ -300,13 +301,16 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), ord
         stop = table.stops[state]
         if not stop.any():
             continue
-        done = active[stop]
-        final[done] = state[stop]
-        rounds[done] = r
-        keep = ~stop
+        # index arrays, so that no selection counts the mask again
+        done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+        stopped = active[done]
+        final[stopped] = state[done]
+        rounds[stopped] = r
         active, prev, state = active[keep], prev[keep], state[keep]
-    reason, chosen_round, faults = table.entries[:, final]
-    chosen = history[chosen_round - 1, np.arange(len(rounds))]
+    reason, chosen_round, faults = table.entries.take(final, axis=1)
+    n = len(rounds)  # the joined shots included
+    # a shot with no chosen round (0) reads the last row; it is zeroed below
+    chosen = history.ravel().take((chosen_round - 1) * n + np.arange(n))
     chosen[chosen_round == 0] = 0
     return chosen, chosen_round, rounds, reason, faults
 
@@ -408,17 +412,17 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
     def fold_round(compiled, active, r, _):
         nonlocal sid
         if not quiet:
-            return np.concatenate([
-                _apply_faults(compiled, frames, *compiled.draw(p, len(part), rngs[0]),
-                              active[part.start:part.stop])
-                for part in compiled.slices(p, len(active))]), active
+            syn = [_apply_faults(compiled, frames, *compiled.draw(p, len(part), rngs[0]),
+                                 active[part.start:part.stop])
+                   for part in compiled.slices(p, len(active))]
+            return (syn[0] if len(syn) == 1 else np.concatenate(syn)), active
         run = sid[active]  # the running explicit shots, in shot order
         # while quiet shots run, so does every shot but the explicit ones that stopped
         quiet_run = r <= len(path)
         if quiet_run:
             stopped = np.ones(len(sid), bool)
             stopped[active] = False
-            gone = np.sort(sid[stopped])
+            gone = np.sort(sid[np.flatnonzero(stopped)])
         edges = np.searchsorted(gone if quiet_run else run, offsets)
         hit, row = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for i, rng in enumerate(rngs):
@@ -433,9 +437,10 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
                 row.append(rows)
         hit, row = np.concatenate(hit), np.concatenate(row)
         if quiet_run:
-            # the quiet shots met now (no shot index is -1) join, in shot order
-            new = hit[np.append(run, -1)[np.searchsorted(run, hit)] != hit]
-            new = new[np.diff(new, prepend=-1) > 0]
+            # the quiet shots met now join, once each, in shot order (-1 is no shot)
+            first = _run_starts(hit)
+            first &= np.append(run, -1)[np.searchsorted(run, hit)] != hit
+            new = hit[np.flatnonzero(first)]
             at = np.searchsorted(run, new)
             active = np.insert(active, at, np.arange(len(sid), len(sid) + len(new)))
             run = np.insert(run, at, new)
@@ -448,7 +453,7 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
     # a later stage starts with the explicit shots in shot order
     residual, rounds, reason = _run_shots(ctx, frames, fold_round, path,
                                           (lambda: np.argsort(sid)) if quiet else None)
-    errors = _logical_errors(ctx, frames, residual)
+    errors = np.flatnonzero(_logical_errors(ctx, frames, residual))
     chunk = np.searchsorted(offsets, sid, side="right") - 1 if quiet else np.zeros(n, np.intp)
 
     def per_chunk(values, width):

@@ -260,6 +260,27 @@ def test_pseudothreshold_cli(tmp_path):
     assert 2e-4 < payload["pseudothreshold"] < 5e-3
     assert payload["ci_low"] <= payload["pseudothreshold"] <= payload["ci_high"]
     assert len(payload["probes"]) >= 6
+    # what a rerun needs, beside seed, d, decoder and shots_per_probe
+    assert {k: payload[k] for k in ("css_two_stage", "workers", "p_lo", "p_hi",
+                                    "iterations")} == {
+        "css_two_stage": False, "workers": 1, "p_lo": 2e-4, "p_hi": 5e-3, "iterations": 4}
+
+
+def test_pseudothreshold_json_tells_two_stage_runs_apart(tmp_path):
+    """A two-stage estimate records its mode and worker count, so its JSON
+    differs from the single-stage run's and says how to rerun it."""
+    out = tmp_path / "pt.json"
+    assert run_cli([
+        "pseudothreshold", "--d", "3", "--decoder", "weak", "--css-two-stage",
+        "--p-lo", "2e-4", "--p-hi", "5e-3", "--shots-per-probe", "20000",
+        "--iterations", "0", "--seed", "1", "--workers", "2", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert {k: payload[k] for k in ("css_two_stage", "workers", "p_lo", "p_hi",
+                                    "iterations", "shots_per_probe")} == {
+        "css_two_stage": True, "workers": 2, "p_lo": 2e-4, "p_hi": 5e-3, "iterations": 0,
+        "shots_per_probe": 20000}
+    assert len(payload["probes"]) == 2
 
 
 def test_module_entry_point():

@@ -246,7 +246,8 @@ def _fold_matches_inject_round(compiled, rng, fault_rows):
 @pytest.mark.parametrize("sector", ["all", "x", "z"])
 def test_batched_fold_matches_apply_faults(d, sector):
     """The batched words and the scalar effects of every table row give the
-    same reports and frames: first random fault sets, then each row alone."""
+    same reports and frames: first random fault sets, then each row alone,
+    then the edges of fold's per-shot segments."""
     compiled = compile_schedule(build_hex_color_code(d), NOISELESS, sector)
     n_rows = len(compiled.effects)
     assert compiled.words.shape == (n_rows, 4)
@@ -260,6 +261,16 @@ def test_batched_fold_matches_apply_faults(d, sector):
     _fold_matches_inject_round(compiled, rng, fault_rows)
     # one fault per shot, every row exactly once
     _fold_matches_inject_round(compiled, rng, [[int(r)] for r in rng.permutation(n_rows)])
+    rows = [int(r) for r in rng.permutation(n_rows)[:9]]
+    for fault_rows in (
+        [[], [], [rows[0]], [], []],  # one fault in the whole batch
+        [[rows[0]]],
+        [[], rows, []],  # every fault on one shot
+        [rows],
+        [[], [], [], rows[:4]],  # faults only on the last active shot
+        [rows[:3], [rows[3]], [], rows[4:]],  # a repeated shot at both ends
+    ):
+        _fold_matches_inject_round(compiled, rng, fault_rows)
 
 
 def test_batched_round_noise_extremes(code5):

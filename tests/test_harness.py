@@ -273,6 +273,24 @@ def test_group_rows_equal_one_chunk_at_a_time(d, decoder, two_stage):
                     == [rng.integers(1 << 62) for rng in alone]), (p, g)
 
 
+def test_multi_slice_explicit_round_pinned():
+    """One explicit 4096-shot chunk whose rounds are drawn and folded in
+    several slices (``CompiledSchedule.slices``): its count row, pinned.
+    At these rates every shot runs to the same round and stop, so the
+    logical-error count is what reads the folded frames."""
+    for key, p, n_slices, errors, rounds, reason in (
+        ((5, "strong", False, None), 0.3, [2], 3058, 5, 1),
+        ((5, "strong", False, None), 1.0, [6], 3095, 5, 1),
+        ((9, "weak", True, None), 0.3, [3, 3], 3089, 9, 0),
+    ):
+        ctx = harness._context(key)
+        assert [len(s.slices(p, 4096)) for s in ctx.stages] == n_slices
+        row = harness._simulate_group(ctx, p, [4096], [harness._chunk_seed(7, 0, 0)])
+        want = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
+        want[[0, 1 + rounds, ctx.cap + 2 + reason]] = errors, 4096, 4096
+        assert row.tolist() == [want.tolist()], (key, p)
+
+
 def test_fixed_seed_outputs_pinned():
     """Fixed-seed outputs of the chunk-at-a-time engine, pinned: a change to
     what any chunk draws, or to how its shots are counted, fails here."""
