@@ -224,8 +224,6 @@ class _Context:
             else default_built_to_weight(self.code, self.t)
         )
         self.table = build_table(self.code, weight)
-        self.m = len(self.code.x_sector)
-        self.x_mask = np.uint64((1 << self.m) - 1)
         # per stage, its compiled schedule; its ``base`` places the stage's
         # reported bits in the full syndrome
         sectors = ("x", "z") if css_two_stage else ("all",)
@@ -331,8 +329,7 @@ def _apply_faults(compiled: CompiledSchedule, frames: FrameBatch, shot: np.ndarr
 def _decode_into(ctx: _Context, frames: FrameBatch, syndrome: np.ndarray) -> None:
     """XOR the decoded correction of each shot's ``syndrome`` into its frame."""
     hit = np.flatnonzero(syndrome)
-    part = syndrome[hit]
-    cx, cz = decode_sector_masks(ctx.table, part & ctx.x_mask, part >> np.uint64(ctx.m))
+    cx, cz = decode_sector_masks(ctx.table, syndrome[hit])
     frames.x[hit] ^= cx
     frames.z[hit] ^= cz
 

@@ -14,6 +14,11 @@ Syndromes beyond the enumerated weight fall back to an any-solution
 GF(2) solve, one product with a matrix read off the pivots of the one
 row reduction in ``stabilizer._gf2_pivots``; those syndromes only arise
 past the fault budget, where no fault-tolerance guarantee applies.
+
+This module owns the syndrome layout: :func:`decode_sector_masks` splits
+packed full syndromes itself (X sector in bits 0..m-1, Z sector in bits
+m..2m-1) for the engine and :func:`decode` alike, and :func:`build_table`
+refuses a code laid out otherwise.
 """
 
 from __future__ import annotations
@@ -41,16 +46,18 @@ def _sector_rows(code: StabilizerCode, sector: tuple[int, ...]) -> list[int]:
 class SyndromeTable:
     """One minimum-weight lookup for both sectors, plus the GF(2) fallback.
 
-    ``keys`` are the ``_mix`` keys of the distinct m-bit sector syndromes
-    of the enumerated supports, sorted: the syndromes themselves for
-    m <= 18 (d <= 7), their mix beyond. ``masks[i]`` is the qubit mask of
-    the first support (in weight, then ``itertools.combinations``, order)
-    whose key is ``keys[i]``. Both are uint64 arrays, so a code has at most
-    64 qubits. The keys whose top bits (``key >> shift``) read h fill
-    positions ``starts[h]`` to ``starts[h + 1] - 1``; ``steps`` bisection
-    steps find a key in the largest such bucket. ``solve[i]`` is the
-    fallback's correction for the syndrome bit i alone: the pivot columns
-    of ``stabilizer._gf2_pivots`` whose selectors hold row i.
+    ``m`` is the number of generators per sector, so a packed full
+    syndrome holds its X sector at bits 0..m-1 and its Z sector at bits
+    m..2m-1. ``keys`` are the ``_mix`` keys of the distinct m-bit sector
+    syndromes of the enumerated supports, sorted: the syndromes themselves
+    for m <= 18 (d <= 7), their mix beyond. ``masks[i]`` is the qubit mask
+    of the first support (in weight, then ``itertools.combinations``,
+    order) whose key is ``keys[i]``. Both are uint64 arrays, so a code has
+    at most 64 qubits. The keys whose top bits (``key >> shift``) read h
+    fill positions ``starts[h]`` to ``starts[h + 1] - 1``; ``steps``
+    bisection steps find a key in the largest such bucket. ``solve[i]`` is
+    the fallback's correction for the sector syndrome bit i alone: the
+    pivot columns of ``stabilizer._gf2_pivots`` whose selectors hold row i.
     """
 
     keys: np.ndarray
@@ -103,6 +110,10 @@ def build_table(
     if rows != _sector_rows(code, code.x_sector):  # detect Z errors
         raise ValueError("lookup decoding needs a self-dual CSS code "
                          "(equal X-sector and Z-sector check matrices)")
+    m = len(rows)
+    if code.x_sector != tuple(range(m)) or code.z_sector != tuple(range(m, 2 * m)):
+        raise ValueError("lookup decoding needs the syndrome layout x_sector = 0..m-1, "
+                         "z_sector = m..2m-1")
     required = enumeration_count(code.n, max_weight)
     if required > budget:
         raise ValueError(
@@ -110,7 +121,6 @@ def build_table(
             f"budget is {budget}; lower max_weight or raise the budget"
         )
     index_bits = (required - 1).bit_length()
-    m = len(rows)
     if m + index_bits > 64:
         raise ValueError(f"{m} sector rows and {index_bits} index bits "
                          "exceed a 64-bit sort word; lower max_weight")
@@ -150,25 +160,17 @@ def build_table(
                          int(sizes.max() - 1).bit_length(), solve)
 
 
-def split_sectors(code: StabilizerCode, syndrome: int) -> tuple[int, int]:
-    """(X-sector bits, Z-sector bits) of a packed full syndrome."""
-    x_part = z_part = 0
-    for local, gi in enumerate(code.x_sector):
-        x_part |= ((syndrome >> gi) & 1) << local
-    for local, gi in enumerate(code.z_sector):
-        z_part |= ((syndrome >> gi) & 1) << local
-    return x_part, z_part
-
-
-def decode_sector_masks(table: SyndromeTable, x_part: np.ndarray,
-                        z_part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x_masks, z_masks) corrections for uint64 arrays of X-sector and
-    Z-sector syndromes, both sectors looked up in one pass: each key's
-    bucket, then ``table.steps`` bisection steps inside it. Syndromes the
-    table does not cover fall back to a GF(2) solve and count in
-    ``table.fallback_decodes``: the XOR of ``table.solve[i]`` over the
-    syndrome's set bits i."""
-    syndromes = np.concatenate((z_part, x_part))
+def decode_sector_masks(table: SyndromeTable,
+                        syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_masks, z_masks) corrections for a uint64 array of packed full
+    syndromes, X sector in bits 0..m-1 and Z sector in bits m..2m-1; X
+    corrections are keyed by the Z sector. Both sectors are looked up in one
+    pass: each key's bucket, then ``table.steps`` bisection steps inside it.
+    Sector syndromes the table does not cover fall back to a GF(2) solve and
+    count in ``table.fallback_decodes``: the XOR of ``table.solve[i]`` over
+    the set bits i."""
+    m = np.uint64(table.m)
+    syndromes = np.concatenate((syndromes >> m, syndromes & (_ONE << m) - _ONE))
     keys = _mix(syndromes, table.m)
     bucket = keys >> np.uint64(table.shift) if table.shift else keys
     # a key in bucket h lies at lo <= i < hi; an empty bucket at the end has
@@ -187,7 +189,8 @@ def decode_sector_masks(table: SyndromeTable, x_part: np.ndarray,
         table.fallback_decodes += count
         bits = syndromes[missing] >> np.arange(table.m, dtype=np.uint64)[:, None] & _ONE
         masks[missing] = np.bitwise_xor.reduce(bits * table.solve[:, None], axis=0)
-    return masks[:len(z_part)], masks[len(z_part):]
+    half = len(masks) >> 1
+    return masks[:half], masks[half:]
 
 
 # built once: the shifts of the key mix and the constants of ``popcount64``
@@ -207,9 +210,7 @@ def popcount64(words: np.ndarray) -> np.ndarray:
 
 def decode(table: SyndromeTable, code: StabilizerCode, syndrome: int) -> PauliOperator:
     """A Pauli whose syndrome equals the input, minimum weight when covered."""
-    x_part, z_part = split_sectors(code, syndrome)
-    x_mask, z_mask = decode_sector_masks(table, np.array([x_part], np.uint64),
-                                         np.array([z_part], np.uint64))
+    x_mask, z_mask = decode_sector_masks(table, np.array([syndrome], np.uint64))
     result = PauliOperator(code.n, int(x_mask[0]), int(z_mask[0]))
     check = syndrome_of(code, result)
     if check != syndrome:

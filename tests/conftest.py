@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ftecsim import build_hex_color_code
@@ -32,6 +34,16 @@ def advance(table, state, changed):
 @pytest.fixture(scope="session")
 def code3():
     return build_hex_color_code(3)
+
+
+@pytest.fixture(scope="session")
+def interleaved3(code3):
+    """The d=3 code with its X and Z generators interleaved: self-dual, but
+    neither sector is one bit range of the packed syndrome."""
+    gens = code3.generators
+    return dataclasses.replace(
+        code3, generators=tuple(gens[i] for pair in zip((0, 1, 2), (3, 4, 5)) for i in pair),
+        x_sector=(0, 2, 4), z_sector=(1, 3, 5))
 
 
 @pytest.fixture(scope="session")

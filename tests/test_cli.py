@@ -216,6 +216,23 @@ def test_oracle_check_calls_oracle_once_per_case(tmp_path, monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_oracle_check_reports_mismatches(monkeypatch, capsys):
+    """A search that drops a run the oracle keeps is a mismatch: the sweep
+    exits 2 and lists that (delta, t) with both run sets."""
+    real = cli.find_usable
+
+    def dropping(t, delta):
+        runs = real(t, delta)
+        return runs[1:] if (delta, t) == ("0100010", 2) else runs
+
+    monkeypatch.setattr(cli, "find_usable", dropping)
+    assert run_cli(["oracle-check", "--max-len", "7", "--t-max", "2"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    [mismatch] = payload["mismatches"]
+    runs = [[r.start, r.end] for r in real(2, "0100010")]
+    assert mismatch == {"delta": "0100010", "t": 2, "search": runs[1:], "oracle": runs}
+
+
 def test_fault_enum_cli(tmp_path):
     out = tmp_path / "fe.json"
     assert run_cli(["fault-enum", "--d", "3", "--decoder", "weak",
@@ -264,6 +281,26 @@ def test_pseudothreshold_cli(tmp_path):
     assert {k: payload[k] for k in ("css_two_stage", "workers", "p_lo", "p_hi",
                                     "iterations")} == {
         "css_two_stage": False, "workers": 1, "p_lo": 2e-4, "p_hi": 5e-3, "iterations": 4}
+
+
+def test_pseudothreshold_exits(monkeypatch, capsys):
+    """No crossing in the bracket exits 2 with nothing on stdout and, on
+    stderr, the error and one curve row per probe; a reversed bracket is a
+    usage error."""
+    probes = []
+    real = harness._run_point
+    monkeypatch.setattr(harness, "_run_point",
+                        lambda cfg, p, *a: probes.append(p) or real(cfg, p, *a))
+    assert run_cli(["pseudothreshold", "--d", "3", "--decoder", "weak", "--p-lo", "0.3",
+                    "--p-hi", "0.5", "--shots-per-probe", "2000", "--iterations", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert "no crossing" in payload["error"]
+    assert [row["p"] for row in payload["curve"]] == probes == [0.3, 0.5]
+    assert run_cli(["pseudothreshold", "--d", "3", "--decoder", "weak",
+                    "--p-lo", "5e-3", "--p-hi", "2e-4"]) == 1
+    assert "need 0 < p_lo < p_hi <= 1" in capsys.readouterr().err
 
 
 def test_pseudothreshold_json_tells_two_stage_runs_apart(tmp_path):

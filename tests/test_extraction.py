@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -195,16 +194,11 @@ def test_sector_schedules(code5):
     assert sample_round(cs_x, frame, _rng()) == 0
 
 
-def test_sector_schedule_needs_contiguous_generators(code3):
-    # X and Z generators interleaved: the X sector is not one bit range
-    gens = code3.generators
-    interleaved = dataclasses.replace(
-        code3, generators=tuple(gens[i] for pair in zip((0, 1, 2), (3, 4, 5)) for i in pair),
-        x_sector=(0, 2, 4), z_sector=(1, 3, 5))
+def test_sector_schedule_needs_contiguous_generators(interleaved3):
     for sector in ("x", "z"):
         with pytest.raises(ValueError, match="contiguous"):
-            compile_schedule(interleaved, NOISELESS, sector)
-    assert compile_schedule(interleaved, NOISELESS, "all").n_circuits == 6
+            compile_schedule(interleaved3, NOISELESS, sector)
+    assert compile_schedule(interleaved3, NOISELESS, "all").n_circuits == 6
 
 
 def _random_frames(compiled, rng, shots):
@@ -301,3 +295,34 @@ def test_batched_round_noise_extremes(code5):
     # 0 < p < 1: the failing fraction of the grid is p
     shot, _ = compiled.draw(0.25, 2000, rng)
     assert abs(len(shot) / (2000 * compiled.n_locations) - 0.25) < 0.005
+
+
+class _UnitGaps:
+    """A generator whose geometric gaps are all 1, so every cell fails;
+    ``random`` delegates to a seeded ``Generator``. Counts its gap draws."""
+
+    def __init__(self, seed):
+        self.rng = _rng(seed)
+        self.geometric_calls = 0
+
+    def geometric(self, p, size):
+        self.geometric_calls += 1
+        return np.ones(size, np.int64)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def test_draw_refills_gaps_past_first_block(compiled3):
+    """At d=3, 3 shots and p = 0.01 the grid has 288 cells and the first
+    block of gaps covers 29 of them, so when every cell fails ``draw`` refills
+    nine times: ten gap draws, and every cell of the grid once, in order."""
+    n = compiled3.n_locations
+    assert 3 * n == 288
+    gen = _UnitGaps(5)
+    shot, row = compiled3.draw(0.01, 3, gen)
+    assert gen.geometric_calls == 10
+    assert np.array_equal(shot, np.repeat(np.arange(3), n))
+    loc = np.tile(np.arange(n), 3)
+    first = compiled3.first_row[loc]
+    assert ((first <= row) & (row < first + compiled3.n_choices[loc])).all()

@@ -11,16 +11,43 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_names_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     assert spans.WRAPPED
     missing = [
         (module, attr) for module, attr, *_ in spans.WRAPPED
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing
+
+
+def test_traced_run_point_records_decodes(tmp_path):
+    """One ``run_point`` with the traced wrappers installed: it returns what
+    the untraced run returns, and its ``recovery.decode`` spans read the
+    table's ``fallback_decodes`` through the wrapped calls' first argument.
+    A weight-1 d=5 table at p = 1e-2 leaves syndromes to the GF(2) fallback."""
+    from ftecsim.harness import ExperimentConfig, run_point
+
+    spans = _load("spans")
+    config = ExperimentConfig(d=5, decoder="strong", shots=4096, built_to_weight=1)
+    plain = run_point(config, 1e-2)
+    recorder = spans.Recorder(tmp_path)
+    install, uninstall = spans.installer(recorder)
+    install()
+    try:
+        traced = run_point(config, 1e-2)
+    finally:
+        uninstall()
+    assert traced == plain
+    decode = spans.layer_totals(recorder.take())["layers"]["recovery.decode"]
+    assert decode["calls"] > 0 and decode["extra"] > 0
 
 
 def test_imported_names_resolve():
@@ -49,10 +76,7 @@ def test_setup_reads_table_entries():
     once per sector. The two-stage shape that ``mc_d9_2stage`` times (x
     and z schedules, weak tables for budgets 1 and 2) builds too, at d=5:
     512 syndromes per sector and 22 reachable decision states."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load("workloads")
     out = workloads.build_all(3, ("strong",), (1,), ("all",))
     assert out["recovery.table_entries"] == 16
     out = workloads.build_all(5, ("weak",), (1, 2), ("all", "x", "z"))

@@ -15,7 +15,6 @@ from ftecsim.recovery import (
     enumeration_count,
     final_verdict,
     popcount64,
-    split_sectors,
 )
 from ftecsim.stabilizer import PauliOperator, _gf2_pivots, multiply, syndrome_of
 
@@ -28,6 +27,24 @@ def all_paulis_up_to(n, wmax):
                 for q, L in zip(support, letters):
                     p = multiply(p, PauliOperator.single(n, q, L))
                 yield p
+
+
+def _split(code, syndromes):
+    """(X-sector bits, Z-sector bits) of a uint64 array of packed full
+    syndromes, read bit by bit through the code's ``x_sector`` and
+    ``z_sector``: the split the lookup makes by one shift and one mask."""
+    parts = []
+    for sector in (code.x_sector, code.z_sector):
+        part = np.zeros_like(syndromes)
+        for local, gi in enumerate(sector):
+            part |= (syndromes >> np.uint64(gi) & np.uint64(1)) << np.uint64(local)
+        parts.append(part)
+    return tuple(parts)
+
+
+def _pack(x_part, z_part, m):
+    """Packed full syndromes from equal-length sector arrays."""
+    return x_part | z_part << np.uint64(m)
 
 
 def test_weight_one_table_has_distinct_syndromes(code3):
@@ -177,6 +194,14 @@ def test_table_needs_self_dual_code_of_at_most_64_qubits():
         build_table(build_hex_color_code(11), 1)  # n = 91
 
 
+def test_table_needs_sector_layout(interleaved3):
+    """A self-dual code whose X and Z generators interleave passes the
+    self-dual check, but a packed syndrome of it does not hold the X sector
+    at bits 0..m-1 and the Z sector at m..2m-1, so the build refuses it."""
+    with pytest.raises(ValueError, match="layout"):
+        build_table(interleaved3, 1)
+
+
 def test_decode_identity(code3, table3):
     assert decode(table3, code3, 0) == PauliOperator.identity(7)
 
@@ -214,8 +239,8 @@ def test_gf2_fallback(code5):
     target = None
     for support in itertools.combinations(range(19), 2):
         e = PauliOperator(19, (1 << support[0]) | (1 << support[1]), 0)
-        _, z_part = split_sectors(code5, syndrome_of(code5, e))
-        if z_part not in covered:
+        _, z_part = _split(code5, np.array([syndrome_of(code5, e)], np.uint64))
+        if int(z_part[0]) not in covered:
             target = e
             break
     assert target is not None
@@ -261,11 +286,13 @@ def test_lookup_counts_misses_and_reproduces_syndromes(code5):
     absent = int((~np.isin(x_part, table.keys)).sum() + (~np.isin(z_part, table.keys)).sum())
     assert absent > 0
     before = table.fallback_decodes
-    cx, cz = decode_sector_masks(table, x_part, z_part)
+    cx, cz = decode_sector_masks(table, _pack(x_part, z_part, m))
     assert table.fallback_decodes - before == absent
     assert type(table.fallback_decodes) is int  # the benchmark writes it to JSON
-    for x, z, mx, mz in zip(x_part.tolist(), z_part.tolist(), cx.tolist(), cz.tolist()):
-        assert split_sectors(code5, syndrome_of(code5, PauliOperator(19, mx, mz))) == (x, z)
+    got = np.array([syndrome_of(code5, PauliOperator(19, mx, mz))
+                    for mx, mz in zip(cx.tolist(), cz.tolist())], np.uint64)
+    got_x, got_z = _split(code5, got)
+    assert (got_x == x_part).all() and (got_z == z_part).all()
 
 
 def test_key_map_is_invertible_and_linear():
@@ -278,10 +305,12 @@ def test_key_map_is_invertible_and_linear():
         assert (_unmix(_mix(a, m), m) == a).all()
 
 
-def _reference_decode(code, weight, x_part, z_part):
-    """The earlier lookup: ``np.searchsorted`` over the sorted true
-    syndromes, and one ``popcount64`` parity per pivot column for the rest.
-    Returns both mask arrays and the count of syndromes it solved."""
+def _reference_decode(code, weight, syndromes):
+    """The earlier lookup: the bit-by-bit sector split, ``np.searchsorted``
+    over the sorted true syndromes, and one ``popcount64`` parity per pivot
+    column for the rest. Returns both mask arrays and the count of sector
+    syndromes it solved."""
+    x_part, z_part = _split(code, syndromes)
     keys, masks = _combinations_table(code, weight)
     syndromes = np.concatenate((z_part, x_part))
     index = keys.searchsorted(syndromes, "right") - 1
@@ -323,15 +352,19 @@ def test_lookup_matches_binary_search_and_pivot_loop(d, weight):
         _unmix(table.keys[table.starts[largest]:table.starts[largest + 1]], m),
     ))
     rng.shuffle(words)
+    # one X-sector and one Z-sector word per packed syndrome, so an even count
+    words = np.concatenate((words, np.zeros(len(words) % 2, np.uint64)))
     x_part, z_part = words[: len(words) // 2], words[len(words) // 2:]
     cases = [(x_part, z_part), (x_part[:0], z_part[:0])]
     miss = words[~np.isin(words, covered)][:1]
     assert len(miss) == 1  # every table here leaves syndromes uncovered
-    cases.append((np.concatenate((covered[:5], miss)), covered[5:9]))
+    one_miss = np.concatenate((covered[:5], miss))
+    cases.append((one_miss, np.resize(covered, len(one_miss))))
     for x, z in cases:
-        ref_x, ref_z, ref_count = _reference_decode(code, weight, x, z)
+        syndromes = _pack(x, z, m)
+        ref_x, ref_z, ref_count = _reference_decode(code, weight, syndromes)
         before = table.fallback_decodes
-        got_x, got_z = decode_sector_masks(table, x, z)
+        got_x, got_z = decode_sector_masks(table, syndromes)
         assert got_x.tobytes() == ref_x.tobytes() and got_z.tobytes() == ref_z.tobytes()
         assert table.fallback_decodes - before == ref_count
     assert ref_count == 1
