@@ -149,6 +149,12 @@ class ExperimentConfig:
         _check_int("seed", self.seed, 0)
         for name in ("max_errors", "workers", "built_to_weight"):
             _check_int(name, getattr(self, name), 1, optional=True)
+        if self.built_to_weight is not None:
+            supports = enumeration_count(_code(self.d).n, self.built_to_weight)
+            if supports > DEFAULT_BUDGET:
+                raise ValueError(f"built_to_weight {self.built_to_weight} at d={self.d} needs "
+                                 f"{supports} table supports, more than the {DEFAULT_BUDGET} "
+                                 f"a table may hold; lower built_to_weight")
         if not isinstance(self.css_two_stage, bool):
             raise ValueError(f"css_two_stage must be a bool, got {self.css_two_stage!r}")
         if not (isinstance(self.p_values, (tuple, list))
@@ -213,17 +219,28 @@ def default_built_to_weight(code: StabilizerCode, t: int) -> int:
 # Engine context (immutable per process, shared by all chunks)
 
 
+# one code per distance and one recovery table per (distance, weight) in a
+# process: every context that asks for them shares them, whatever its
+# decoder or mode, and so does a default weight asked for by number
+_code = functools.cache(build_hex_color_code)
+
+
+@functools.cache
+def _table(d: int, weight: int) -> SyndromeTable:
+    return build_table(_code(d), weight)
+
+
 class _Context:
     def __init__(self, d: int, decoder: str, css_two_stage: bool, built_to_weight: int | None):
         self.kind = decoder
         self.t = (d - 1) // 2
-        self.code = build_hex_color_code(d)
+        self.code = _code(d)
         weight = (
             built_to_weight
             if built_to_weight is not None
             else default_built_to_weight(self.code, self.t)
         )
-        self.table = build_table(self.code, weight)
+        self.table = _table(d, weight)
         # per stage, its compiled schedule; its ``base`` places the stage's
         # reported bits in the full syndrome
         sectors = ("x", "z") if css_two_stage else ("all",)

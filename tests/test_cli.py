@@ -85,6 +85,16 @@ def test_simulate_requires_rates(capsys):
     assert run_cli(["simulate", "--d", "3", "--decoder", "shor"]) == 1
 
 
+def test_oversize_table_weight_exits_one(capsys):
+    """A --built-to-weight past the table's enumeration budget is refused
+    by the config check, which names the field the flag sets."""
+    assert run_cli(["simulate", "--d", "9", "--p", "1e-3", "--built-to-weight", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("ftecsim: error: built_to_weight 6 at d=9 needs 62034256 table supports, "
+                   "more than the 2000000 a table may hold; lower built_to_weight\n")
+
+
 def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert run_cli(["simulate", "--d", "3", "--decoder", "nonsense"]) == 1
     assert run_cli(["no-such-command"]) == 1

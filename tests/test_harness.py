@@ -36,7 +36,7 @@ from ftecsim.harness import (
     threshold_lower_bound,
     wilson_interval,
 )
-from ftecsim.recovery import popcount64
+from ftecsim.recovery import decode_sector_masks, popcount64
 from ftecsim.stabilizer import PauliOperator, syndrome_of
 
 
@@ -994,6 +994,11 @@ def test_config_validation():
             ExperimentConfig(**{"d": 3, "decoder": "strong", name: value})
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         ExperimentConfig(d=3, decoder="strong", seed=-1)
+    # a table weight past the enumeration budget is refused here, naming the
+    # field, before any table is built; the deepest weight within it passes
+    with pytest.raises(ValueError, match="built_to_weight 5 at d=9 needs 6508884 table"):
+        ExperimentConfig(d=9, decoder="weak", built_to_weight=5)
+    assert ExperimentConfig(d=9, decoder="weak", built_to_weight=4).built_to_weight == 4
     cfg = ExperimentConfig(d=3, decoder="strong", p_values=[1e-3, 1], shots=np.int64(5))
     assert cfg.p_values == (1e-3, 1) and cfg.shots == 5
 
@@ -1027,3 +1032,31 @@ def test_run_point_rejects_rates_outside_unit_interval(monkeypatch):
     for p in (-0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"physical error rate .* outside \[0, 1\]"):
             run_point(cfg, p)
+
+
+def test_contexts_share_one_table_per_distance_and_weight():
+    """Contexts that differ only in decoder or two-stage mode, or that name
+    the default weight by number, hold the one code and table of their
+    distance and weight; another weight gets its own table. The shared
+    table's ``fallback_decodes``, which the benchmark reads as a difference
+    around each call, still counts every call's misses."""
+    base = harness._context((5, "strong", False, None))
+    default = harness.default_built_to_weight(base.code, 2)
+    for key in ((5, "weak", False, None), (5, "weak", True, None), (5, "shor", False, None),
+                (5, "strong", True, default)):
+        ctx = harness._context(key)
+        assert ctx.table is base.table and ctx.code is base.code, key
+    shallow = harness._context((5, "strong", False, 1))
+    assert shallow.code is base.code and shallow.table is not base.table
+    assert len(shallow.table.keys) < len(base.table.keys)
+    also = harness._context((5, "weak", True, 1))
+    assert also.table is shallow.table
+    m = shallow.table.m
+    syndromes = np.random.default_rng(5).integers(0, 1 << 2 * m, size=300).astype(np.uint64)
+    sectors = np.concatenate((syndromes >> np.uint64(m), syndromes & np.uint64((1 << m) - 1)))
+    misses = int(np.count_nonzero(~np.isin(sectors, shallow.table.keys)))
+    assert misses > 0
+    for ctx in (shallow, also, shallow):
+        before = ctx.table.fallback_decodes
+        decode_sector_masks(ctx.table, syndromes)
+        assert ctx.table.fallback_decodes - before == misses

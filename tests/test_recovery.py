@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ def test_table_at_edge_weights(d, weight):
     """Weight 0 (the zero syndrome alone), every support of the d=3 code,
     and d=5 one weight past its default."""
     _check_table(build_hex_color_code(d), weight)
+
+
+def test_d9_table_build_peak_memory():
+    """The build works in place on the enumeration's key and mask arrays
+    and frees each temporary before it takes the next full-length one, so
+    its traced peak at d=9, weight 4 (the default) stays within 1.8 times
+    the arrays of the table it returns
+    (measured 1.66; a build that packed the keys into a new array and kept
+    an index array of the first writers peaked at 2.69)."""
+    code = build_hex_color_code(9)
+    tracemalloc.start()
+    try:
+        table = build_table(code, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (table.keys, table.masks, table.starts, table.solve))
+    assert peak <= 1.8 * returned, (peak, returned)
 
 
 def test_table_sort_words_fit_64_bits():
