@@ -21,7 +21,9 @@ never flips the reported bit; a component acting as Z on a cat qubit
 data. Errors deposited on data qubits during a generator's own circuit
 are invisible to that generator's outcome (its controlled gate has
 already acted) but are seen by every later circuit, which is what
-produces partially detectable, type-I style faults.
+produces partially detectable, type-I style faults. So a round is one
+pass over its circuits in measurement order, taking its faults in any
+order.
 
 Locations are numbered consecutively through the round: circuit 0's 4w
 locations first (cat preparations, two-qubit gates, Hadamards,
@@ -33,6 +35,7 @@ row of its fault table, which the scalar and the batched rounds share.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +52,11 @@ _LETTERS = ("I", "X", "Y", "Z")
 TWO_QUBIT_FAULTS = tuple(
     (d, a) for d in _LETTERS for a in _LETTERS if (d, a) != ("I", "I")
 )
+
+
+def _is_a(value, kind) -> bool:
+    """``value`` is a ``kind`` of number (numpy's included) but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_rate(p: float) -> None:
@@ -207,11 +215,10 @@ class CompiledSchedule:
         full = build_round_schedule(code)
         self.circuits = [full[g] for g in gen_ids]
         self.n_circuits = len(self.circuits)
-        self.gen_bit = [c.generator_index for c in self.circuits]
         # A schedule measures a contiguous generator range, which makes
         # projecting the true syndrome onto reported bits a shift + mask.
-        self.base = self.gen_bit[0] if self.gen_bit else 0
-        if self.gen_bit != list(range(self.base, self.base + self.n_circuits)):
+        self.base = gen_ids[0] if gen_ids else 0
+        if gen_ids != list(range(self.base, self.base + self.n_circuits)):
             raise ValueError(f"the {sector!r} generators must be a contiguous range")
         self.local_mask = (1 << self.n_circuits) - 1
 
@@ -330,41 +337,25 @@ def compile_schedule(
 
 
 def _apply_faults(compiled: CompiledSchedule, frame: FrameState, fired) -> int:
-    """Run one round with the given (flat_id, choice_index) faults, reading
-    each fault's ``effects`` row.
+    """Run one round with the given (flat_id, choice_index) faults, in any
+    order, reading each fault's ``effects`` row.
 
-    ``fired`` must be sorted by flat id, which equals circuit order. The
-    reported bit of each circuit is its true-syndrome bit before that
-    circuit's own deposits, xored with that circuit's flip faults.
+    In one pass over the circuits in measurement order, circuit c reports
+    the true-syndrome bit ``base + c`` before its own deposits, XORed with
+    its flip faults; then its faults' X/Z deposits and syndrome changes are
+    applied, so only the circuits after c see them.
     """
+    by_circuit = [[] for _ in range(compiled.n_circuits)]
+    for flat, choice in fired:
+        by_circuit[compiled.loc_circuit[flat]].append(
+            compiled.effects[compiled.first_row[flat] + choice])
     x, z, tsyn = frame.x, frame.z, frame.syndrome
-    loc_circuit = compiled.loc_circuit
-    first_row = compiled.first_row
-    effects = compiled.effects
-    gen_bit = compiled.gen_bit
     report = 0
-    prev = 0
-    i = 0
-    nf = len(fired)
-    while i < nf:
-        ci = loc_circuit[fired[i][0]]
-        # circuits without faults between prev and ci report current bits
-        for c in range(prev, ci):
-            report |= ((tsyn >> gen_bit[c]) & 1) << c
-        bit = (tsyn >> gen_bit[ci]) & 1
-        flips = 0
-        while i < nf and loc_circuit[fired[i][0]] == ci:
-            flat, choice = fired[i]
-            fl, dx, dz, sd = effects[first_row[flat] + choice]
-            flips ^= fl
-            x ^= dx
-            z ^= dz
-            tsyn ^= sd
-            i += 1
-        report |= (bit ^ flips) << ci
-        prev = ci + 1
-    for c in range(prev, compiled.n_circuits):
-        report |= ((tsyn >> gen_bit[c]) & 1) << c
+    for c, effects in enumerate(by_circuit):
+        bit = (tsyn >> (compiled.base + c)) & 1
+        for flip, dep_x, dep_z, syn_delta in effects:
+            bit, x, z, tsyn = bit ^ flip, x ^ dep_x, z ^ dep_z, tsyn ^ syn_delta
+        report |= bit << c
     frame.x, frame.z, frame.syndrome = x, z, tsyn
     return report
 
@@ -376,8 +367,9 @@ def sample_round(
     frame, returns the syndrome.
 
     Locations fail independently with probability p, so the number of
-    failures is binomial and the failing set is uniform; with zero
-    failures the round reports the frame's exact syndrome.
+    failures is binomial and the failing set is uniform; the failing
+    locations draw their values in location order. With zero failures
+    the round reports the frame's exact syndrome.
     """
     n, p = compiled.n_locations, compiled.noise.p
     k = int(rng.binomial(n, p)) if (n and p > 0) else 0
@@ -403,16 +395,13 @@ def inject_round(
     """
     fired = []
     for location_id, value in faults:
-        if not 0 <= location_id < compiled.n_locations:
-            raise ValueError(f"location id {location_id} out of range")
+        if not (_is_a(location_id, numbers.Integral) and 0 <= location_id < compiled.n_locations):
+            raise ValueError(f"location id {location_id!r} is not an integer in range")
         kind, _ = compiled.loc_kind[location_id]
         try:
             choice = compiled.values[location_id].index(
                 tuple(value) if kind == TWO_QUBIT else value)
-        except ValueError:
-            raise ValueError(
-                f"fault value {value!r} is not legal for a {kind} location"
-            ) from None
+        except (TypeError, ValueError):  # TypeError: a two-qubit value that is no pair
+            raise ValueError(f"fault value {value!r} is not legal for a {kind} location") from None
         fired.append((location_id, choice))
-    fired.sort()
     return _apply_faults(compiled, frame, fired)

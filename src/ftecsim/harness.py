@@ -78,6 +78,7 @@ from .extraction import (
     FrameBatch,
     NoiseModel,
     _check_rate,
+    _is_a,
     _run_starts,
     compile_schedule,
     inject_round,
@@ -97,11 +98,6 @@ CHUNK_SHOTS = 4096
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
 
 _WILSON_Z = 1.959963984540054  # 95 percent
-
-
-def _is_a(value, kind) -> bool:
-    """``value`` is a ``kind`` of number (numpy's included) but not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_int(name: str, value, low: int, optional: bool = False) -> None:
@@ -278,16 +274,17 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), ord
     Shot i starts in ``table.root`` at its own fault ``budget[i]``; the
     shots run in ``order`` (by default, in index order).
     ``next_round(active, r)`` runs round r (1-based) on the running shots
-    ``active`` (an index array in that order) and returns their reported
-    syndromes and the running shots: ``active``, or ``active`` with new
-    shots, numbered on from the last, joined in order. A shot that joins
-    in round r has met no fault before it: it starts from the state
-    ``path[r - 1]`` of the noiseless path with an all-zero history, and the
-    loop runs at least ``len(path)`` rounds. Returns, per shot, the chosen
-    syndrome (0 for no correction), the 1-based round it came from (0 for
-    none), the rounds used, the stop-reason code (an index into
-    ``REASONS``) and the minimum fault count of the final difference
-    vector.
+    ``active`` (an index array in that order) and returns ``(syn, active,
+    at)``: the running shots' reported syndromes, the running shots, and
+    where in the old ``active`` the shots that joined, numbered on from
+    the last, were inserted (as by ``np.insert``; ``()`` when none did).
+    A shot that joins in round r has met no fault before it: it starts
+    from the state ``path[r - 1]`` of the noiseless path with an all-zero
+    history, and the loop runs at least ``len(path)`` rounds. Returns,
+    per shot, the chosen syndrome (0 for no correction), the 1-based round
+    it came from (0 for none), the rounds used, the stop-reason code (an
+    index into ``REASONS``) and the minimum fault count of the final
+    difference vector.
     """
     n = len(budget)
     history = np.zeros((table.max_rounds, n), np.uint64)
@@ -298,16 +295,11 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), ord
     state = table.root[budget[active]]
     r = 0
     while active.size or r < len(path):
-        syn, running = next_round(active, r + 1)
-        if len(running) > len(active):  # shots joined at the noiseless state
-            old = running < len(rounds)
-            joined_prev = np.zeros(len(running), np.uint64)
-            joined_prev[old] = prev
-            joined_state = np.full(len(running), path[r])
-            joined_state[old] = state
-            active, prev, state = running, joined_prev, joined_state
+        syn, active, at = next_round(active, r + 1)
+        if len(at):  # shots joined at the noiseless state
+            prev, state = np.insert(prev, at, 0), np.insert(state, at, path[r])
             history, final, rounds = (
-                np.concatenate((a, np.zeros((*a.shape[:-1], (~old).sum()), a.dtype)), axis=-1)
+                np.concatenate((a, np.zeros((*a.shape[:-1], len(at)), a.dtype)), axis=-1)
                 for a in (history, final, rounds))
         history[r, active] = syn
         r += 1
@@ -429,7 +421,7 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
             syn = [_apply_faults(compiled, frames, *compiled.draw(p, len(part), rngs[0]),
                                  active[part.start:part.stop])
                    for part in compiled.slices(p, len(active))]
-            return (syn[0] if len(syn) == 1 else np.concatenate(syn)), active
+            return (syn[0] if len(syn) == 1 else np.concatenate(syn)), active, ()
         run = sid[active]  # the running explicit shots, in shot order
         # while quiet shots run, so does every shot but the explicit ones that stopped
         quiet_run = r <= len(path)
@@ -449,7 +441,7 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
                 hit.append(offsets[i] + pos + np.searchsorted(skip, pos, side="right")
                            if quiet_run else run[lo + pos])
                 row.append(rows)
-        hit, row = np.concatenate(hit), np.concatenate(row)
+        hit, row, at = np.concatenate(hit), np.concatenate(row), ()
         if quiet_run:
             # the quiet shots met now join, once each, in shot order (-1 is no shot)
             first = _run_starts(hit)
@@ -462,7 +454,7 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
             frames.x, frames.z, frames.syndrome = (
                 np.append(a, np.zeros(len(new), np.uint64))
                 for a in (frames.x, frames.z, frames.syndrome))
-        return _apply_faults(compiled, frames, np.searchsorted(run, hit), row, active), active
+        return _apply_faults(compiled, frames, np.searchsorted(run, hit), row, active), active, at
 
     # a later stage starts with the explicit shots in shot order
     residual, rounds, reason = _run_shots(ctx, frames, fold_round, path,
@@ -623,10 +615,13 @@ def run_shot_reference(
     """
     from .recovery import decode, final_verdict
 
-    if kind not in decoders.KINDS or t < 0:
-        raise ValueError(f"unknown decoder kind {kind!r} or negative fault budget t={t}")
+    if kind not in decoders.KINDS:
+        raise ValueError(f"unknown decoder kind {kind!r}")
+    _check_int("t", t, 0)
     if schedules is None:
         schedules = (compile_schedule(code, NoiseModel(0.0)),)
+    if injected_faults is None and rng is None and any(s.noise.p > 0 for s in schedules):
+        raise ValueError("rounds sampled at p > 0 need an rng")
     if kind == "shor" and len(schedules) > 1:
         raise ValueError("two-stage mode applies to the strong or weak decoders")
     frame = schedules[0].new_frame(initial_error)
@@ -705,7 +700,7 @@ def _run_injected(ctx: _Context, frames: FrameBatch, rnd: np.ndarray, row: np.nd
     """
     def fold_round(compiled, active, r, before):
         pos, j = np.nonzero(rnd[active] == (before[active] + r)[:, None])
-        return _apply_faults(compiled, frames, pos, row[active[pos], j], active), active
+        return _apply_faults(compiled, frames, pos, row[active[pos], j], active), active, ()
 
     residual, rounds, reason = _run_shots(ctx, frames, fold_round)
     x, z = frames.x.copy(), frames.z.copy()

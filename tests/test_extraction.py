@@ -9,7 +9,9 @@ from ftecsim.extraction import (
     ONE_QUBIT,
     TWO_QUBIT,
     FrameBatch,
+    FrameState,
     NoiseModel,
+    _apply_faults,
     build_round_schedule,
     compile_schedule,
     inject_round,
@@ -171,6 +173,11 @@ def test_illegal_injections_rejected(compiled3):
         inject_round(compiled3, compiled3.new_frame(), [(10_000, "X")])
     with pytest.raises(ValueError):
         inject_round(compiled3, compiled3.new_frame(), [(4, ("I", "I"))])
+    # a two-qubit value that is no pair, a float id and a bool id
+    two_qubit = compiled3.loc_kind.index((TWO_QUBIT, 0))
+    for lid, value in ((two_qubit, 3), (1.5, "X"), (True, "X")):
+        with pytest.raises(ValueError):
+            inject_round(compiled3, compiled3.new_frame(), [(lid, value)])
     first = {kind: compiled3.loc_kind.index((kind, 0)) for kind in (CAT_PREP, ONE_QUBIT,
                                                                     MEASUREMENT)}
     for kind, value in ((MEASUREMENT, "X"), (CAT_PREP, ("X", "Z")), (ONE_QUBIT, "flip")):
@@ -178,7 +185,7 @@ def test_illegal_injections_rejected(compiled3):
             inject_round(compiled3, compiled3.new_frame(), [(first[kind], value)])
     # a two-qubit value is read as a letter pair
     frame = compiled3.new_frame()
-    inject_round(compiled3, frame, [(compiled3.loc_kind.index((TWO_QUBIT, 0)), "XI")])
+    inject_round(compiled3, frame, [(two_qubit, "XI")])
     assert frame.weight() == 1
 
 
@@ -234,6 +241,29 @@ def _fold_matches_inject_round(compiled, rng, fault_rows):
     for i, ref in enumerate(refs):
         assert (int(batch.x[i]), int(batch.z[i]), int(batch.syndrome[i])) == (
             ref.x, ref.z, ref.syndrome)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+@pytest.mark.parametrize("sector", ["all", "x", "z"])
+def test_scalar_round_ignores_fault_order(d, sector):
+    """_apply_faults and inject_round give one report and one frame for a
+    fault set in any order: sorted by location, reversed and shuffled, on
+    random starting frames, with a location sometimes failing twice."""
+    compiled = compile_schedule(build_hex_color_code(d), NOISELESS, sector)
+    rng = _rng(100 + d)
+    refs, _ = _random_frames(compiled, rng, 200)
+    for ref in refs:
+        lids = rng.integers(compiled.n_locations, size=int(rng.integers(2, 9)))
+        fired = [(int(lid), int(rng.integers(len(compiled.values[lid])))) for lid in lids]
+        faults = [(lid, compiled.values[lid][choice]) for lid, choice in fired]
+        in_order = np.argsort(lids, kind="stable")
+        outcomes = set()
+        for order in (in_order, in_order[::-1], rng.permutation(len(lids))):
+            for run, items in ((_apply_faults, fired), (inject_round, faults)):
+                frame = FrameState(ref.x, ref.z, ref.syndrome)
+                report = run(compiled, frame, [items[i] for i in order])
+                outcomes.add((report, frame.x, frame.z, frame.syndrome))
+        assert len(outcomes) == 1, (d, sector, fired)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])

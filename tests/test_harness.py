@@ -48,7 +48,7 @@ class _Replay:
         self.streams = np.array(streams, dtype=np.uint64)
 
     def __call__(self, active, r):
-        return self.streams[active, r - 1], active
+        return self.streams[active, r - 1], active, ()
 
 
 def _random_stream(rng, length):
@@ -96,7 +96,8 @@ def test_engine_policy_stream_matches_state_machines():
 def _run_policy_per_round_entries(table, next_round, budget, path=(), order=None):
     """The earlier policy loop, kept as the reference of ``_run_policy``:
     each round reads the new states' three entry rows and scatters every
-    stop's four values."""
+    stop's four values. It finds the joined shots by their numbers, not
+    by the source's insertion points."""
     n = len(budget)
     history = np.zeros((table.max_rounds, n), np.uint64)
     chosen_round, rounds, reason, faults = (np.zeros(n, np.int64) for _ in range(4))
@@ -105,7 +106,7 @@ def _run_policy_per_round_entries(table, next_round, budget, path=(), order=None
     state = table.root[budget[active]]
     r = 0
     while active.size or r < len(path):
-        syn, running = next_round(active, r + 1)
+        syn, running, _ = next_round(active, r + 1)
         if len(running) > len(active):
             old = running < len(rounds)
             joined_prev = np.zeros(len(running), np.uint64)
@@ -136,8 +137,8 @@ class _Script:
     """Round source with joins: shot i reports ``streams[i]``; a shot that
     joins in round r reports zeros before it. While the noiseless path
     lasts, each round a seeded draw adds new shots (one to three in round
-    1, up to three later) at random places among the running ones,
-    keeping their order."""
+    1, up to three later), inserted at once at positions drawn among the
+    running ones, whose order they keep."""
 
     def __init__(self, streams, path_rounds, seed):
         self.streams, self.path_rounds, self.seed = streams, path_rounds, seed
@@ -148,15 +149,17 @@ class _Script:
         if self.total == 0:
             self.total = int(active.max(initial=-1)) + 1
         draw = np.random.default_rng((self.seed, r))
+        at = ()
         if r <= self.path_rounds:
-            for _ in range(int(draw.integers(r == 1, 4))):
-                active = np.insert(active, int(draw.integers(0, len(active) + 1)), self.total)
-                self.joined[self.total] = r
-                self.total += 1
+            at = draw.integers(0, len(active) + 1, size=int(draw.integers(r == 1, 4)))
+            new = range(self.total, self.total + len(at))
+            active = np.insert(active, at, new)
+            self.joined.update(dict.fromkeys(new, r))
+            self.total += len(at)
         syn = np.array([self.streams[i % len(self.streams)][r - 1]
                         if r >= self.joined.get(i, 1) else 0 for i in active.tolist()],
                        np.uint64)
-        return syn, active
+        return syn, active, at
 
 
 def test_run_policy_matches_per_round_entry_loop():
@@ -521,10 +524,16 @@ def test_reference_runner_agrees_with_engine_distribution(code3, table3):
 
 
 def test_reference_runner_input_checks(code3, table3):
-    # an unknown kind or a negative budget is refused, not run
-    for kind, t in (("nope", 1), ("shor", -1)):
-        with pytest.raises(ValueError, match="unknown decoder kind|negative fault budget"):
+    # an unknown kind, a negative budget or a non-integer one is refused, not run
+    for kind, t in (("nope", 1), ("shor", -1), ("strong", 1.5), ("strong", True)):
+        with pytest.raises(ValueError, match="unknown decoder kind|t must be"):
             run_shot_reference(code3, table3, kind, t)
+    # rounds sampled at p > 0 need an rng; injected rounds read none
+    noisy = (compile_schedule(code3, NoiseModel(1e-3)),)
+    with pytest.raises(ValueError, match="need an rng"):
+        run_shot_reference(code3, table3, "strong", 1, schedules=noisy)
+    assert not run_shot_reference(code3, table3, "strong", 1, schedules=noisy,
+                                  injected_faults={}).logical_error
     # no budget: the first syndrome is accepted after one round
     result = run_shot_reference(code3, table3, "strong", 0)
     assert result.decisions == (BUDGET_EXHAUSTED,) and result.rounds_used == 1
