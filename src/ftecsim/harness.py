@@ -20,12 +20,13 @@ A Monte Carlo hand-off is a group of consecutive chunks run as one batch
 *quiet* shot follows each stage's noiseless path (``_Context.path``) and
 is only counted. Only the shots a fault has met, the *explicit* ones,
 are held in arrays; a quiet shot that a fault meets joins them at the
-noiseless state of that round. A group of one chunk, which is every
-hand-off above window fault probability 1/2 (``_group_size``), starts
-every shot explicit. A group returns one count row per chunk, which
-``run_point`` adds up. The fault-injection checks give each case one
-explicit shot, which starts from its input error and folds only its
-injected faults, each in its own round counted over all stages.
+noiseless state of that round. At window fault probability q a group
+holds 2^ceil(log2(2/q)) chunks, two to four chunks' worth of explicit
+shots (``_group_size``). A group of one chunk, which is every hand-off
+above q = 1/2, starts every shot explicit. A group returns one count row
+per chunk, which ``run_point`` adds up. The fault-injection checks give
+each case one explicit shot, which starts from its input error and folds
+only its injected faults, each in its own round counted over all stages.
 
 The scalar reference runner ``run_shot_reference`` plays one shot, in
 either mode, through the same circuit semantics (``inject_round`` for
@@ -47,7 +48,9 @@ each chunk the same way, under one fixed point key. A campaign
 (``run_experiment``, ``estimate_pseudothreshold``) runs all its points on
 one chunk runner, which with more than one worker is one process pool; a
 campaign that no ``max_errors`` can cut hands it several groups at a
-time.
+time. One that can be cut hands over one group at a time; a hand-off
+already queued when a point reaches its cut still runs, so a cut wastes
+up to about four chunks' worth of explicit shots per queued hand-off.
 """
 
 from __future__ import annotations
@@ -489,11 +492,14 @@ def _run_chunk(args) -> np.ndarray:
 
 def _group_size(q: float, n_chunks: int, workers: int) -> int:
     """Chunks per hand-off of a point with window fault probability q:
-    2^floor(log2(1/q)), so that a group simulates about one chunk's worth
+    2^ceil(log2(2/q)), so that a group simulates two to four chunks' worth
     of explicit shots, but at most each worker's share of the point. Above
-    q = 1/2 that is one chunk, whose shots all start explicit."""
-    size = -(-n_chunks // workers)
-    return size if q == 0 else min(size, 2 ** int(-math.log2(q)))
+    q = 1/2 it is one chunk, whose shots all start explicit: there a quiet
+    group runs slower than explicit chunks."""
+    if q > 0.5:
+        return 1
+    share = -(-n_chunks // workers)
+    return share if q == 0 else min(share, 2 ** math.ceil(1 - math.log2(q)))
 
 
 def _n_chunks(shots: int) -> int:
@@ -509,19 +515,23 @@ def _chunk_runner(config: ExperimentConfig):
     pool of ``min(workers, chunks per point)`` processes serves every point
     of the campaign. Without ``max_errors`` a pool takes several hand-offs
     at a time; with it, one, so past its cut a point runs only the few
-    hand-offs already queued to a worker, each about one chunk's worth of
-    simulated shots (:func:`_group_size`). A pool forks its workers at the
-    first hand-off, after the caller has built the engine context, and is
-    shut down, with its unqueued hand-offs cancelled, when the campaign
-    returns or raises.
+    hand-offs already queued to a worker, each up to about four chunks'
+    worth of simulated shots (:func:`_group_size`). A pool forks its
+    workers at the first hand-off, after the caller has built the engine
+    context and this process has loaded ``numpy.random``, which every
+    chunk's stream needs, so no worker loads it again. It is shut down,
+    with its unqueued hand-offs cancelled, when the campaign returns or
+    raises.
     """
     n_chunks = _n_chunks(config.shots)
     workers = min(config.workers or 1, n_chunks)
     if workers <= 1:
         yield lambda jobs: map(_run_chunk, jobs)
         return
-    # imported here, so a process that starts no pool never loads multiprocessing
+    # imported here, so a process that starts no pool never loads multiprocessing;
+    # numpy loads numpy.random on first use, so the workers inherit it from here
     from concurrent.futures import ProcessPoolExecutor
+    import numpy.random  # noqa: F401
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:

@@ -355,6 +355,34 @@ def test_import_leaves_process_pool_unloaded():
     assert out.strip() == "[]"
 
 
+def test_pool_workers_start_with_numpy_random_loaded():
+    """A pool's workers fork with ``numpy.random`` already loaded, so no
+    worker loads it again on its first hand-off: a 2-worker ``run_point``
+    in a fresh interpreter, whose parent runs no chunk, through a wrapped
+    ``_run_chunk`` that reports ``sys.modules`` on each worker's first
+    hand-off."""
+    probe = """
+import sys
+from ftecsim import harness
+
+first = []
+
+def wrapped(args):
+    if not first:
+        first.append("numpy.random" in sys.modules)
+        print("warm" if first[0] else "cold", flush=True)
+    return run_chunk(args)
+
+run_chunk, harness._run_chunk = harness._run_chunk, wrapped
+cfg = harness.ExperimentConfig(d=3, decoder="weak", shots=8 * harness.CHUNK_SHOTS, seed=1,
+                               workers=2)
+harness.run_point(cfg, 1e-3)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out and set(out) == {"warm"}, out
+
+
 def test_version_flag(capsys):
     assert run_cli(["--version"]) == 0
     assert "ftecsim" in capsys.readouterr().out

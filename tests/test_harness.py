@@ -302,7 +302,7 @@ def test_fixed_seed_outputs_pinned():
          {USABLE_RUN: 769, WEAK_NO_CORRECTION: 130303}),
         (5, "strong", False, 1e-4, 65536, 0, {3: 60140, 4: 4880, 5: 516}, None),
         (5, "weak", True, 1e-3, 20000, 27, {4: 13781, 5: 5353, 6: 858, 7: 8}, None),
-        # window fault probability q = 0.45: groups of two chunks whose shots start quiet
+        # window fault probability q = 0.45: one group of the four chunks, shots starting quiet
         (3, "weak", False, 6.2e-3, 16384, 496, {1: 10196, 2: 6188},
          {USABLE_RUN: 508, WEAK_NO_CORRECTION: 15876}),
         (5, "strong", False, 5.9e-4, 16384, 25, {3: 9861, 4: 4940, 5: 1583},
@@ -407,9 +407,10 @@ def test_experiment_one_pool_same_stats_after_a_cut(pools):
 def test_handoff_size_follows_max_errors(pools):
     """A campaign that ``max_errors`` can cut hands its pool one job at a
     time, since a queued hand-off runs to its end, and a job simulates
-    about one chunk's worth of shots: a group of G > 1 chunks, whose shots
-    start quiet, at window fault probability q with G q <= 1, or one chunk,
-    whose shots all start explicit. One that cannot be cut hands over
+    at most four chunks' worth of shots: a group of G > 1 chunks, whose
+    shots start quiet, at window fault probability q with G q < 4 (here
+    G q <= 1, as the worker share of 5 chunks caps G), or one chunk, whose
+    shots all start explicit. One that cannot be cut hands over
     several chunks at a time. Both give the same points."""
     cfg = ExperimentConfig(d=3, decoder="weak", p_values=(1e-3, 8e-3),
                            shots=9 * harness.CHUNK_SHOTS, seed=2, workers=2)
@@ -437,9 +438,11 @@ def test_handoff_size_follows_max_errors(pools):
 
 def test_group_size_follows_window_q():
     """``window_q`` is 1 - (1-p)^(len(path) x locations), the chance that a
-    fault meets a noiseless shot; ``_group_size`` is 2^floor(log2(1/q))
+    fault meets a noiseless shot; ``_group_size`` is 2^ceil(log2(2/q))
     chunks, at most each worker's share of the point, and the share at
-    q = 0. So above q = 1/2 every hand-off is one chunk."""
+    q = 0. So a group simulates two to four chunks' worth of explicit
+    shots unless the share caps it, and above q = 1/2 every hand-off is
+    one chunk."""
     for key in ((3, "weak", False, None), (5, "strong", False, None), (5, "weak", True, None),
                 (3, "shor", False, None)):
         ctx = harness._context(key)
@@ -449,8 +452,17 @@ def test_group_size_follows_window_q():
         assert (ctx.window_q(0.0), ctx.window_q(1.0)) == (0.0, 1.0)
     size = harness._group_size
     assert [size(q, 100, 1) for q in (0.51, 0.75, 1.0)] == [1, 1, 1]
-    assert [size(q, 100, 1) for q in (0.26, 0.4, 0.45, 0.5)] == [2, 2, 2, 2]
-    assert [size(q, 100, 1) for q in (0.2, 0.1, 1e-3)] == [4, 8, 100]
+    assert [size(q, 100, 1) for q in (0.26, 0.4, 0.45, 0.5)] == [8, 8, 8, 4]
+    assert [size(q, 100, 1) for q in (0.25, 0.2, 0.1, 1e-3)] == [8, 16, 32, 100]
+    for q in np.geomspace(1e-4, 1, 97):
+        for share in (1, 7, 100, 10**5):
+            work = size(q, share, 1) * q  # chunks' worth of explicit shots per group
+            if q > 0.5:
+                assert size(q, share, 1) == 1, (q, share)
+            elif size(q, share, 1) < share:
+                assert 2 <= work < 4, (q, share)
+            else:
+                assert work < 4, (q, share)
     assert [size(1e-3, 9, w) for w in (1, 2, 3, 9, 16)] == [9, 5, 3, 1, 1]  # the worker share
     assert [size(0.0, 9, w) for w in (1, 2, 4)] == [9, 5, 3]
 
