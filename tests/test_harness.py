@@ -456,13 +456,11 @@ def test_group_size_follows_window_q():
     assert [size(q, 100, 1) for q in (0.25, 0.2, 0.1, 1e-3)] == [8, 16, 32, 100]
     for q in np.geomspace(1e-4, 1, 97):
         for share in (1, 7, 100, 10**5):
-            work = size(q, share, 1) * q  # chunks' worth of explicit shots per group
+            g = size(q, share, 1)  # g q is the group's chunks' worth of explicit shots
             if q > 0.5:
-                assert size(q, share, 1) == 1, (q, share)
-            elif size(q, share, 1) < share:
-                assert 2 <= work < 4, (q, share)
+                assert g == 1, (q, share)
             else:
-                assert work < 4, (q, share)
+                assert g * q < 4 and (g * q >= 2 or g == share), (q, share)
     assert [size(1e-3, 9, w) for w in (1, 2, 3, 9, 16)] == [9, 5, 3, 1, 1]  # the worker share
     assert [size(0.0, 9, w) for w in (1, 2, 4)] == [9, 5, 3]
 
