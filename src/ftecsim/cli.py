@@ -225,14 +225,13 @@ def _cmd_oracle_check(args) -> int:
     for length in range(1, args.max_len + 1):
         for bits in range(1 << length):
             delta = format(bits, f"0{length}b")
-            runs = decompose(delta)
+            runs = {(r.start, r.end) for r in decompose(delta)}
             if not runs:
                 continue
             for t in range(1, args.t_max + 1):
                 checked += 1
                 usable = {(r.start, r.end) for r in find_usable(t, delta)}
-                unusable = oracle_unusable_runs(delta, t)
-                oracle = {(r.start, r.end) for r in runs} - unusable
+                oracle = runs - oracle_unusable_runs(delta, t)
                 if usable != oracle:
                     mismatches.append({"delta": delta, "t": t,
                                        "search": sorted(usable), "oracle": sorted(oracle)})

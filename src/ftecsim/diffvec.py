@@ -13,21 +13,22 @@ strictly after its right boundary one, and the run length. A run is usable
 under a fault budget t exactly when alpha + beta + gamma >= t; the search
 below returns all usable runs in left-to-right order.
 
-Fault counting pairs adjacent ones greedily from the left: a block of q
-consecutive ones costs ceil(q/2) faults, which equals any maximal
-non-overlapping pairing.
+Fault counting pairs adjacent ones greedily from the left: a block of o
+consecutive ones costs ceil(o/2) faults, which equals any maximal
+non-overlapping pairing. ``str.count`` pairs the same way, so the pair
+count is ``delta.count("11")`` and the fault count the ones less the
+pairs.
 
-Everything is read off one split of the vector into its one-block
-lengths o_0..o_k around the k zero runs. The fault count is the sum of
-ceil(o/2), the pair count the sum of floor(o/2). Run j sits between
-blocks j-1 and j, whose boundary ones it does not count, so alpha_j and
-beta_j are a prefix and a suffix sum of ceil(o/2) with the neighbouring
-block at floor(o/2).
+Everything else is read off one pass over the split of the vector into
+its one-block lengths o_0..o_k around the k zero runs. Run j sits
+between blocks j-1 and j, whose boundary ones it does not count: alpha_j
+is the faults of blocks 0..j-1 less o_{j-1} mod 2, and beta_j the faults
+of blocks j..k less o_j mod 2, so each run's score alpha + beta + gamma
+is known as soon as its right block is.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -52,46 +53,54 @@ def difference_vector(syndromes) -> str:
     return "".join("0" if a == b else "1" for a, b in zip(syndromes, syndromes[1:]))
 
 
-def _blocks(delta: str) -> tuple[list[int], list[int]]:
-    """The one-block lengths o_0..o_k around the k maximal zero runs of
-    ``delta`` (o_0 or o_k is 0 when it starts or ends with a zero), and
-    the runs' lengths gamma_1..gamma_k."""
+def _check(delta: str) -> None:
     if delta.strip("01"):
         raise ValueError(f"difference vector must be over '0'/'1', got {delta!r}")
+
+
+def _runs(delta: str) -> list[tuple[int, int, int, int, int, int]]:
+    """The ``ZeroSubstring`` fields of every maximal zero run of ``delta``
+    as plain tuples, left to right."""
+    _check(delta)
     pieces = delta.split("0")  # every piece after the first follows a zero
-    ones, zeros, gap = [len(pieces[0])], [], 0
+    faults = delta.count("1") - delta.count("11")
+    left = pos = len(pieces[0])  # the last one-block, and the position it ends at
+    seen = (left + 1) // 2  # the faults of blocks up to and including ``left``
+    runs, gap = [], 0
     for piece in pieces[1:]:
         gap += 1
         if piece:
-            ones.append(len(piece))
-            zeros.append(gap)
-            gap = 0
+            right = len(piece)
+            runs.append((len(runs) + 1, pos + 1, pos + gap, gap, seen - (left & 1),
+                         faults - seen - (right & 1)))
+            pos += gap + right
+            seen += (right + 1) // 2
+            left, gap = right, 0
     if gap:
-        ones.append(0)
-        zeros.append(gap)
-    return ones, zeros
+        runs.append((len(runs) + 1, pos + 1, pos + gap, gap, seen - (left & 1), 0))
+    return runs
 
 
 def min_faults(delta: str) -> int:
     """Minimum fault count evidenced by ``delta``: 11 pairs plus leftover ones."""
-    return sum((o + 1) // 2 for o in _blocks(delta)[0])
+    _check(delta)
+    return delta.count("1") - delta.count("11")
 
 
 def pairs_only(delta: str) -> int:
     """Number of non-overlapping 11 substrings under greedy left-to-right pairing."""
-    return sum(o // 2 for o in _blocks(delta)[0])
+    _check(delta)
+    return delta.count("11")
 
 
 def decompose(delta: str) -> list[ZeroSubstring]:
     """All maximal zero runs of ``delta`` with their (alpha, beta, gamma)."""
-    ones, zeros = _blocks(delta)
-    # faults[i]: the faults of blocks 0..i-1; a run's neighbour blocks lose their boundary one
-    faults = list(accumulate([(o + 1) // 2 for o in ones], initial=0))
-    ends = accumulate(o + gamma for o, gamma in zip(ones, zeros))  # 1-based, run by run
-    # ZeroSubstring(j, start, end, gamma, alpha, beta)
-    return [ZeroSubstring(j, end - gamma + 1, end, gamma, faults[j - 1] + ones[j - 1] // 2,
-                          ones[j] // 2 + faults[-1] - faults[j + 1])
-            for j, (gamma, end) in enumerate(zip(zeros, ends), 1)]
+    return list(map(ZeroSubstring._make, _runs(delta)))
+
+
+def _check_budget(t_in: int) -> None:
+    if t_in < 1:
+        raise ValueError(f"fault budget must be >= 1, got {t_in}")
 
 
 def find_usable(t_in: int, delta: str) -> list[ZeroSubstring]:
@@ -101,13 +110,14 @@ def find_usable(t_in: int, delta: str) -> list[ZeroSubstring]:
     (with no remaining fault budget every repeated syndrome is correct, a
     case the stopping policies handle before calling this).
     """
-    if t_in < 1:
-        raise ValueError(f"fault budget must be >= 1, got {t_in}")
-    return [run for run in decompose(delta) if run.alpha + run.beta + run.gamma >= t_in]
+    _check_budget(t_in)
+    # (j, start, end, gamma, alpha, beta)
+    return [ZeroSubstring._make(run) for run in _runs(delta)
+            if run[3] + run[4] + run[5] >= t_in]
 
 
 def operation_count(t_in: int, delta: str) -> int:
     """Primitive operations consumed by ``find_usable`` on this input: the
     characters of its one split of ``delta`` and the runs that split emits."""
-    find_usable(t_in, delta)  # its t_in >= 1 check
-    return len(delta) + len(decompose(delta))
+    _check_budget(t_in)
+    return len(delta) + len(_runs(delta))

@@ -8,7 +8,10 @@ covered at least once, the positions covered twice or more, and the
 rounds with a type I and with a type II fault), grown in numpy one round
 at a time. It has two readers: ``_unusable_table``, which answers every
 ``oracle_unusable_runs`` query, and ``consistent_combinations``, the
-definition-level form that filters the rows one vector at a time.
+definition-level form that filters the rows one vector at a time. A
+``_unusable_table`` entry names each covered zero run by its end bit,
+and the query takes the run's start from the vector's last one before
+that end, so the oracle finds its runs without the search.
 
 The round-bound search is not independent of the search: it reads
 ``decoders.reachable_states``, the walk of the policies' own decision
@@ -38,7 +41,6 @@ one effective fault for worst-case purposes.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -184,13 +186,20 @@ def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
 
     A run is unusable when some consistent combination of at most t faults
     covers all of it, leaving it no OR zero (a position no fault
-    contributes to). The answer is one lookup in ``_unusable_table``.
+    contributes to). The answer is one lookup in ``_unusable_table``,
+    whose entry has bit ``end`` set for each such run; the run starts just
+    after the last one of ``delta`` before ``end``. The runs are read off
+    the entry and the vector, not found by ``diffvec.decompose``: that is
+    the search under test.
     """
     target = _packed(delta, t)
-    # found here, not by diffvec.decompose: that is the search under test
-    runs = [(zeros.start() + 1, zeros.end()) for zeros in re.finditer("0+", delta)]
     covered = _unusable_table(len(delta), t)[target]
-    return {(start, end) for start, end in runs if covered >> end & 1}
+    runs = set()
+    while covered:
+        end = covered.bit_length() - 1
+        covered ^= 1 << end
+        runs.add((delta.rfind("1", 0, end) + 2, end))
+    return runs
 
 
 # ---------------------------------------------------------------------------

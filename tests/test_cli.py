@@ -370,7 +370,10 @@ first = []
 def wrapped(args):
     if not first:
         first.append("numpy.random" in sys.modules)
-        print("warm" if first[0] else "cold", flush=True)
+        # one write per line: the two workers share the pipe, unbuffered
+        # under PYTHONUNBUFFERED, where print's two writes can interleave
+        sys.stdout.write("warm\\n" if first[0] else "cold\\n")
+        sys.stdout.flush()
     return run_chunk(args)
 
 run_chunk, harness._run_chunk = harness._run_chunk, wrapped

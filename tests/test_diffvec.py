@@ -1,10 +1,11 @@
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftecsim.diffvec import (
+    ZeroSubstring,
     decompose,
     difference_vector,
     find_usable,
@@ -12,6 +13,7 @@ from ftecsim.diffvec import (
     operation_count,
     pairs_only,
 )
+from ftecsim.worstcase import oracle_unusable_runs
 
 deltas = st.text(alphabet="01", min_size=0, max_size=12)
 
@@ -95,11 +97,78 @@ ALL_DELTAS = ["".join(bits) for length in range(13) for bits in product("01", re
 
 
 def test_min_faults_matches_block_formula():
-    """The block formulas behind min_faults and pairs_only against an
-    independent per-character scan, on every vector of length <= 12."""
+    """min_faults and pairs_only against an independent per-character
+    scan, on every vector of length <= 12."""
     assert len(ALL_DELTAS) == 8191
     for delta in ALL_DELTAS:
         assert (min_faults(delta), pairs_only(delta)) == _greedy_counts(delta), delta
+
+
+def _reference_blocks(delta):
+    """The one-block lengths o_0..o_k around the k zero runs of ``delta``
+    and the runs' lengths, by a walk over its split."""
+    pieces = delta.split("0")
+    ones, zeros, gap = [len(pieces[0])], [], 0
+    for piece in pieces[1:]:
+        gap += 1
+        if piece:
+            ones.append(len(piece))
+            zeros.append(gap)
+            gap = 0
+    if gap:
+        ones.append(0)
+        zeros.append(gap)
+    return ones, zeros
+
+
+def _reference_decompose(delta):
+    """Every zero run by block sums: alpha and beta are a prefix and a
+    suffix sum of ceil(o/2), with each neighbouring block at floor(o/2)."""
+    ones, zeros = _reference_blocks(delta)
+    faults = list(accumulate([(o + 1) // 2 for o in ones], initial=0))
+    ends = accumulate(o + gamma for o, gamma in zip(ones, zeros))
+    return [ZeroSubstring(j, end - gamma + 1, end, gamma, faults[j - 1] + ones[j - 1] // 2,
+                          ones[j] // 2 + faults[-1] - faults[j + 1])
+            for j, (gamma, end) in enumerate(zip(zeros, ends), 1)]
+
+
+def _exactly(runs):
+    """The runs with their types, so a plain tuple never equals a ZeroSubstring."""
+    return [(type(run), tuple(run)) for run in runs]
+
+
+def test_search_matches_block_sum_reference():
+    """decompose, find_usable, min_faults and pairs_only equal the block-sum
+    reference exactly (values, order and ZeroSubstring type) on every
+    vector of length <= 12 and every budget 1..7, and find_usable is
+    decompose filtered by score."""
+    for delta in ALL_DELTAS:
+        reference = _reference_decompose(delta)
+        runs = decompose(delta)
+        assert _exactly(runs) == _exactly(reference), delta
+        ones = _reference_blocks(delta)[0]
+        assert min_faults(delta) == sum((o + 1) // 2 for o in ones), delta
+        assert pairs_only(delta) == sum(o // 2 for o in ones), delta
+        for t in range(1, 8):
+            usable = find_usable(t, delta)
+            assert _exactly(usable) == _exactly(
+                [r for r in reference if r.alpha + r.beta + r.gamma >= t]), (delta, t)
+            assert usable == [r for r in runs if r.alpha + r.beta + r.gamma >= t], (delta, t)
+
+
+@pytest.mark.parametrize("delta", ["0120", "01 1", "2"])
+@pytest.mark.parametrize("query", [
+    min_faults, pairs_only, decompose,
+    lambda delta: find_usable(1, delta),
+    lambda delta: operation_count(1, delta),
+    lambda delta: oracle_unusable_runs(delta, 1),
+], ids=["min_faults", "pairs_only", "decompose", "find_usable", "operation_count",
+        "oracle_unusable_runs"])
+def test_queries_refuse_other_characters(query, delta):
+    """Counting "1" and "11" would read past a foreign character, so every
+    query checks the alphabet first."""
+    with pytest.raises(ValueError, match="'0'/'1'"):
+        query(delta)
 
 
 @given(deltas)
