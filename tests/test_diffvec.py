@@ -121,10 +121,9 @@ def _reference_blocks(delta):
     return ones, zeros
 
 
-def _reference_decompose(delta):
+def _reference_decompose(ones, zeros):
     """Every zero run by block sums: alpha and beta are a prefix and a
     suffix sum of ceil(o/2), with each neighbouring block at floor(o/2)."""
-    ones, zeros = _reference_blocks(delta)
     faults = list(accumulate([(o + 1) // 2 for o in ones], initial=0))
     ends = accumulate(o + gamma for o, gamma in zip(ones, zeros))
     return [ZeroSubstring(j, end - gamma + 1, end, gamma, faults[j - 1] + ones[j - 1] // 2,
@@ -143,10 +142,10 @@ def test_search_matches_block_sum_reference():
     vector of length <= 12 and every budget 1..7, and find_usable is
     decompose filtered by score."""
     for delta in ALL_DELTAS:
-        reference = _reference_decompose(delta)
+        ones, zeros = _reference_blocks(delta)
+        reference = _reference_decompose(ones, zeros)
         runs = decompose(delta)
         assert _exactly(runs) == _exactly(reference), delta
-        ones = _reference_blocks(delta)[0]
         assert min_faults(delta) == sum((o + 1) // 2 for o in ones), delta
         assert pairs_only(delta) == sum(o // 2 for o in ones), delta
         for t in range(1, 8):
