@@ -17,9 +17,12 @@ is zero):
   zero prepended, with budget t, when it is zero. A usable run through
   the prepended zero stops without correcting.
 
-One function, :func:`policy_decision`, makes every decision, the
-budget-0 one of CSS two-stage mode's second stage included
-(:data:`BUDGET_EXHAUSTED`). The reference shot runner calls it round by
+One function, :func:`policy_decision`, holds all three rules and makes
+every decision, the budget-0 one of CSS two-stage mode's second stage
+included (:data:`BUDGET_EXHAUSTED`). Its one round-cap check reads
+:func:`worst_case_rounds`: there the Shor rule stops, and the others,
+which the round bounds say never get there, raise
+:class:`ProtocolDefect`. The reference shot runner calls it round by
 round. One walk, :func:`reachable_states`, lists the states each rule
 can reach before it stops: every difference vector for strong and weak,
 every (rounds, repeats) pair for Shor. The Monte Carlo engine's
@@ -106,36 +109,18 @@ def worst_case_rounds(kind: str, t: int, s1_branch: str = "n/a") -> int:
     if kind == "shor":
         return (t + 1) ** 2
     if kind == "strong":
-        if t % 2:
-            return ((t + 3) // 2) ** 2 - 1
-        return (t + 2) * (t + 4) // 4 - 1
+        return (t + 3) ** 2 // 4 - 1
     if kind == "weak":
         if s1_branch not in ("nonzero", "zero"):
             raise ValueError("weak policy needs s1_branch 'nonzero' or 'zero'")
-        if t == 1:
-            return 2 if s1_branch == "nonzero" else 1
         if s1_branch == "nonzero":
-            if t % 2 == 0:
-                return ((t + 2) // 2) ** 2
-            return (t + 1) * (t + 3) // 4
-        if t % 2 == 0:
-            return (t + 2) * (t + 4) // 4 - 2
-        return ((t + 3) // 2) ** 2 - 2
+            return (t + 2) ** 2 // 4
+        return (t + 3) ** 2 // 4 - 2 if t > 1 else 1
     raise ValueError(f"unknown decoder kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# Pure decision functions
-
-
-def shor_decision(t: int, delta: str) -> PolicyDecision:
-    rounds = len(delta) + 1
-    trailing = len(delta) - len(delta.rstrip("0"))
-    if trailing >= t:
-        return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT)
-    if rounds >= (t + 1) ** 2:
-        return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_CAP)
-    return PolicyDecision(CONTINUE, rounds)
+# The decision function
 
 
 def _stop(budget: int, vec: str, rounds: int, shift: int) -> PolicyDecision | None:
@@ -155,38 +140,6 @@ def _stop(budget: int, vec: str, rounds: int, shift: int) -> PolicyDecision | No
     return None
 
 
-def _continue(kind: str, t: int, branch: str, delta: str) -> PolicyDecision:
-    """Continue, unless the round cap is reached: then the rule is broken."""
-    rounds = len(delta) + 1
-    if rounds >= worst_case_rounds(kind, t, branch):
-        raise ProtocolDefect(f"{kind} policy undecided at its round cap "
-                             f"(t={t}, branch={branch}, delta={delta!r})")
-    return PolicyDecision(CONTINUE, rounds)
-
-
-def strong_decision(t: int, delta: str) -> PolicyDecision:
-    return _stop(t, delta, len(delta) + 1, 0) or _continue("strong", t, "n/a", delta)
-
-
-def weak_decision(t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
-    rounds = len(delta) + 1
-    if t == 1:
-        # Two-round protocol for distance-3 codes.
-        if not s1_nonzero:
-            return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
-        if rounds == 1:
-            return PolicyDecision(CONTINUE, rounds)
-        if delta[0] == "0":
-            return PolicyDecision(STOP_CORRECT, rounds, 1, USABLE_RUN)
-        return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
-    # position k of the trimmed vector is k+1 in delta, of the extended one k-1
-    if s1_nonzero:
-        decision = _stop(t - 1, delta[1:], rounds, 1)
-    else:
-        decision = _stop(t, "0" + delta, rounds, -1)
-    return decision or _continue("weak", t, "nonzero" if s1_nonzero else "zero", delta)
-
-
 # No fault budget left (stage 2 of CSS two-stage mode): the first measured
 # syndrome is guaranteed correct, so accept it.
 BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
@@ -195,15 +148,35 @@ BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
 def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
     """Decision after observing a difference vector (and the s1 branch);
     every rule answers budget 0 with :data:`BUDGET_EXHAUSTED`."""
-    if not t and kind in KINDS:
+    if kind not in KINDS:
+        raise ValueError(f"unknown decoder kind {kind!r}")
+    if not t:
         return BUDGET_EXHAUSTED
+    rounds = len(delta) + 1
+    if kind == "weak" and t == 1:  # the two-round protocol for distance-3 codes
+        if s1_nonzero and rounds == 1:
+            return PolicyDecision(CONTINUE, rounds)
+        if s1_nonzero and delta[0] == "0":
+            return PolicyDecision(STOP_CORRECT, rounds, 1, USABLE_RUN)
+        return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
+    branch = "n/a" if kind != "weak" else "nonzero" if s1_nonzero else "zero"
     if kind == "shor":
-        return shor_decision(t, delta)
-    if kind == "strong":
-        return strong_decision(t, delta)
-    if kind == "weak":
-        return weak_decision(t, s1_nonzero, delta)
-    raise ValueError(f"unknown decoder kind {kind!r}")
+        repeated = len(delta) - len(delta.rstrip("0")) >= t
+        decision = PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT) if repeated else None
+    else:
+        # weak tests delta without its first bit (budget t-1) or after a
+        # prepended zero: position k of that vector is k+1 or k-1 in delta
+        budget, vec, shift = ((t, delta, 0) if kind == "strong" else
+                              (t - 1, delta[1:], 1) if s1_nonzero else (t, "0" + delta, -1))
+        decision = _stop(budget, vec, rounds, shift)
+    if decision:
+        return decision
+    if rounds < worst_case_rounds(kind, t, branch):
+        return PolicyDecision(CONTINUE, rounds)
+    if kind == "shor":
+        return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_CAP)
+    raise ProtocolDefect(f"{kind} policy undecided at its round cap "
+                         f"(t={t}, branch={branch}, delta={delta!r})")
 
 
 # ---------------------------------------------------------------------------

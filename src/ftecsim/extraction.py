@@ -60,7 +60,9 @@ def _is_a(value, kind) -> bool:
 
 
 def _check_rate(p: float) -> None:
-    """Reject a physical error rate outside [0, 1], NaN included."""
+    """Reject a physical error rate that is no real number in [0, 1], NaN included."""
+    if not _is_a(p, numbers.Real):
+        raise ValueError(f"physical error rate must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"physical error rate {p} outside [0, 1]")
 

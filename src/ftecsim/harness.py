@@ -878,6 +878,8 @@ def estimate_pseudothreshold(
     confidence band lies on one side of the 2p/3 line. All probes run on
     one chunk runner.
     """
+    if not (_is_a(p_lo, numbers.Real) and _is_a(p_hi, numbers.Real)):
+        raise ValueError(f"p_lo and p_hi must be real numbers, got {p_lo!r} and {p_hi!r}")
     if not (0 < p_lo < p_hi <= 1):
         raise ValueError("need 0 < p_lo < p_hi <= 1")
     _check_int("shots_per_probe", shots_per_probe, 1)

@@ -230,20 +230,14 @@ def max_unusable_length(kind: str, t: int, s1_branch: str = "n/a") -> int:
 def appendix_extremal_delta(t: int) -> str:
     """The maximal-length unusable difference vector construction.
 
-    For odd t: runs of lengths (t-1)/2, (t+1)/2, ..., (t+1)/2, (t-1)/2
-    separated by single ones, (t+3)/2 runs in total. For even t: runs
-    t/2, t/2+1, ..., t/2+1, t/2 with t/2+1 runs. Both reach the maximum
-    unusable length for the strong policy.
+    Zero runs of lengths g, g+1, ..., g+1, g with g = floor(t/2), with
+    ceil(t/2) - 1 runs of g+1 in the middle, separated by single ones. It
+    reaches the maximum unusable length for the strong policy.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if t % 2:
-        c = (t + 3) // 2
-        gammas = [(t - 1) // 2] + [(t + 1) // 2] * (c - 2) + [(t - 1) // 2]
-    else:
-        c = t // 2 + 1
-        gammas = [t // 2] + [t // 2 + 1] * (c - 2) + [t // 2]
-    return "1".join("0" * g for g in gammas)
+    g = t // 2
+    return "1".join("0" * n for n in [g] + [g + 1] * ((t - 1) // 2) + [g])
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,9 @@ def test_noise_model_validation():
         NoiseModel(-0.1)
     with pytest.raises(ValueError):
         NoiseModel(1.5)
+    for p in (True, "0.1", None):
+        with pytest.raises(ValueError, match="physical error rate must be a real number"):
+            NoiseModel(p)
 
 
 def test_noiseless_soundness_exhaustive(code3, compiled3):

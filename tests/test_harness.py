@@ -1045,12 +1045,19 @@ def test_counts_checked_before_any_work(monkeypatch):
 
 def test_run_point_rejects_rates_outside_unit_interval(monkeypatch):
     """``run_point`` checks p as ``ExperimentConfig`` checks ``p_values``,
-    before any chunk runs."""
+    and ``estimate_pseudothreshold`` checks both bracket ends, before any
+    chunk runs: a bool or a string is no rate."""
     cfg = ExperimentConfig(d=3, decoder="weak", shots=100, seed=1, workers=1)
     monkeypatch.setattr(harness, "_run_chunk", None)  # a chunk would raise TypeError
     for p in (-0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"physical error rate .* outside \[0, 1\]"):
             run_point(cfg, p)
+    for p in (True, "0.1"):
+        with pytest.raises(ValueError, match="physical error rate must be a real number"):
+            run_point(cfg, p)
+    for bracket in ((1e-4, True), ("1e-4", 1e-2), (False, 1e-2)):
+        with pytest.raises(ValueError, match="p_lo and p_hi must be real numbers"):
+            estimate_pseudothreshold(cfg, *bracket, shots_per_probe=100)
 
 
 def test_contexts_share_one_table_per_distance_and_weight():

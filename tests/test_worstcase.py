@@ -104,6 +104,19 @@ def test_max_unusable_length_examples():
         assert max_unusable_length("shor", t) == (t + 1) ** 2 - 2
 
 
+def test_closed_forms_past_the_published_table():
+    """At t = 6 and 7, past ``_TABLE_ROUNDS`` and the regime of
+    ``max_unusable_length``, every rule's longest continuing vector is two
+    shorter than its closed-form round cap."""
+    for kind, branch in (("shor", "n/a"), ("strong", "n/a"), ("weak", "nonzero"),
+                         ("weak", "zero")):
+        for t in (6, 7):
+            longest = max(len(delta) for delta, decision in
+                          decoders.reachable_states(kind, t, branch != "zero")
+                          if decision.action == CONTINUE)
+            assert longest + 2 == decoders.worst_case_rounds(kind, t, branch), (kind, branch, t)
+
+
 def test_all_ones_stream_stops_at_2t_plus_1():
     for t in (1, 2, 3, 4, 5):
         decision = run_stream("strong", t, range(1, 4 * t))
@@ -123,9 +136,11 @@ def test_verify_round_bounds_full():
 
 
 def _shor_rule(late):
-    """The Shor rule with its cap ``late`` rounds after (t+1)^2, or with no
-    cap when ``late`` is None."""
-    def rule(t, delta):
+    """``policy_decision`` with the Shor rule's cap ``late`` rounds after
+    (t+1)^2, or with no cap when ``late`` is None; other kinds unchanged."""
+    def rule(kind, t, s1_nonzero, delta):
+        if kind != "shor":
+            return policy_decision(kind, t, s1_nonzero, delta)
         rounds = len(delta) + 1
         if len(delta) - len(delta.rstrip("0")) >= t:
             return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT)
@@ -137,14 +152,14 @@ def _shor_rule(late):
 
 def test_verify_round_bounds_searches_the_shor_cap(monkeypatch):
     # the search finds a cap one round late in every Shor row...
-    monkeypatch.setattr(decoders, "shor_decision", _shor_rule(1))
+    monkeypatch.setattr(decoders, "policy_decision", _shor_rule(1))
     report = verify_round_bounds(3)
     assert not report["ok"]
     assert {(c.kind, c.ok) for c in report["checks"]} == {
         ("strong", True), ("weak", True), ("shor", False)}
     assert [c.implied_rounds for c in report["checks"] if c.kind == "shor"] == [5, 10, 17]
     # ...and ends, rather than hangs, on a rule with no cap at all
-    monkeypatch.setattr(decoders, "shor_decision", _shor_rule(None))
+    monkeypatch.setattr(decoders, "policy_decision", _shor_rule(None))
     with pytest.raises(AssertionError, match="kind=shor t=1"):
         verify_round_bounds(3)
 
