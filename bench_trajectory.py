@@ -4,10 +4,12 @@ both reports of ``perfbench/run.py``, in one committed JSON file.
     python3 bench_trajectory.py 31                          # writes BENCH_31.json
     python3 bench_trajectory.py 32 --against BENCH_31.json  # ...and prints ratios
 
-Each workload runs as ``perfbench/run.py --workload W --seed 1 --seconds 20
---trace 0``, then ``--report grid`` and ``--report setup`` run; a pass takes
-about three minutes. ``BENCH_<n>.json`` holds, per run, the command, its
-manifest line, its metric lines and (for a workload) its result line.
+Each workload that ``BENCHMARK.json`` lists runs as ``perfbench/run.py
+--workload W --seed 1 --seconds 20 --trace 0``, then ``--report grid`` and
+``--report setup`` run; a pass takes about three minutes. ``BENCH_<n>.json``
+holds the checkout it measured (``git rev-parse HEAD`` and whether the tree
+had uncommitted changes) and, per run, the command, its manifest line, its
+metric lines and (for a workload) its result line.
 ``--against`` then prints, for each workload and metric in both files, the
 new value over the old one. A ratio means something only between files
 made on the same machine.
@@ -22,8 +24,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
-WORKLOADS = ("mc_d5_strong", "mc_d9_2stage", "verify_ft", "pth_d3_pool")
 REPORTS = ("grid", "setup")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
+                          text=True).stdout.strip()
 
 
 def run(args: list[str]) -> dict:
@@ -63,9 +69,12 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, help="an earlier BENCH_<m>.json to compare with")
     args = parser.parse_args(argv)
     old = json.loads(args.against.read_text()) if args.against else None
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     bench = {
+        "checkout": {"head": git("rev-parse", "HEAD"),
+                     "uncommitted_changes": bool(git("status", "--porcelain"))},
         "workloads": {w: run(["--workload", w, "--seed", "1", "--seconds", "20", "--trace", "0"])
-                      for w in WORKLOADS},
+                      for w in workloads},
         "reports": {r: run(["--report", r]) for r in REPORTS},
     }
     path = ROOT / f"BENCH_{args.n}.json"

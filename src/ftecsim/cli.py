@@ -267,17 +267,8 @@ def _cmd_fault_enum(args) -> int:
         else:
             rep = sample_fault_pairs(args.d, dec, samples=args.samples, seed=args.seed)
         ok = ok and rep.ok
-        reports.append(
-            {
-                "d": rep.d, "decoder": rep.decoder, "order": rep.order,
-                "cases": rep.cases, "skipped_unreached": rep.skipped_unreached,
-                "logical_failures": rep.logical_failures,
-                "weight_violations": rep.weight_violations,
-                "ok": rep.ok, "failures": rep.failures,
-            }
-        )
-        if rep.landed is not None:  # pairs by how many of their faults landed
-            reports[-1]["landed"] = rep.landed
+        reports.append({k: v for k, v in dataclasses.asdict(rep).items()
+                        if k != "landed" or v is not None})
     _write_output(json.dumps({"ok": ok, "reports": reports}, indent=2), args.out)
     return 0 if ok else 2
 

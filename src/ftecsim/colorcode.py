@@ -34,7 +34,6 @@ class HexLayout:
     d: int
     vertices: tuple[tuple[int, int], ...]
     plaquettes: tuple[frozenset[int], ...]
-    plaquette_centers: tuple[tuple[int, int], ...]
 
 
 def _check_distance_arg(d: int) -> None:
@@ -69,7 +68,7 @@ def build_hex_layout(d: int) -> HexLayout:
         raise AssertionError(f"layout produced {len(qubits)} qubits, expected {n}")
     if len(plaquettes) != (n - 1) // 2:
         raise AssertionError("layout produced the wrong plaquette count")
-    return HexLayout(d, tuple(qubits), tuple(plaquettes), tuple(centers))
+    return HexLayout(d, tuple(qubits), tuple(plaquettes))
 
 
 def build_hex_color_code(d: int) -> StabilizerCode:
@@ -116,17 +115,19 @@ def build_hex_color_code(d: int) -> StabilizerCode:
     )
 
 
-def verify_distance(code: StabilizerCode, max_n: int = 19) -> int:
+DISTANCE_SEARCH_MAX_N = 19  # the most qubits verify_distance searches: d = 5
+
+
+def verify_distance(code: StabilizerCode) -> int:
     """Minimum weight of a zero-syndrome Pauli in a nontrivial logical class.
 
     Enumerates Paulis in increasing weight, so the first hit is the code
-    distance. Refuses codes larger than ``max_n`` rather than silently
-    truncating the search.
+    distance. Refuses codes of more than ``DISTANCE_SEARCH_MAX_N`` qubits
+    (d >= 7) rather than silently truncating the search.
     """
-    if code.n > max_n:
-        raise ValueError(
-            f"exhaustive search bound exceeded: code has n={code.n} > max_n={max_n}"
-        )
+    if code.n > DISTANCE_SEARCH_MAX_N:
+        raise ValueError(f"exhaustive search bound exceeded: code has n={code.n} "
+                         f"> {DISTANCE_SEARCH_MAX_N}")
     letters = ("X", "Y", "Z")
     for w in range(1, code.n + 1):
         for support in itertools.combinations(range(code.n), w):

@@ -19,16 +19,16 @@ is zero):
 
 One function, :func:`policy_decision`, holds all three rules and makes
 every decision, the budget-0 one of CSS two-stage mode's second stage
-included (:data:`BUDGET_EXHAUSTED`). Its one round-cap check reads
-:func:`worst_case_rounds`: there the Shor rule stops, and the others,
-which the round bounds say never get there, raise
-:class:`ProtocolDefect`. The reference shot runner calls it round by
-round. One walk, :func:`reachable_states`, lists the states each rule
-can reach before it stops: every difference vector for strong and weak,
-every (rounds, repeats) pair for Shor. The Monte Carlo engine's
-transition tables (:func:`policy_table`), :func:`decision_table` and the
-round-bound search (``worstcase.max_unusable_length``) all read that
-walk, so none of them can drift apart.
+included (:data:`BUDGET_EXHAUSTED`). Before any stop test it reads its cap
+from :func:`worst_case_rounds`, the one check of what a rule accepts: at
+the cap the Shor rule stops, and the others, which the round bounds say
+never get there, raise :class:`ProtocolDefect`. The reference shot runner
+calls it round by round. One walk, :func:`reachable_states`, lists the
+states each rule can reach before it stops: every difference vector for
+strong and weak, every (rounds, repeats) pair for Shor. The Monte Carlo
+engine's transition tables (:func:`policy_table`), :func:`decision_table`
+and the round-bound search (``worstcase.max_unusable_length``) all read
+that walk, so none of them can drift apart.
 
 Tie-breaking is fixed: among usable runs the earliest wins, and within a
 run the syndrome of its first round is used. All rounds of a run share one
@@ -90,10 +90,7 @@ class PolicyConfig:
     t: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
-        if self.t < 1:
-            raise ValueError(f"fault budget t must be >= 1, got {self.t}")
+        self.max_rounds_cap()  # refuses an unknown kind or t < 1
 
     def max_rounds_cap(self) -> int:
         """The most rounds the policy can take, over both first-syndrome branches."""
@@ -103,20 +100,21 @@ class PolicyConfig:
 
 
 def worst_case_rounds(kind: str, t: int, s1_branch: str = "n/a") -> int:
-    """Closed-form maximum round count for a policy and fault budget."""
+    """Closed-form maximum round count, and the one check of what a policy
+    accepts: t >= 1 and the branch "n/a", or "nonzero" or "zero" for weak."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if kind == "shor":
+    if kind == "shor" and s1_branch == "n/a":
         return (t + 1) ** 2
-    if kind == "strong":
+    if kind == "strong" and s1_branch == "n/a":
         return (t + 3) ** 2 // 4 - 1
-    if kind == "weak":
-        if s1_branch not in ("nonzero", "zero"):
-            raise ValueError("weak policy needs s1_branch 'nonzero' or 'zero'")
-        if s1_branch == "nonzero":
-            return (t + 2) ** 2 // 4
+    if kind == "weak" and s1_branch == "nonzero":
+        return (t + 2) ** 2 // 4
+    if kind == "weak" and s1_branch == "zero":
         return (t + 3) ** 2 // 4 - 2 if t > 1 else 1
-    raise ValueError(f"unknown decoder kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown decoder kind {kind!r}")
+    raise ValueError(f"{kind} policy has no s1_branch {s1_branch!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +150,8 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
         raise ValueError(f"unknown decoder kind {kind!r}")
     if not t:
         return BUDGET_EXHAUSTED
+    branch = "n/a" if kind != "weak" else "nonzero" if s1_nonzero else "zero"
+    cap = worst_case_rounds(kind, t, branch)
     rounds = len(delta) + 1
     if kind == "weak" and t == 1:  # the two-round protocol for distance-3 codes
         if s1_nonzero and rounds == 1:
@@ -159,7 +159,6 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
         if s1_nonzero and delta[0] == "0":
             return PolicyDecision(STOP_CORRECT, rounds, 1, USABLE_RUN)
         return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
-    branch = "n/a" if kind != "weak" else "nonzero" if s1_nonzero else "zero"
     if kind == "shor":
         repeated = len(delta) - len(delta.rstrip("0")) >= t
         decision = PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT) if repeated else None
@@ -171,7 +170,7 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
         decision = _stop(budget, vec, rounds, shift)
     if decision:
         return decision
-    if rounds < worst_case_rounds(kind, t, branch):
+    if rounds < cap:
         return PolicyDecision(CONTINUE, rounds)
     if kind == "shor":
         return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_CAP)

@@ -81,7 +81,6 @@ class NoiseModel:
 class ShorCircuit:
     """One generator measurement: support order fixes the gate order."""
 
-    generator_index: int
     w: int
     support: tuple[int, ...]
     letters: tuple[str, ...]
@@ -91,7 +90,7 @@ class ShorCircuit:
 def build_round_schedule(code: StabilizerCode) -> list[ShorCircuit]:
     """One Shor circuit per generator, in the code's generator order."""
     schedule = []
-    for gi, g in enumerate(code.generators):
+    for g in code.generators:
         support = []
         letters = []
         for q in range(code.n):
@@ -106,9 +105,7 @@ def build_round_schedule(code: StabilizerCode) -> list[ShorCircuit]:
             for kind in (CAT_PREP, TWO_QUBIT, ONE_QUBIT, MEASUREMENT)
             for j in range(w)
         )
-        schedule.append(
-            ShorCircuit(gi, w, tuple(support), tuple(letters), locations)
-        )
+        schedule.append(ShorCircuit(w, tuple(support), tuple(letters), locations))
     return schedule
 
 

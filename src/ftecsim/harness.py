@@ -100,8 +100,6 @@ from .stabilizer import PauliOperator, StabilizerCode
 CHUNK_SHOTS = 4096
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
 
-_WILSON_Z = 1.959963984540054  # 95 percent
-
 
 def _check_int(name: str, value, low: int, optional: bool = False) -> None:
     """The one check of an integer argument: an integer, not a bool, at
@@ -194,7 +192,8 @@ class ExperimentStats:
         return dataclasses.asdict(self)
 
 
-def wilson_interval(errors: int, shots: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(errors: int, shots: int) -> tuple[float, float]:
+    z = 1.959963984540054  # 95 percent
     if shots == 0:
         return (0.0, 1.0)
     phat = errors / shots
@@ -543,10 +542,10 @@ def _chunk_runner(config: ExperimentConfig):
         pool.shutdown(cancel_futures=True)
 
 
-def run_point(config: ExperimentConfig, p: float, point_key: int = 0) -> ExperimentStats:
+def run_point(config: ExperimentConfig, p: float) -> ExperimentStats:
     """Simulate one physical error rate and aggregate the shot outcomes."""
     with _chunk_runner(config) as run:
-        return _run_point(config, p, point_key, run)
+        return _run_point(config, p, 0, run)
 
 
 def _run_point(config: ExperimentConfig, p: float, point_key: int, run) -> ExperimentStats:
@@ -684,14 +683,11 @@ class FaultEnumReport:
     skipped_unreached: int
     logical_failures: int
     weight_violations: int
+    ok: bool = True  # no logical failure and no weight violation
     failures: list = field(default_factory=list)
     # order 2: landed[k] is the number of pairs of which k faults landed,
     # that is, came in a round the shot reached
     landed: list | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.logical_failures and not self.weight_violations
 
 
 def _run_injected(ctx: _Context, frames: FrameBatch, rnd: np.ndarray, row: np.ndarray) -> tuple:
@@ -725,6 +721,7 @@ def _tally(report: FaultEnumReport, ctx: _Context, result: tuple, weight_bad: np
     report.cases += len(errors)
     report.logical_failures += int(errors.sum())
     report.weight_violations += int(weight_bad.sum())
+    report.ok = not report.logical_failures and not report.weight_violations
     for i in np.flatnonzero(errors | weight_bad)[:FAILURES_RECORDED - len(report.failures)]:
         report.failures.append(
             {"case": label(i),

@@ -78,7 +78,7 @@ def test_distance_d3_brute_force(code3):
 
 
 def test_distance_d5(code5):
-    assert verify_distance(code5, max_n=19) == 5
+    assert verify_distance(code5) == 5
 
 
 def test_verify_distance_degenerate_single_qubit():
@@ -87,12 +87,16 @@ def test_verify_distance_degenerate_single_qubit():
         logical_x=(PauliOperator.from_string("X"),),
         logical_z=(PauliOperator.from_string("Z"),),
     )
-    assert verify_distance(code, max_n=1) == 1
+    assert verify_distance(code) == 1
+    stabilized = StabilizerCode(n=1, k=0, generators=(PauliOperator.from_string("Z"),),
+                                logical_x=(), logical_z=())
+    with pytest.raises(ValueError, match="code has no nontrivial logical operator"):
+        verify_distance(stabilized)
 
 
-def test_verify_distance_refuses_large_codes(code5):
-    with pytest.raises(ValueError, match="search bound"):
-        verify_distance(code5, max_n=7)
+def test_verify_distance_refuses_large_codes():
+    with pytest.raises(ValueError, match="search bound exceeded: code has n=37 > 19"):
+        verify_distance(build_hex_color_code(7))
 
 
 @pytest.mark.parametrize("d", [2, 4, 1, 13])

@@ -18,6 +18,7 @@ from ftecsim.decoders import (
     USABLE_RUN,
     WEAK_NO_CORRECTION,
     PolicyConfig,
+    PolicyDecision,
     ProtocolDefect,
     decision_table,
     policy_decision,
@@ -257,10 +258,25 @@ def test_two_stage_rejects_shor():
     assert _two_stage_shot(3, "shor", sectors=("all",)).rounds_used == 2
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_negative_budget_meets_the_one_refusal(kind):
+    """Below budget 0 every rule, branch and vector gets the refusal of
+    ``worst_case_rounds``."""
+    for s1_nonzero, delta in product((False, True), ("", "0", "01", "11")):
+        with pytest.raises(ValueError, match="^t must be >= 1, got -1$"):
+            policy_decision(kind, -1, s1_nonzero, delta)
+
+
 def test_policy_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown decoder kind 'nope'"):
         PolicyConfig("nope", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t must be >= 1, got 0"):
         PolicyConfig("shor", 0)
+    for kind, branch in (("shor", "bogus"), ("strong", "zero"), ("weak", "n/a")):
+        with pytest.raises(ValueError, match=f"{kind} policy has no s1_branch '{branch}'"):
+            worst_case_rounds(kind, 2, branch)
+    for round_index in (None, 0, 3):
+        with pytest.raises(ValueError, match="stop_correct must name a round inside"):
+            PolicyDecision(STOP_CORRECT, 2, round_index, USABLE_RUN)
     assert PolicyConfig("weak", 2).max_rounds_cap() == 4
     assert PolicyConfig("weak", 3).max_rounds_cap() == 7

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -202,6 +203,12 @@ def test_sector_schedules(code5):
     full = syndrome_of(code5, PauliOperator.single(19, 0, "X"))
     assert syn_z == full >> 9
     assert sample_round(cs_x, frame, _rng()) == 0
+    with pytest.raises(ValueError, match="unknown sector 'y'"):
+        compile_schedule(code5, NOISELESS, "y")
+    with pytest.raises(ValueError, match="sector schedules need a CSS code"):
+        compile_schedule(dataclasses.replace(code5, css=False), NOISELESS, "x")
+    with pytest.raises(ValueError, match="needs n, r <= 64"):
+        compile_schedule(build_hex_color_code(11), NOISELESS)  # n = 91
 
 
 def test_sector_schedule_needs_contiguous_generators(interleaved3):

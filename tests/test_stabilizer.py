@@ -38,13 +38,24 @@ def test_weight_and_strings():
     assert P("IXYZ").to_string() == "IXYZ"
     with pytest.raises(ValueError):
         PauliOperator.from_string("IXQ")
+    with pytest.raises(ValueError, match="qubit count must be nonnegative, got -1"):
+        PauliOperator(-1)
+    for x, z in ((0b100, 0), (0, 0b100)):
+        with pytest.raises(ValueError, match="support outside the qubit range"):
+            PauliOperator(2, x, z)
+    with pytest.raises(ValueError, match="qubit 2 out of range for n=2"):
+        PauliOperator.single(2, 2, "X")
+    with pytest.raises(ValueError, match=r"use identity\(\) for the trivial operator"):
+        PauliOperator.single(2, 0, "I")
 
 
-def test_size_mismatch_rejected():
+def test_size_mismatch_rejected(code3):
     with pytest.raises(ValueError):
         commutes(P("X"), P("XX"))
     with pytest.raises(ValueError):
         multiply(P("X"), P("XX"))
+    with pytest.raises(ValueError, match="error acts on 2 qubits, code has 7"):
+        syndrome_of(code3, P("XX"))
 
 
 def _string_anticommutes(a: str, b: str) -> bool:
@@ -171,6 +182,15 @@ def test_code_validation_catches_broken_inputs():
     # generator but also with each other
     with pytest.raises(ValueError):
         StabilizerCode(2, 1, (multiply(x1, x2),), (x1,), (x1,))
+    with pytest.raises(ValueError, match="expected 2 generators for n=2, k=0, got 1"):
+        StabilizerCode(2, 0, (x1,), (), ())
+    with pytest.raises(ValueError, match="need exactly k logical X and k logical Z"):
+        StabilizerCode(2, 1, (x1,), (x2,), ())
+    with pytest.raises(ValueError, match="operator size does not match the code"):
+        StabilizerCode(2, 1, (x1,), (P("X"),), (z2,))
+    # the logical Z anticommutes with the generator
+    with pytest.raises(ValueError, match="logical operators must commute with all generators"):
+        StabilizerCode(2, 1, (x1,), (x2,), (multiply(z1, z2),))
 
 
 def test_css_sector_validation(code3):
@@ -180,6 +200,13 @@ def test_css_sector_validation(code3):
             code3.n, 1, gens, code3.logical_x, code3.logical_z,
             css=True, x_sector=(0, 1, 2, 3), z_sector=(4, 5),
         )
+    for x_sector, z_sector, message in (
+            ((0, 1), (3, 4, 5), "CSS sectors must partition the generator indices"),
+            ((0, 1, 2, 3), (3, 4, 5), "CSS sectors overlap"),
+            ((0, 1), (2, 3, 4, 5), "generator 2 in the Z sector is not Z-only")):
+        with pytest.raises(ValueError, match=message):
+            StabilizerCode(code3.n, 1, gens, code3.logical_x, code3.logical_z,
+                           css=True, x_sector=x_sector, z_sector=z_sector)
 
 
 def test_gf2_pivots_rank_and_reduced_form():

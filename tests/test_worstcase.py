@@ -63,6 +63,8 @@ def test_oracle_regime_refusal():
         oracle_unusable_runs("0" * 20, 3)
     with pytest.raises(ValueError, match="regime"):
         max_unusable_length("strong", 7)
+    with pytest.raises(ValueError, match="t_max too large for exhaustive search: 6"):
+        verify_round_bounds(6)
     with pytest.raises(ValueError, match=re.escape("fault budget must be >= 0, got -1")):
         oracle_unusable_runs("0100", -1)
     with pytest.raises(ValueError, match=re.escape(
@@ -78,6 +80,8 @@ def test_oracle_regime_refusal():
 def test_extremal_family_construction():
     assert appendix_extremal_delta(3) == "010010"
     assert appendix_extremal_delta(2) == "010"
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        appendix_extremal_delta(0)
     lengths = {1: 1, 2: 3, 3: 6, 4: 9, 5: 13}
     for t, want in lengths.items():
         delta = appendix_extremal_delta(t)
