@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--max-errors", type=int, default=None,
                      help="stop a point after this many logical errors")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default 1)")
+                     help="processes that run chunks, this one included (default 1)")
     sim.add_argument("--css-two-stage", action="store_true", default=None)
     sim.add_argument("--built-to-weight", type=int, default=None)
     sim.add_argument("--config", default=None, help="JSON file with ExperimentConfig fields")
@@ -305,7 +305,8 @@ def build_parser() -> _Parser:
     pt.add_argument("--shots-per-probe", type=int, default=200_000)
     pt.add_argument("--iterations", type=int, default=9)
     pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--workers", type=int, default=None)
+    pt.add_argument("--workers", type=int, default=None,
+                    help="processes that run chunks, this one included (default 1)")
     pt.add_argument("--css-two-stage", action="store_true")
     pt.add_argument("--out", default=None)
     pt.set_defaults(func=_cmd_pseudothreshold)

@@ -46,11 +46,13 @@ and the optional stop-after-N-logical-errors rule is evaluated at chunk
 boundaries in chunk order for the same reason. Sampled fault pairs draw
 each chunk the same way, under one fixed point key. A campaign
 (``run_experiment``, ``estimate_pseudothreshold``) runs all its points on
-one chunk runner, which with more than one worker is one process pool; a
-campaign that no ``max_errors`` can cut hands it several groups at a
-time. One that can be cut hands over one group at a time; a hand-off
-already queued when a point reaches its cut still runs, so a cut wastes
-up to about four chunks' worth of explicit shots per queued hand-off.
+one chunk runner. With W > 1 workers that is one pool of this process
+and W - 1 children forked from it: each point's hand-offs are dealt
+round-robin among the W, and this process runs its own share. A campaign
+that no ``max_errors`` can cut deals each point at once. One that can be
+cut deals W hand-offs at a time and reads all their rows before it
+checks the cut, so a cut wastes at most W - 1 hand-offs, each up to
+about four chunks' worth of explicit shots.
 """
 
 from __future__ import annotations
@@ -505,41 +507,129 @@ def _n_chunks(shots: int) -> int:
     return (shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
 
 
+def _serve(conn, inherited: list) -> None:
+    """A pool child's loop: run each list of hand-offs that arrives on
+    ``conn`` and send back their row lists, or the exception one raised,
+    until the caller closes its end. ``inherited`` holds the caller's ends
+    of this child's pipe and of the earlier children's, which the fork
+    copied; closed here, they leave the caller their one holder, so its
+    close ends every child's loop."""
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            jobs = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = [_run_chunk(job) for job in jobs]
+        except Exception as exc:  # the caller re-raises it
+            reply = exc
+        try:
+            conn.send(reply)
+        except ConnectionError:  # the caller has closed its end: the campaign is over
+            return
+
+
+def _receive(conn) -> list:
+    """A pool child's rows for its share of a deal; an exception it sent,
+    or its death, is raised here."""
+    try:
+        reply = conn.recv()
+    except (EOFError, ConnectionError):
+        raise RuntimeError("a pool process died before returning its hand-offs") from None
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
+
+
+class _Pool:
+    """``workers`` processes that run hand-offs: this one and
+    ``workers - 1`` children forked from it, each joined to it by one
+    pipe. Forked, not spawned, so that the children inherit the engine
+    context this process has built; no thread runs beside its share."""
+
+    def __init__(self, workers: int):
+        # imported here, so a process that starts no pool never loads multiprocessing;
+        # numpy loads numpy.random on first use, so the children inherit it from here
+        import multiprocessing
+        import numpy.random  # noqa: F401
+
+        fork = multiprocessing.get_context("fork")
+        self.conns, self.procs = [], []
+        try:
+            for _ in range(workers - 1):
+                mine, theirs = fork.Pipe()
+                proc = fork.Process(target=_serve, args=(theirs, [*self.conns, mine]),
+                                    daemon=True)
+                proc.start()
+                theirs.close()
+                self.conns.append(mine)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def deal(self, jobs: list) -> list:
+        """Every hand-off's rows, in job order. Of W processes, process k
+        runs jobs k, k + W, ...: each child gets its share in one message,
+        and this process runs share 0 while they run theirs."""
+        w = len(self.conns) + 1
+        busy = self.conns[:len(jobs) - 1]
+        for k, conn in enumerate(busy, 1):
+            conn.send(jobs[k::w])
+        shares = [[_run_chunk(job) for job in jobs[::w]], *map(_receive, busy)]
+        return [shares[j % w][j // w] for j in range(len(jobs))]
+
+    def close(self) -> None:
+        """Close every pipe, which ends each child's loop, and join the
+        children; one that has not exited within a second is terminated."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join(1.0)
+            if proc.exitcode is None:
+                proc.terminate()
+                proc.join()
+
+
 @contextlib.contextmanager
 def _chunk_runner(config: ExperimentConfig):
     """One campaign's chunk runner: ``run(jobs)`` yields each hand-off's
     count rows in job order.
 
-    One worker, or points of one chunk, run in this process. Otherwise one
-    pool of ``min(workers, chunks per point)`` processes serves every point
-    of the campaign. Without ``max_errors`` a pool takes several hand-offs
-    at a time; with it, one, so past its cut a point runs only the few
-    hand-offs already queued to a worker, each up to about four chunks'
-    worth of simulated shots (:func:`_group_size`). A pool forks its
-    workers at the first hand-off, after the caller has built the engine
-    context and this process has loaded ``numpy.random``, which every
-    chunk's stream needs, so no worker loads it again. It is shut down,
-    with its unqueued hand-offs cancelled, when the campaign returns or
-    raises.
+    One worker, or points of one chunk, run in this process. Otherwise the
+    campaign's first hand-off starts one :class:`_Pool` of W = ``min(workers,
+    chunks per point)`` processes, this one included, that serves every
+    point. It forks after the caller has built the engine context and
+    loaded ``numpy.random``, which every chunk's stream needs, so no child
+    builds or loads either again. Without ``max_errors`` each point's
+    hand-offs are dealt at once; with it, W at a time, and a deal's rows
+    are all read before any is yielded, so past its cut a point runs at
+    most W - 1 more hand-offs, each up to about four chunks' worth of
+    simulated shots (:func:`_group_size`), and none runs into the next
+    point. Every child is joined when the campaign returns or raises.
     """
     n_chunks = _n_chunks(config.shots)
     workers = min(config.workers or 1, n_chunks)
     if workers <= 1:
         yield lambda jobs: map(_run_chunk, jobs)
         return
-    # imported here, so a process that starts no pool never loads multiprocessing;
-    # numpy loads numpy.random on first use, so the workers inherit it from here
-    from concurrent.futures import ProcessPoolExecutor
-    import numpy.random  # noqa: F401
+    pool = None
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    def run(jobs):
+        nonlocal pool
+        if pool is None:
+            pool = _Pool(workers)
+        step = len(jobs) if config.max_errors is None else workers
+        for i in range(0, len(jobs), step):
+            yield from pool.deal(jobs[i:i + step])
+
     try:
-        # a hand-off already queued to a worker cannot be cancelled, so a point
-        # that may be cut hands over one group at a time
-        yield lambda jobs: pool.map(_run_chunk, jobs, chunksize=(
-            1 if config.max_errors is not None else math.ceil(len(jobs) / (4 * workers))))
+        yield run
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.close()
 
 
 def run_point(config: ExperimentConfig, p: float) -> ExperimentStats:
@@ -558,9 +648,8 @@ def _run_point(config: ExperimentConfig, p: float, point_key: int, run) -> Exper
     jobs = [(ctx_key, p, config.shots, config.seed, point_key, range(i, min(i + size, n_chunks)))
             for i in range(0, n_chunks, size)]
     total = np.zeros(ctx.cap + 2 + len(REASONS), np.int64)
-    # leaving the loop drops the pool's iterator, which cancels a cut point's
-    # hand-offs not yet queued to a worker; the few already queued still run,
-    # ahead of the next point's
+    # leaving the loop drops the runner's iterator, so a cut point deals no
+    # more hand-offs; every row of its last deal has been read
     for counts in (row for rows in run(jobs) for row in rows):
         total += counts
         if config.max_errors is not None and total[0] >= config.max_errors:

@@ -356,23 +356,25 @@ def test_import_leaves_process_pool_unloaded():
 
 
 def test_pool_workers_start_with_numpy_random_loaded():
-    """A pool's workers fork with ``numpy.random`` already loaded, so no
-    worker loads it again on its first hand-off: a 2-worker ``run_point``
-    in a fresh interpreter, whose parent runs no chunk, through a wrapped
-    ``_run_chunk`` that reports ``sys.modules`` on each worker's first
-    hand-off."""
+    """A pool's children fork with ``numpy.random`` already loaded, so no
+    child loads it again on its first hand-off: a 2-worker ``run_point``
+    in a fresh interpreter, whose caller runs one share of the hand-offs,
+    through a wrapped ``_run_chunk`` that reports on each process's first
+    hand-off whether it ran in a child and whether ``numpy.random`` was
+    loaded."""
     probe = """
-import sys
+import os, sys
 from ftecsim import harness
 
-first = []
+caller, first = os.getpid(), []
 
 def wrapped(args):
     if not first:
-        first.append("numpy.random" in sys.modules)
-        # one write per line: the two workers share the pipe, unbuffered
+        first.append(True)
+        where = "child" if os.getpid() != caller else "caller"
+        # one write per line: the processes share the pipe, unbuffered
         # under PYTHONUNBUFFERED, where print's two writes can interleave
-        sys.stdout.write("warm\\n" if first[0] else "cold\\n")
+        sys.stdout.write(where + (" warm\\n" if "numpy.random" in sys.modules else " cold\\n"))
         sys.stdout.flush()
     return run_chunk(args)
 
@@ -382,8 +384,39 @@ cfg = harness.ExperimentConfig(d=3, decoder="weak", shots=8 * harness.CHUNK_SHOT
 harness.run_point(cfg, 1e-3)
 """
     out = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV, capture_output=True,
-                         text=True, timeout=120, check=True).stdout.split()
-    assert out and set(out) == {"warm"}, out
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    children = [line.split()[1] for line in out if line.startswith("child ")]
+    assert children and set(children) == {"warm"}, out
+
+
+def test_pool_child_death_raises_promptly():
+    """A pool child that dies in a hand-off makes the campaign raise at
+    once, not hang, and no child outlives it: ``_run_chunk`` calls
+    ``os._exit`` in a child only (the fork copies the patch), in a fresh
+    interpreter, with a timeout."""
+    probe = """
+import multiprocessing, os, time
+from ftecsim import harness
+
+caller, run_chunk = os.getpid(), harness._run_chunk
+
+def dying(job):
+    if os.getpid() != caller:
+        os._exit(3)
+    return run_chunk(job)
+
+harness._run_chunk = dying
+cfg = harness.ExperimentConfig(d=3, decoder="weak", shots=4 * harness.CHUNK_SHOTS, seed=1,
+                               workers=2)
+start = time.perf_counter()
+try:
+    harness.run_point(cfg, 1e-2)
+except RuntimeError as exc:
+    print(type(exc).__name__, time.perf_counter() - start < 10, multiprocessing.active_children())
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["RuntimeError", "True", "[]"], out
 
 
 def test_version_flag(capsys):

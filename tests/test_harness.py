@@ -353,65 +353,76 @@ def test_quiet_shots_are_never_simulated(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of every process pool the harness starts, and in
-    ``pools.chunksizes`` and ``pools.jobs`` the hand-off size and the jobs
-    of every ``map`` on one."""
-    import concurrent.futures
+    """The process count, the caller included, of every pool the harness
+    starts; in ``pools.deals`` the hand-offs of every deal on one, and in
+    ``pools.exits`` its children's exit codes once it is closed."""
 
     class Made(list):
-        chunksizes: list
+        deals: list
+        exits: list
 
     made = Made()
-    made.chunksizes = []
-    made.jobs = []
+    made.deals = []
+    made.exits = []
 
-    class Counting(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    class Counting(harness._Pool):
+        def __init__(self, workers):
+            made.append(workers)
+            super().__init__(workers)
 
-        def map(self, fn, jobs, chunksize=1, **kwargs):
-            made.chunksizes.append(chunksize)
-            made.jobs.append(list(jobs))
-            return super().map(fn, made.jobs[-1], chunksize=chunksize, **kwargs)
+        def deal(self, jobs):
+            made.deals.append(list(jobs))
+            return super().deal(jobs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        def close(self):
+            super().close()
+            made.exits.append([proc.exitcode for proc in self.procs])
+
+    monkeypatch.setattr(harness, "_Pool", Counting)
     return made
 
 
 def test_pseudothreshold_one_pool_same_result(pools):
-    """All probes of a 2-worker bisection share one pool, and the result,
-    probes included, equals the 1-worker one."""
+    """All probes of a 2- or 3-worker bisection share one pool, and the
+    result, probes included, equals the 1-worker one. At 3 workers a
+    point's 4 chunks make 2 or 4 hand-offs, so some deals are ragged."""
     base = ExperimentConfig(d=3, decoder="weak", seed=0, workers=1)
-    args = (2e-4, 8e-3, 3 * harness.CHUNK_SHOTS, 3)
+    args = (2e-4, 8e-3, 4 * harness.CHUNK_SHOTS, 3)
     a = estimate_pseudothreshold(base, *args)
     assert pools == []
-    b = estimate_pseudothreshold(dataclasses.replace(base, workers=2), *args)
-    assert pools == [2]
-    assert len(a.probes) == 5 and a == b
+    for workers in (2, 3):
+        pools.deals.clear()
+        b = estimate_pseudothreshold(dataclasses.replace(base, workers=workers), *args)
+        assert len(a.probes) == 5 and a == b
+    assert pools == [2, 3]
+    assert {len(jobs) for jobs in pools.deals} == {2, 4}  # never a multiple of 3
 
 
 def test_experiment_one_pool_same_stats_after_a_cut(pools):
-    """Three rates on one pool; ``max_errors`` cuts the first point after
-    a later chunk, and the next point is whole and equal to its 1-worker
-    run, so none of the cut point's chunks leak into it."""
+    """Three rates on one pool of 2 or 3 processes; ``max_errors`` cuts
+    the first point after a later chunk, and the next point is whole and
+    equal to its 1-worker run, so none of the cut point's chunks leak
+    into it."""
     base = ExperimentConfig(d=3, decoder="shor", p_values=(3e-3, 1e-3, 2e-3),
                             shots=9 * harness.CHUNK_SHOTS, seed=4, workers=1, max_errors=300)
     a = run_experiment(base)
-    b = run_experiment(dataclasses.replace(base, workers=2))
-    assert pools == [2] and a == b
+    for workers in (2, 3):
+        pools.deals.clear()
+        assert run_experiment(dataclasses.replace(base, workers=workers)) == a
+        assert {len(jobs) for jobs in pools.deals} == {workers}  # W hand-offs per deal
+    assert pools == [2, 3]
     assert harness.CHUNK_SHOTS < a[0].shots < base.shots  # cut after a later chunk
     assert a[1].shots == base.shots
 
 
 def test_handoff_size_follows_max_errors(pools):
-    """A campaign that ``max_errors`` can cut hands its pool one job at a
-    time, since a queued hand-off runs to its end, and a job simulates
-    at most four chunks' worth of shots: a group of G > 1 chunks, whose
-    shots start quiet, at window fault probability q with G q < 4 (here
-    G q <= 1, as the worker share of 5 chunks caps G), or one chunk, whose
-    shots all start explicit. One that cannot be cut hands over
-    several chunks at a time. Both give the same points."""
+    """A campaign that ``max_errors`` can cut deals its W processes W
+    hand-offs at a time, since a dealt hand-off runs to its end, and a
+    job simulates at most four chunks' worth of shots: a group of G > 1
+    chunks, whose shots start quiet, at window fault probability q with
+    G q < 4 (here G q <= 1, as the worker share of 5 chunks caps G), or
+    one chunk, whose shots all start explicit. One that cannot be cut
+    deals each point whole. Both give the same points."""
     cfg = ExperimentConfig(d=3, decoder="weak", p_values=(1e-3, 8e-3),
                            shots=9 * harness.CHUNK_SHOTS, seed=2, workers=2)
     ctx = harness._context((3, "weak", False, None))
@@ -419,20 +430,17 @@ def test_handoff_size_follows_max_errors(pools):
     assert 0.09 < q[0] < 0.1 and q[1] > 0.5  # quiet groups of 5 (its share), then explicit
 
     def handoffs():
-        return [[[len(job[5]) for job in jobs[i:i + size]] for i in range(0, len(jobs), size)]
-                for jobs, size in zip(pools.jobs, pools.chunksizes)]
+        return [[len(job[5]) for job in jobs] for jobs in pools.deals]
 
     whole = run_experiment(cfg)
-    assert pools.chunksizes == [1, 2]
-    assert handoffs() == [[[5], [4]], [[1, 1]] * 4 + [[1]]]
-    assert [len(job[5]) > 1 for jobs in pools.jobs for job in jobs] == [True] * 2 + [False] * 9
-    pools.chunksizes.clear()
-    pools.jobs.clear()
+    assert handoffs() == [[5, 4], [1] * 9]
+    pools.deals.clear()
     cut = run_experiment(dataclasses.replace(cfg, max_errors=10**9))
-    assert pools.chunksizes == [1, 1] and pools == [2, 2]
-    work = [max(len(job[5]) * (q_p if len(job[5]) > 1 else 1) for job in jobs)
-            for q_p, jobs in zip(q, pools.jobs)]
-    assert work == [5 * q[0], 1] and max(work) <= 1  # chunks of explicit shots per hand-off
+    assert handoffs() == [[5, 4]] + [[1, 1]] * 4 + [[1]] and pools == [2, 2]
+    # chunks of explicit shots per hand-off
+    work = [len(job[5]) * ctx.window_q(job[1]) if len(job[5]) > 1 else 1
+            for jobs in pools.deals for job in jobs]
+    assert work[:2] == [5 * q[0], 4 * q[0]] and max(work) <= 1
     assert [s.shots for s in cut] == [s.shots for s in whole]
 
 
@@ -466,8 +474,8 @@ def test_group_size_follows_window_q():
 
 
 def test_pool_sized_to_the_chunks(pools):
-    """A pool has at most one worker per chunk of a point; points of one
-    chunk start none."""
+    """A pool has at most one process per chunk of a point, the caller
+    included; points of one chunk start none."""
     cfg = ExperimentConfig(d=3, decoder="weak", shots=2 * harness.CHUNK_SHOTS, seed=1,
                            workers=8)
     assert run_point(cfg, 1e-3) == run_point(dataclasses.replace(cfg, workers=1), 1e-3)
@@ -486,6 +494,29 @@ def test_pool_shut_down_on_return_and_on_bracket_error(pools):
         estimate_pseudothreshold(cfg, 5e-3, 1e-2, 2 * harness.CHUNK_SHOTS, 1)
     assert multiprocessing.active_children() == []
     assert pools == [2, 2]
+    assert pools.exits == [[0], [0]]  # each child left its loop; none was terminated
+
+
+def test_child_exception_raised_in_the_caller(monkeypatch):
+    """A hand-off that raises in a pool child raises the same exception
+    from the caller's ``run_point``, and no child outlives it. (The fork
+    copies the patched ``_run_chunk``; it fails only outside the caller.)"""
+    import multiprocessing
+    import os
+
+    caller, run_chunk = os.getpid(), harness._run_chunk
+
+    def failing(job):
+        if os.getpid() != caller:
+            raise ValueError("hand-off failed in a child")
+        return run_chunk(job)
+
+    monkeypatch.setattr(harness, "_run_chunk", failing)
+    cfg = ExperimentConfig(d=3, decoder="weak", shots=4 * harness.CHUNK_SHOTS, seed=1,
+                           workers=2)
+    with pytest.raises(ValueError, match="hand-off failed in a child"):
+        run_point(cfg, 1e-2)
+    assert multiprocessing.active_children() == []
 
 
 def test_rounds_bounded_by_worst_case():
