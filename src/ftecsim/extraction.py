@@ -306,14 +306,20 @@ class CompiledSchedule:
         """Run one round on the shots ``active``; return their reported syndromes.
 
         Fault i (table row ``row[i]``) lands on shot ``active[shot[i]]``;
-        ``shot`` must be sorted. The frames are updated in place, and the
-        result equals :func:`_apply_faults` on the same faults.
+        ``shot`` must be sorted. The faults' words are XORed into one running
+        prefix; a shot's faults fold to the prefix at its last fault XOR the
+        prefix at the previous shot's last fault. The frames are updated in
+        place, and the result equals :func:`_apply_faults` on the same faults.
         """
         report = (frames.syndrome[active] >> np.uint64(self.base)) & np.uint64(self.local_mask)
         if len(shot):
-            starts = np.flatnonzero(_run_starts(shot))  # where each shot's faults start
-            folded = np.bitwise_xor.reduceat(np.take(self.words, row, axis=0), starts, axis=0)
-            hit = shot[starts]
+            prefix = np.take(self.words, row, axis=0)  # a copy: the table stays as it is
+            np.bitwise_xor.accumulate(prefix, axis=0, out=prefix)
+            # each shot's last fault
+            ends = np.append(np.flatnonzero(shot[1:] != shot[:-1]), len(shot) - 1)
+            folded = np.take(prefix, ends, axis=0)
+            folded[1:] ^= np.take(prefix, ends[:-1], axis=0)
+            hit = shot[ends]
             report[hit] ^= folded[:, 0]
             hit = active[hit]
             frames.x[hit] ^= folded[:, 1]

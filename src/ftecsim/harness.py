@@ -95,7 +95,6 @@ from .recovery import (
     build_table,
     decode_sector_masks,
     enumeration_count,
-    popcount64,
 )
 from .stabilizer import PauliOperator, StabilizerCode
 
@@ -391,8 +390,9 @@ def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> 
     """Ideal EC on the corrected frames (``residual`` from :func:`_run_shots`);
     True where a logical error remains."""
     _decode_into(ctx, frames, residual)
-    counts = popcount64(frames.x & ctx.x_logical) | popcount64(frames.z & ctx.z_logical)
-    return (counts & np.uint64(1)).astype(bool)
+    counts = np.bitwise_count(frames.x & ctx.x_logical)
+    counts |= np.bitwise_count(frames.z & ctx.z_logical)
+    return (counts & 1).astype(bool)
 
 
 def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np.ndarray:
@@ -863,7 +863,7 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
         rnd, row = np.divmod(case - inputs, rows)
         rnd = np.where(case < inputs, 0, rnd + 1)
         result = _run_injected(ctx, frames, rnd[:, None], row[:, None])
-        weight_bad = popcount64(result[1] | result[2]) > (rnd > 0)  # faults that landed
+        weight_bad = np.bitwise_count(result[1] | result[2]) > (rnd > 0)  # faults that landed
         _tally(report, ctx, result, weight_bad, lambda i: label(start + i))
     return report
 

@@ -211,19 +211,9 @@ def decode_sector_masks(table: SyndromeTable,
     return masks[:half], masks[half:]
 
 
-# built once: the shifts of the key mix and the constants of ``popcount64``
+# built once: the shifts of the key mix, and one as a uint64
 _SHIFT_A, _SHIFT_B = np.uint64(13), np.uint64(7)
-_ONE, _TWO, _FOUR, _TOP = (np.uint64(s) for s in (1, 2, 4, 56))
-_M1, _M2, _M4, _H01 = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
-
-
-def popcount64(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, as a uint64 array (a SWAR count, so
-    it runs on numpy releases without ``np.bitwise_count``)."""
-    words = words - ((words >> _ONE) & _M1)
-    words = (words & _M2) + ((words >> _TWO) & _M2)
-    words = (words + (words >> _FOUR)) & _M4
-    return (words * _H01) >> _TOP
+_ONE = np.uint64(1)
 
 
 def decode(table: SyndromeTable, code: StabilizerCode, syndrome: int) -> PauliOperator:

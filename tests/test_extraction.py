@@ -307,6 +307,30 @@ def test_batched_fold_matches_apply_faults(d, sector):
         _fold_matches_inject_round(compiled, rng, fault_rows)
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_fold_and_draw_leave_tables_untouched(d):
+    """``fold`` runs its prefix XOR in place on a gathered copy of the fault
+    words, never on the table: after folds of every row, of long per-shot
+    runs and of many drawn rounds, the schedule's ``words``, ``effects``,
+    ``first_row`` and ``n_choices`` equal those of a freshly compiled one."""
+    code = build_hex_color_code(d)
+    compiled, fresh = compile_schedule(code, NOISELESS), compile_schedule(code, NOISELESS)
+    rng = _rng(40 + d)
+    n_rows = len(compiled.effects)
+    batch, active = FrameBatch(64), np.arange(64)
+    folds = [
+        (np.sort(rng.integers(64, size=n_rows)), rng.permutation(n_rows)),  # every row
+        (np.repeat(np.arange(4), 500), rng.integers(n_rows, size=2000)),  # long runs
+    ]
+    folds += [compiled.draw(p, 64, rng) for p in (1e-3, 1e-2, 0.1, 0.5, 1.0) for _ in range(20)]
+    for shot, row in folds:
+        compiled.fold(batch, active, shot, row)
+    assert compiled.words.tobytes() == fresh.words.tobytes()
+    assert compiled.effects == fresh.effects
+    assert compiled.first_row.tobytes() == fresh.first_row.tobytes()
+    assert compiled.n_choices.tobytes() == fresh.n_choices.tobytes()
+
+
 def test_batched_round_noise_extremes(code5):
     compiled = compile_schedule(code5, NOISELESS)
     rng = _rng(3)

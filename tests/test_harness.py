@@ -36,7 +36,7 @@ from ftecsim.harness import (
     threshold_lower_bound,
     wilson_interval,
 )
-from ftecsim.recovery import decode_sector_masks, popcount64
+from ftecsim.recovery import decode_sector_masks
 from ftecsim.stabilizer import PauliOperator, syndrome_of
 
 
@@ -626,7 +626,7 @@ def test_two_stage_single_faults(d, decoder):
     assert len(cases) == {(3, "strong"): 1605, (3, "weak"): 1077,
                           (5, "strong"): 9297, (5, "weak"): 7449}[d, decoder]
     errors, x, z, _, _ = _assert_injected_match_reference(ctx, cases)
-    weight = popcount64(x | z)
+    weight = np.bitwise_count(x | z)
     reached = _reference_run(ctx, {}).rounds_used
     checked = 0
     for i, (initial, faults) in enumerate(cases):

@@ -15,7 +15,6 @@ from ftecsim.recovery import (
     decode_sector_masks,
     enumeration_count,
     final_verdict,
-    popcount64,
 )
 from ftecsim.stabilizer import PauliOperator, _gf2_pivots, multiply, syndrome_of
 
@@ -326,7 +325,7 @@ def test_key_map_is_invertible_and_linear():
 
 def _reference_decode(code, weight, syndromes):
     """The earlier lookup: the bit-by-bit sector split, ``np.searchsorted``
-    over the sorted true syndromes, and one ``popcount64`` parity per pivot
+    over the sorted true syndromes, and one ``np.bitwise_count`` parity per pivot
     column for the rest. Returns both mask arrays and the count of sector
     syndromes it solved."""
     x_part, z_part = _split(code, syndromes)
@@ -338,7 +337,8 @@ def _reference_decode(code, weight, syndromes):
     unknown = syndromes[missing]
     solved = np.zeros(len(unknown), np.uint64)
     for col, sel in _gf2_pivots(_sector_rows(code, code.z_sector)):
-        solved |= (popcount64(unknown & np.uint64(sel)) & np.uint64(1)) << np.uint64(col)
+        parity = np.bitwise_count(unknown & np.uint64(sel)) & 1
+        solved |= parity.astype(np.uint64) << np.uint64(col)
     found[missing] = solved
     return found[:len(z_part)], found[len(z_part):], int(missing.sum())
 
@@ -387,19 +387,3 @@ def test_lookup_matches_binary_search_and_pivot_loop(d, weight):
         assert got_x.tobytes() == ref_x.tobytes() and got_z.tobytes() == ref_z.tobytes()
         assert table.fallback_decodes - before == ref_count
     assert ref_count == 1
-
-
-def test_popcount64_matches_bit_count():
-    """The SWAR popcount against ``int.bit_count`` on random words and the
-    edge words 0, all ones and the high bit alone."""
-    rng = np.random.default_rng(64)
-    words = np.concatenate((
-        np.array([0, (1 << 64) - 1, 1 << 63], np.uint64),
-        rng.integers(0, 1 << 64, size=2000, dtype=np.uint64),
-        # sparse words, with about eight bits set
-        np.bitwise_and.reduce(rng.integers(0, 1 << 64, size=(3, 2000), dtype=np.uint64)),
-    ))
-    counts = popcount64(words)
-    assert counts.dtype == np.uint64
-    assert counts.tolist() == [w.bit_count() for w in words.tolist()]
-    assert counts[:3].tolist() == [0, 64, 1]
