@@ -31,10 +31,16 @@ measurements, w of each in that order), then circuit 1's, and so on.
 These flat ids are stable and used by the fault-injection harness.
 ``CompiledSchedule`` numbers every (location, fault value) pair as one
 row of its fault table, which the scalar and the batched rounds share.
+
+The scalar round keeps a whole frame (``FrameState``); a batched round
+keeps one uint64 word per shot (``FrameBatch``), so each table row folds
+as two XOR words, one on the reported syndrome and one on the frame
+word, and its failing cells are numpy's geometric gaps (``_gaps``).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -135,16 +141,29 @@ class FrameState:
 class FrameBatch:
     """The Pauli frames of a batch of shots, one uint64 word per shot.
 
-    The array form of :class:`FrameState`; it needs n <= 64 data qubits
-    and r <= 64 generators, which holds for every supported distance.
+    Word i holds what a verdict reads of shot i's frame, all of it linear
+    in the faults: the true syndrome in bits 0..r-1, the parity of the X
+    part against logical Z (``x & code.logical_z[0].z_bits``) in bit r and
+    that of the Z part against logical X in bit r + 1 (:func:`frame_words`).
+    It needs r + 2 <= 64, which holds for every supported distance.
     """
 
-    __slots__ = ("x", "z", "syndrome")
+    __slots__ = ("word",)
 
     def __init__(self, shots: int):
-        self.x = np.zeros(shots, np.uint64)
-        self.z = np.zeros(shots, np.uint64)
-        self.syndrome = np.zeros(shots, np.uint64)
+        self.word = np.zeros(shots, np.uint64)
+
+
+def frame_words(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The :class:`FrameBatch` words of the Paulis with the uint64 X masks
+    ``x`` and Z masks ``z``: one parity per generator, then the two
+    logical parities."""
+    checks = [(g.x_bits, g.z_bits) for g in code.generators]
+    checks += [(0, code.logical_z[0].z_bits), (code.logical_x[0].x_bits, 0)]
+    cx, cz = np.array(checks, np.uint64).T
+    odd = np.bitwise_count(x[:, None] & cz ^ z[:, None] & cx) & np.uint8(1)
+    return np.bitwise_or.reduce(odd.astype(np.uint64) << np.arange(len(checks), dtype=np.uint64),
+                                axis=1)
 
 
 # Faults drawn per batched slice of a round (see CompiledSchedule.slices).
@@ -172,14 +191,6 @@ def _flip_and_deposit(kind: str, value, letter: str) -> tuple[bool, str]:
     return kind == MEASUREMENT or value in ("X", "Y"), "I"
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """True at the first element of each run of equal ``values``."""
-    first = np.zeros(len(values), bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
-
-
 class CompiledSchedule:
     """One measurement schedule and its fault table.
 
@@ -194,13 +205,17 @@ class CompiledSchedule:
     rows ``first_row[lid] + choice``, one per value in that order. Row
     ``row`` holds the fault twice: ``effects[row]`` is (flip, X deposit, Z
     deposit, true-syndrome change) for the scalar round
-    (:func:`_apply_faults`), and ``words[row]`` is the same fault as four
-    uint64 XOR words for batched rounds (:meth:`fold`).
+    (:func:`_apply_faults`), and ``words[row]`` is the same fault as two
+    uint64 XOR words for batched rounds (:meth:`fold`), one on the
+    reported syndrome and one on the :class:`FrameBatch` word.
+    ``deposits[row]`` is its (X deposit, Z deposit) as uint64 words, for a
+    batched caller that keeps whole frames.
     """
 
     def __init__(self, code: StabilizerCode, noise: NoiseModel, sector: str = "all"):
-        if code.n > 64 or code.r > 64:
-            raise ValueError("a compiled schedule needs n, r <= 64: its fault words are uint64")
+        if code.n > 64 or code.r + 2 > 64:
+            raise ValueError("a compiled schedule needs n <= 64 and r + 2 <= 64: "
+                             "its fault and frame words are uint64")
         self.code = code
         self.noise = noise
         if sector == "all":
@@ -230,13 +245,14 @@ class CompiledSchedule:
         self.loc_kind: list[tuple[str, int]] = []
         self.values: list[tuple] = []
         self.effects: list[tuple[int, int, int, int]] = []
-        first_row = []
+        first_row, loc_qubit = [], []
         for ci, circ in enumerate(self.circuits):
             for kind, j in circ.locations:
                 self.loc_circuit.append(ci)
                 self.loc_kind.append((kind, j))
                 self.values.append(_VALUES[kind])
                 first_row.append(len(self.effects))
+                loc_qubit.append(circ.support[j])
                 for value in _VALUES[kind]:
                     flip, deposit = _flip_and_deposit(kind, value, circ.letters[j])
                     self.effects.append(self._effect(flip, deposit, circ.support[j]))
@@ -246,13 +262,21 @@ class CompiledSchedule:
 
         # A deposit in circuit c is seen by the circuits after c only, so a
         # row's reported-syndrome word is (proj(syn_delta) & later[c]) ^
-        # (flip << c). No word depends on the round's other faults, so a
-        # round's faults fold into each shot by XOR in any order.
+        # (flip << c); its frame word is that of its deposit, an X and/or a
+        # Z on the location's qubit. No word depends on the round's other
+        # faults, so a round's faults fold into each shot by XOR in any order.
         flip, dep_x, dep_z, syn = np.array(self.effects, np.uint64).reshape(-1, 4).T
-        c = np.repeat(np.array(self.loc_circuit, np.uint64), self.n_choices.astype(np.int64))
+        per_row = self.n_choices.astype(np.int64)
+        c = np.repeat(np.array(self.loc_circuit, np.uint64), per_row)
         later = np.uint64(self.local_mask) & ~((np.uint64(2) << c) - np.uint64(1))
         report = ((syn >> np.uint64(self.base)) & later) ^ (flip << c)
-        self.words = np.stack((report, dep_x, dep_z, syn), axis=1)
+        unit = np.uint64(1) << np.arange(code.n, dtype=np.uint64)
+        none = np.zeros(code.n, np.uint64)
+        q = np.repeat(loc_qubit, per_row)
+        frame = (np.where(dep_x != 0, frame_words(code, unit, none)[q], 0)
+                 ^ np.where(dep_z != 0, frame_words(code, none, unit)[q], 0))
+        self.words = np.stack((report, frame), axis=1)
+        self.deposits = np.stack((dep_x, dep_z), axis=1)
 
     def _effect(self, flip: bool, deposit: str, qubit: int):
         dep_x = dep_z = syn_delta = 0
@@ -282,8 +306,8 @@ class CompiledSchedule:
 
         Every location of every shot fails independently with
         probability p: the failing cells of the shots x locations grid are
-        found by geometric gaps, in increasing order, so ``shot`` is
-        sorted. Each failure then takes a uniform fault value.
+        found by geometric gaps (:func:`_gaps`), in increasing order, so
+        ``shot`` is sorted. Each failure then takes a uniform fault value.
         """
         cells = shots * self.n_locations
         if p <= 0.0 or cells == 0:
@@ -291,12 +315,12 @@ class CompiledSchedule:
             return empty, empty
         mean = cells * p
         block = int(mean + 6.0 * mean ** 0.5) + 16
-        # a gap of cells + 1 already ends the grid; clipping keeps the sums in int64
-        pos = np.cumsum(np.minimum(rng.geometric(p, block), cells + 1)) - 1
+        gaps = _gaps(p, block, rng)
+        gaps[0] -= 1.0  # cells count from 0
+        pos = np.cumsum(gaps)
         while pos[-1] < cells:
-            gaps = np.minimum(rng.geometric(p, block), cells + 1)
-            pos = np.concatenate((pos, pos[-1] + np.cumsum(gaps)))
-        pos = pos[: np.searchsorted(pos, cells)]
+            pos = np.concatenate((pos, pos[-1] + np.cumsum(_gaps(p, block, rng))))
+        pos = pos[: np.searchsorted(pos, cells)].astype(np.int64)
         shot, loc = np.divmod(pos, self.n_locations)
         choice = (rng.random(len(pos)) * self.n_choices[loc]).astype(np.int64)
         return shot, self.first_row[loc] + choice
@@ -311,7 +335,7 @@ class CompiledSchedule:
         prefix at the previous shot's last fault. The frames are updated in
         place, and the result equals :func:`_apply_faults` on the same faults.
         """
-        report = (frames.syndrome[active] >> np.uint64(self.base)) & np.uint64(self.local_mask)
+        report = (frames.word[active] >> np.uint64(self.base)) & np.uint64(self.local_mask)
         if len(shot):
             prefix = np.take(self.words, row, axis=0)  # a copy: the table stays as it is
             np.bitwise_xor.accumulate(prefix, axis=0, out=prefix)
@@ -321,10 +345,7 @@ class CompiledSchedule:
             folded[1:] ^= np.take(prefix, ends[:-1], axis=0)
             hit = shot[ends]
             report[hit] ^= folded[:, 0]
-            hit = active[hit]
-            frames.x[hit] ^= folded[:, 1]
-            frames.z[hit] ^= folded[:, 2]
-            frames.syndrome[hit] ^= folded[:, 3]
+            frames.word[active[hit]] ^= folded[:, 1]
         return report
 
     def slices(self, p: float, shots: int) -> list[range]:
@@ -333,6 +354,21 @@ class CompiledSchedule:
         a time; this bounds the size of a round's arrays at high p."""
         step = max(1, int(_FAULTS_PER_DRAW / max(p * self.n_locations, 1.0)))
         return [range(k, min(k + step, shots)) for k in range(0, shots, step)]
+
+
+def _gaps(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` geometric gaps at rate 0 < p <= 1 as float64: the numbers
+    ``rng.geometric(p, size)`` gives, from the same draws. Below p = 1/3
+    numpy inverts one standard exponential per gap, ``ceil(-E /
+    log1p(-p))``, done here in place (a gap past int64, which numpy
+    saturates, stays a float past any grid); from 1/3 on it searches, so
+    ``geometric`` is called (its split is at the double nearest 1/3).
+    """
+    if p >= 1 / 3:
+        return rng.geometric(p, size).astype(np.float64)
+    gaps = rng.standard_exponential(size)
+    gaps /= -math.log1p(-p)  # math's log1p is the C library's, as numpy's is
+    return np.ceil(gaps, out=gaps)
 
 
 def compile_schedule(

@@ -1,19 +1,21 @@
 """Monte Carlo experiments, fault-injection checks, and threshold analysis.
 
 The Monte Carlo engine runs the shots of a batch together, as numpy
-arrays in the manner of a Pauli-frame simulator: every shot's frame and
-syndromes are uint64 words, and all shots still running take each round
-in step. A round draws the failing locations of the whole
-shots x locations grid and folds each fault's four-word XOR effect into
-its shot (``CompiledSchedule.fold``). Every stopping rule is one
-transition table (``decoders.PolicyTable``): per round, each shot moves
-to its state's successor for "syndrome changed or not" and reads whether
-that state stops; a shot leaves the active set when it stops, and its
-decision is read from its stop state once every shot has stopped. One
-driver, ``_run_shots``, runs every stage this way (in two-stage mode the
-Z-sector stage starts with each shot's remaining budget) and then applies
-each shot's chosen correction; only the source of each round's faults
-differs between its callers.
+arrays in the manner of a Pauli-frame simulator: every shot's frame is
+one uint64 word (``extraction.FrameBatch``: its true syndrome and two
+logical parities), and all shots still running take each round in step.
+A round draws the failing locations of the whole shots x locations grid
+and folds each fault's two-word XOR effect into its shot
+(``CompiledSchedule.fold``). Every stopping rule is one transition table
+(``decoders.PolicyTable``): per round, each shot moves to its state's
+successor for "syndrome changed or not" and reads whether that state
+stops; a shot leaves the active set when it stops, and its decision is
+read from its stop state once every shot has stopped. One driver,
+``_run_shots``, runs every stage this way (in two-stage mode the
+Z-sector stage starts with each shot's remaining budget); only the
+source of each round's faults differs between its callers. Then
+``_verdicts`` decodes each shot's chosen and ideal-EC corrections in one
+call and reads a logical error off the frame word's parity bits.
 
 A Monte Carlo hand-off is a group of consecutive chunks run as one batch
 (``_simulate_group``). At low p most shots never meet a fault: such a
@@ -27,6 +29,9 @@ above q = 1/2, starts every shot explicit. A group returns one count row
 per chunk, which ``run_point`` adds up. The fault-injection checks give
 each case one explicit shot, which starts from its input error and folds
 only its injected faults, each in its own round counted over all stages.
+Their reports list residual errors, which no frame word holds, so
+``_run_injected`` keeps each case's x and z words, from the deposits in
+the folding stage's schedule.
 
 The scalar reference runner ``run_shot_reference`` plays one shot, in
 either mode, through the same circuit semantics (``inject_round`` for
@@ -84,8 +89,8 @@ from .extraction import (
     NoiseModel,
     _check_rate,
     _is_a,
-    _run_starts,
     compile_schedule,
+    frame_words,
     inject_round,
     sample_round,
 )
@@ -325,6 +330,14 @@ def _run_policy(table: PolicyTable, next_round, budget: np.ndarray, path=(), ord
     return chosen, chosen_round, rounds, reason, faults
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal ``values``."""
+    first = np.zeros(len(values), bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 def _apply_faults(compiled: CompiledSchedule, frames: FrameBatch, shot: np.ndarray,
                   row: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Fold one round's faults into the frames of the shots ``active`` and
@@ -338,34 +351,23 @@ def _apply_faults(compiled: CompiledSchedule, frames: FrameBatch, shot: np.ndarr
     return compiled.fold(frames, active, shot, row)
 
 
-def _decode_into(ctx: _Context, frames: FrameBatch, syndrome: np.ndarray) -> None:
-    """XOR the decoded correction of each shot's ``syndrome`` into its frame."""
-    hit = np.flatnonzero(syndrome)
-    cx, cz = decode_sector_masks(ctx.table, syndrome[hit])
-    frames.x[hit] ^= cx
-    frames.z[hit] ^= cz
-
-
 def _run_shots(ctx: _Context, frames: FrameBatch, fold_round, path=(), order=None) -> tuple:
-    """Every stage of a batch of shots, one per frame of ``frames``, then
-    each shot's chosen correction.
+    """Every stage of a batch of shots, one per frame of ``frames``.
 
     ``fold_round(compiled, active, r, before)`` runs round r of the stage
     schedule ``compiled`` on the shots ``active``, whose earlier stages
     used ``before[active]`` rounds, and returns what ``_run_policy``'s
     ``next_round`` returns. Shots join only with a noiseless ``path``; the
-    round source that adds them adds their zero frames to ``frames``, and
+    round source that adds them adds their zero words to ``frames``, and
     such a shot ran every earlier stage on that path. ``order()``, if
     given, lists the shots in the order each stage hands them to
     ``fold_round`` (by default, index order). Each stage after the first
     runs with budget t minus the faults evidenced by the previous stage's
-    difference vector, as in ``run_shot_reference``. The frames' x/z words
-    are left holding the residual before ideal EC. Returns the residual's
-    syndrome (the frames' ``syndrome`` words are not updated), the rounds
-    used and the last stage's stop-reason codes (indices into
-    ``REASONS``).
+    difference vector, as in ``run_shot_reference``. Returns each shot's
+    chosen syndrome over all stages (0 for no correction), the rounds used
+    and the last stage's stop-reason codes (indices into ``REASONS``).
     """
-    n = len(frames.x)
+    n = len(frames.word)
     chosen = np.zeros(n, np.uint64)
     rounds = np.zeros(n, np.int64)
     budget = np.full(n, ctx.t, np.int64)
@@ -380,19 +382,31 @@ def _run_shots(ctx: _Context, frames: FrameBatch, fold_round, path=(), order=Non
         chosen = np.append(chosen, np.zeros(joined, np.uint64)) | syn << np.uint64(compiled.base)
         rounds = np.append(rounds, np.full(joined, stage * len(path))) + used
         budget = np.maximum(ctx.t - faults, 0)
-    # a correction's syndrome is the syndrome it was decoded from
-    residual = frames.syndrome ^ chosen
-    _decode_into(ctx, frames, chosen)
-    return residual, rounds, reason
+    return chosen, rounds, reason
 
 
-def _logical_errors(ctx: _Context, frames: FrameBatch, residual: np.ndarray) -> np.ndarray:
-    """Ideal EC on the corrected frames (``residual`` from :func:`_run_shots`);
-    True where a logical error remains."""
-    _decode_into(ctx, frames, residual)
-    counts = np.bitwise_count(frames.x & ctx.x_logical)
-    counts |= np.bitwise_count(frames.z & ctx.z_logical)
-    return (counts & 1).astype(bool)
+def _verdicts(ctx: _Context, frames: FrameBatch, chosen: np.ndarray) -> tuple:
+    """Each shot's chosen correction, decoded from its ``chosen`` syndrome
+    (from :func:`_run_shots`), then ideal EC; True where a logical error
+    remains.
+
+    A correction's syndrome is the syndrome it was decoded from, so ideal
+    EC decodes the residual syndrome, the frame's XOR the chosen one, and
+    both corrections are decoded in one call. Their logical parities are
+    XORed onto the frame word's bits r and r + 1: a shot fails where one
+    is set. Also returns the shots with a chosen correction and its x and
+    z masks.
+    """
+    r = np.uint64(ctx.code.r)
+    residual = (frames.word & (np.uint64(1) << r) - np.uint64(1)) ^ chosen
+    hit, ideal = np.flatnonzero(chosen), np.flatnonzero(residual)
+    cx, cz = decode_sector_masks(ctx.table, np.concatenate((chosen[hit], residual[ideal])))
+    flips = np.bitwise_count(cx & ctx.x_logical) & np.uint8(1)
+    flips |= (np.bitwise_count(cz & ctx.z_logical) & np.uint8(1)) << np.uint8(1)
+    logical = frames.word >> r
+    logical[hit] ^= flips[:len(hit)]
+    logical[ideal] ^= flips[len(hit):]
+    return logical != 0, hit, cx[:len(hit)], cz[:len(hit)]
 
 
 def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np.ndarray:
@@ -455,15 +469,13 @@ def _simulate_group(ctx: _Context, p: float, sizes: list[int], rngs: list) -> np
             active = np.insert(active, at, np.arange(len(sid), len(sid) + len(new)))
             run = np.insert(run, at, new)
             sid = np.append(sid, new)
-            frames.x, frames.z, frames.syndrome = (
-                np.append(a, np.zeros(len(new), np.uint64))
-                for a in (frames.x, frames.z, frames.syndrome))
+            frames.word = np.append(frames.word, np.zeros(len(new), np.uint64))
         return _apply_faults(compiled, frames, np.searchsorted(run, hit), row, active), active, at
 
     # a later stage starts with the explicit shots in shot order
-    residual, rounds, reason = _run_shots(ctx, frames, fold_round, path,
-                                          (lambda: np.argsort(sid)) if quiet else None)
-    errors = np.flatnonzero(_logical_errors(ctx, frames, residual))
+    chosen, rounds, reason = _run_shots(ctx, frames, fold_round, path,
+                                        (lambda: np.argsort(sid)) if quiet else None)
+    errors = np.flatnonzero(_verdicts(ctx, frames, chosen)[0])
     chunk = np.searchsorted(offsets, sid, side="right") - 1 if quiet else np.zeros(n, np.intp)
 
     def per_chunk(values, width):
@@ -779,27 +791,45 @@ class FaultEnumReport:
     landed: list | None = None
 
 
-def _run_injected(ctx: _Context, frames: FrameBatch, rnd: np.ndarray, row: np.ndarray) -> tuple:
-    """Injected cases through the engine, one case per shot of ``frames``.
+def _run_injected(ctx: _Context, x: np.ndarray, z: np.ndarray, rnd: np.ndarray,
+                  row: np.ndarray) -> tuple:
+    """Injected cases through the engine, one case per shot.
 
-    Each shot starts from its frame in ``frames`` (an input error, or
-    none) and samples no noise. ``rnd`` and ``row`` are (shots, k)
-    matrices: fault j of shot i, row ``row[i, j]`` of the fault table
-    that every stage schedule shares, folds in round ``rnd[i, j]``,
-    counted over all stages, if the shot is still running then. Round 0
-    means no fault, and a fault whose round the shot never reaches never
-    folds. Returns, per shot, the logical verdict, the residual x and z
-    words after the chosen correction and before ideal EC, the rounds
-    used and the last stage's stop-reason code (an index into
-    ``REASONS``).
+    Shot i starts from the Pauli of X mask ``x[i]`` and Z mask ``z[i]``
+    (an input error, or none) and samples no noise. ``rnd`` and ``row``
+    are (shots, k) matrices: fault j of shot i, row ``row[i, j]`` of the
+    fault table that every stage schedule shares, folds in round
+    ``rnd[i, j]``, counted over all stages, if the shot is still running
+    then. Round 0 means no fault, and a fault whose round the shot never
+    reaches never folds. The engine's frames hold no x and z words, so the
+    round source records each folded fault's deposits, read from the
+    folding stage's schedule, in the fault's own cell, and they are XORed
+    into the input error's words at the end. Returns, per shot, the
+    logical verdict, the residual x and z words after the chosen
+    correction and before ideal EC, the rounds used and the last stage's
+    stop-reason code (an index into ``REASONS``).
     """
+    frames = FrameBatch(len(x))
+    given = np.flatnonzero(x | z)
+    frames.word[given] = frame_words(ctx.code, x[given], z[given])
+    k = rnd.shape[1]
+    deposits = np.zeros((len(x) * k, 2), np.uint64)  # fault j of shot i at i * k + j
+
     def fold_round(compiled, active, r, before):
         pos, j = np.nonzero(rnd[active] == (before[active] + r)[:, None])
-        return _apply_faults(compiled, frames, pos, row[active[pos], j], active), active, ()
+        shot = active[pos]
+        rows = row[shot, j]
+        deposits[shot * k + j] = np.take(compiled.deposits, rows, axis=0)
+        return _apply_faults(compiled, frames, pos, rows, active), active, ()
 
-    residual, rounds, reason = _run_shots(ctx, frames, fold_round)
-    x, z = frames.x.copy(), frames.z.copy()
-    return _logical_errors(ctx, frames, residual), x, z, rounds, reason
+    chosen, rounds, reason = _run_shots(ctx, frames, fold_round)
+    errors, hit, cx, cz = _verdicts(ctx, frames, chosen)
+    residual = np.stack((x, z), axis=1)
+    for j in range(k):
+        residual ^= deposits[j::k]
+    residual[hit] ^= np.stack((cx, cz), axis=1)
+    x, z = residual.T
+    return errors, x, z, rounds, reason
 
 
 def _tally(report: FaultEnumReport, ctx: _Context, result: tuple, weight_bad: np.ndarray,
@@ -840,8 +870,6 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
     # cases: X, Y and Z on each qubit, then every table row in each reached round
     inputs = 3 * ctx.code.n
     faults = [(lid, value) for lid, values in enumerate(compiled.values) for value in values]
-    syn_x = np.array(compiled.syn_x, np.uint64)
-    syn_z = np.array(compiled.syn_z, np.uint64)
 
     def label(case):
         if case < inputs:
@@ -853,16 +881,14 @@ def enumerate_single_faults(d: int, decoder: str) -> FaultEnumReport:
     total = inputs + reached * rows
     for start in range(0, total, CHUNK_SHOTS):
         case = np.arange(start, min(start + CHUNK_SHOTS, total))
-        frames = FrameBatch(len(case))
+        x, z = np.zeros(len(case), np.uint64), np.zeros(len(case), np.uint64)
         q, letter = np.divmod(case[case < inputs], 3)
-        has_x, has_z = letter != 2, letter != 0
         k = len(q)
-        frames.x[:k] = has_x.astype(np.uint64) << q.astype(np.uint64)
-        frames.z[:k] = has_z.astype(np.uint64) << q.astype(np.uint64)
-        frames.syndrome[:k] = np.where(has_x, syn_x[q], 0) ^ np.where(has_z, syn_z[q], 0)
+        x[:k] = (letter != 2).astype(np.uint64) << q.astype(np.uint64)
+        z[:k] = (letter != 0).astype(np.uint64) << q.astype(np.uint64)
         rnd, row = np.divmod(case - inputs, rows)
         rnd = np.where(case < inputs, 0, rnd + 1)
-        result = _run_injected(ctx, frames, rnd[:, None], row[:, None])
+        result = _run_injected(ctx, x, z, rnd[:, None], row[:, None])
         weight_bad = np.bitwise_count(result[1] | result[2]) > (rnd > 0)  # faults that landed
         _tally(report, ctx, result, weight_bad, lambda i: label(start + i))
     return report
@@ -893,7 +919,8 @@ def sample_fault_pairs(d: int, decoder: str, samples: int, seed: int = 0) -> Fau
         rnd = rng.integers(1, ctx.cap + 1, size=(size, 2))  # fault j of pair i is [i, j]
         lid = rng.integers(compiled.n_locations, size=(size, 2))
         choice = rng.integers(0, n_values[lid])
-        result = _run_injected(ctx, FrameBatch(size), rnd, compiled.first_row[lid] + choice)
+        none = np.zeros(size, np.uint64)
+        result = _run_injected(ctx, none, none, rnd, compiled.first_row[lid] + choice)
         landed += np.bincount((rnd <= result[3][:, None]).sum(1), minlength=3)
 
         def label(i):

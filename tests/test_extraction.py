@@ -13,6 +13,7 @@ from ftecsim.extraction import (
     FrameState,
     NoiseModel,
     _apply_faults,
+    _gaps,
     build_round_schedule,
     compile_schedule,
     inject_round,
@@ -34,6 +35,16 @@ def toy_code():
         generators=(PauliOperator.from_string("ZZ"),),
         logical_x=(PauliOperator.from_string("XX"),),
         logical_z=(PauliOperator.from_string("ZI"),),
+    )
+
+
+def repetition_code(n):
+    """The n-qubit bit-flip code: n - 1 generators Z_i Z_(i+1)."""
+    return StabilizerCode(
+        n=n, k=1,
+        generators=tuple(PauliOperator(n, 0, 3 << i) for i in range(n - 1)),
+        logical_x=(PauliOperator(n, (1 << n) - 1, 0),),
+        logical_z=(PauliOperator(n, 0, 1),),
     )
 
 
@@ -207,8 +218,13 @@ def test_sector_schedules(code5):
         compile_schedule(code5, NOISELESS, "y")
     with pytest.raises(ValueError, match="sector schedules need a CSS code"):
         compile_schedule(dataclasses.replace(code5, css=False), NOISELESS, "x")
-    with pytest.raises(ValueError, match="needs n, r <= 64"):
+    refusal = r"needs n <= 64 and r \+ 2 <= 64"
+    with pytest.raises(ValueError, match=refusal):
         compile_schedule(build_hex_color_code(11), NOISELESS)  # n = 91
+    # a frame word holds r syndrome bits and two logical parities
+    with pytest.raises(ValueError, match=refusal):
+        compile_schedule(repetition_code(64), NOISELESS)  # r = 63
+    assert compile_schedule(repetition_code(63), NOISELESS).n_circuits == 62
 
 
 def test_sector_schedule_needs_contiguous_generators(interleaved3):
@@ -216,6 +232,16 @@ def test_sector_schedule_needs_contiguous_generators(interleaved3):
         with pytest.raises(ValueError, match="contiguous"):
             compile_schedule(interleaved3, NOISELESS, sector)
     assert compile_schedule(interleaved3, NOISELESS, "all").n_circuits == 6
+
+
+def _frame_word(code, frame):
+    """A reference frame's batched word, bit by bit from its x, z and
+    syndrome: the true syndrome in bits 0..r-1, the parity of x against
+    logical Z in bit r, that of z against logical X in bit r + 1, and
+    nothing above."""
+    x_odd = (frame.x & code.logical_z[0].z_bits).bit_count() & 1
+    z_odd = (frame.z & code.logical_x[0].x_bits).bit_count() & 1
+    return frame.syndrome | x_odd << code.r | z_odd << (code.r + 1)
 
 
 def _random_frames(compiled, rng, shots):
@@ -227,7 +253,7 @@ def _random_frames(compiled, rng, shots):
         x, z = (int(v) for v in rng.integers(0, 1 << n, size=2))
         frame = compiled.new_frame(PauliOperator(n, x, z))
         refs.append(frame)
-        batch.x[i], batch.z[i], batch.syndrome[i] = frame.x, frame.z, frame.syndrome
+        batch.word[i] = _frame_word(compiled.code, frame)
     return refs, batch
 
 
@@ -235,7 +261,8 @@ def _fold_matches_inject_round(compiled, rng, fault_rows):
     """Fold ``fault_rows[j]`` (table rows) into the j-th active shot through
     CompiledSchedule.fold, and the same (location, value) faults into the
     reference frames through inject_round (which runs _apply_faults); the
-    reports and frames must agree."""
+    reports must agree, and each batched frame word must hold its reference
+    frame's syndrome and logical parities, bit by bit."""
     shots = len(fault_rows)
     refs, batch = _random_frames(compiled, rng, shots + 100)
     active = rng.permutation(shots + 100)[:shots]
@@ -249,8 +276,7 @@ def _fold_matches_inject_round(compiled, rng, fault_rows):
     row = np.array([r for rows in fault_rows for r in rows], np.int64)
     assert compiled.fold(batch, active, shot, row).tolist() == expected
     for i, ref in enumerate(refs):
-        assert (int(batch.x[i]), int(batch.z[i]), int(batch.syndrome[i])) == (
-            ref.x, ref.z, ref.syndrome)
+        assert int(batch.word[i]) == _frame_word(compiled.code, ref)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
@@ -284,7 +310,7 @@ def test_batched_fold_matches_apply_faults(d, sector):
     then the edges of fold's per-shot segments."""
     compiled = compile_schedule(build_hex_color_code(d), NOISELESS, sector)
     n_rows = len(compiled.effects)
-    assert compiled.words.shape == (n_rows, 4)
+    assert compiled.words.shape == (n_rows, 2)
     assert n_rows == compiled.first_row[-1] + len(compiled.values[-1])
     rng = _rng(d)
     fault_rows = []
@@ -350,7 +376,7 @@ def test_batched_round_noise_extremes(code5):
         assert len(shot) == len(row) == 0
         report = compiled.fold(batch, active, shot, row)
         assert report.tolist() == [compiled.reported_bits(f.syndrome) for f in refs]
-        assert batch.syndrome.tolist() == [f.syndrome for f in refs]
+        assert batch.word.tolist() == [_frame_word(code5, f) for f in refs]
     # p = 1: every location fails exactly once in every shot
     shot, row = compiled.draw(1.0, 50, rng)
     loc = np.searchsorted(compiled.first_row, row, side="right") - 1
@@ -362,16 +388,22 @@ def test_batched_round_noise_extremes(code5):
 
 
 class _UnitGaps:
-    """A generator whose geometric gaps are all 1, so every cell fails;
-    ``random`` delegates to a seeded ``Generator``. Counts its gap draws."""
+    """A generator whose geometric gaps are all 1, so every cell fails:
+    from ``geometric`` and, below p = 1/3, from the smallest positive
+    exponentials, whose inversion rounds up to 1. ``random`` delegates to a
+    seeded ``Generator``. Counts its gap draws."""
 
     def __init__(self, seed):
         self.rng = _rng(seed)
-        self.geometric_calls = 0
+        self.gap_calls = 0
 
     def geometric(self, p, size):
-        self.geometric_calls += 1
+        self.gap_calls += 1
         return np.ones(size, np.int64)
+
+    def standard_exponential(self, size):
+        self.gap_calls += 1
+        return np.full(size, np.finfo(np.float64).tiny)
 
     def random(self, size):
         return self.rng.random(size)
@@ -385,8 +417,44 @@ def test_draw_refills_gaps_past_first_block(compiled3):
     assert 3 * n == 288
     gen = _UnitGaps(5)
     shot, row = compiled3.draw(0.01, 3, gen)
-    assert gen.geometric_calls == 10
+    assert gen.gap_calls == 10
     assert np.array_equal(shot, np.repeat(np.arange(3), n))
     loc = np.tile(np.arange(n), 3)
     first = compiled3.first_row[loc]
     assert ((first <= row) & (row < first + compiled3.n_choices[loc])).all()
+
+
+def _geometric_draw(compiled, p, shots, rng):
+    """``CompiledSchedule.draw`` with its gaps from ``rng.geometric``, as it
+    was drawn before the exponential form: the reference of the draw."""
+    cells = shots * compiled.n_locations
+    mean = cells * p
+    block = int(mean + 6.0 * mean ** 0.5) + 16
+    pos = np.cumsum(np.minimum(rng.geometric(p, block), cells + 1)) - 1
+    while pos[-1] < cells:
+        gaps = np.minimum(rng.geometric(p, block), cells + 1)
+        pos = np.concatenate((pos, pos[-1] + np.cumsum(gaps)))
+    pos = pos[: np.searchsorted(pos, cells)]
+    shot, loc = np.divmod(pos, compiled.n_locations)
+    choice = (rng.random(len(pos)) * compiled.n_choices[loc]).astype(np.int64)
+    return shot, compiled.first_row[loc] + choice
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-20, 1e-6, 1e-3, 1e-2, 0.2,
+                               np.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0])
+def test_draw_matches_geometric_draw(compiled3, p):
+    """``draw`` gives the faults the ``rng.geometric`` draw gives, from the
+    same stream, and leaves the stream where that draw leaves it: below
+    p = 1/3 through numpy's own exponential inversion, from 1/3 on through
+    ``rng.geometric`` itself. The gaps are compared alone first, since
+    wrong ones can keep ``draw`` from ending; numpy saturates at int64."""
+    for shots in (1, 64, 4096):
+        for seed in range(3):
+            rng, ref = _rng(seed), _rng(seed)
+            gaps = np.minimum(_gaps(p, 1000, rng), 2.0 ** 63)
+            assert np.array_equal(gaps, ref.geometric(p, 1000).astype(np.float64)), seed
+            shot, row = compiled3.draw(p, shots, rng)
+            want_shot, want_row = _geometric_draw(compiled3, p, shots, ref)
+            assert shot.dtype == row.dtype == np.int64
+            assert np.array_equal(shot, want_shot) and np.array_equal(row, want_row), (shots, seed)
+            assert rng.random() == ref.random(), (shots, seed)

@@ -21,7 +21,7 @@ from ftecsim.decoders import (
     policy_table,
 )
 from ftecsim.diffvec import difference_vector, min_faults
-from ftecsim.extraction import FrameBatch, NoiseModel, compile_schedule
+from ftecsim.extraction import NoiseModel, compile_schedule
 from ftecsim.harness import (
     BracketError,
     ExperimentConfig,
@@ -37,7 +37,7 @@ from ftecsim.harness import (
     wilson_interval,
 )
 from ftecsim.recovery import decode_sector_masks
-from ftecsim.stabilizer import PauliOperator, syndrome_of
+from ftecsim.stabilizer import PauliOperator
 
 
 class _Replay:
@@ -341,7 +341,7 @@ def test_quiet_shots_are_never_simulated(monkeypatch):
         calls.clear()
         stats = run_point(cfg, p)
         batches = {id(frames): frames for frames, _, _ in calls}
-        explicit = sum(len(frames.x) for frames in batches.values())
+        explicit = sum(len(frames.word) for frames in batches.values())
         folded = sum(active for _, _, active in calls)
         assert folded <= explicit * ctx.cap
         assert explicit <= sum(faults for _, faults, _ in calls)
@@ -797,28 +797,27 @@ def _draw_pairs(rng, ctx, size):
 
 def _injected_batch(ctx, cases):
     """``harness._run_injected``'s input for (input error or None,
-    {round: [(location, value)]}) cases: the initial frames, and the
-    faults as (cases, k) matrices of rounds and table rows, padded with
-    round 0 (no fault). A fault's row is read from the schedule its shot
-    runs in that round, so every stage schedule must share one row
+    {round: [(location, value)]}) cases: the initial errors' x and z
+    masks, and the faults as (cases, k) matrices of rounds and table rows,
+    padded with round 0 (no fault). A fault's row is read from the schedule
+    its shot runs in that round, so every stage schedule must share one row
     layout."""
     compiled = ctx.stages[0]
     for other in ctx.stages[1:]:
         assert other.values == compiled.values
         assert np.array_equal(other.first_row, compiled.first_row)
-    frames = FrameBatch(len(cases))
+    x, z = np.zeros(len(cases), np.uint64), np.zeros(len(cases), np.uint64)
     k = max((sum(map(len, faults.values())) for _, faults in cases), default=0)
     rnd = np.zeros((len(cases), k), np.int64)
     row = np.zeros_like(rnd)
     for i, (initial, faults) in enumerate(cases):
         if initial is not None:
-            frames.x[i], frames.z[i] = initial.x_bits, initial.z_bits
-            frames.syndrome[i] = syndrome_of(ctx.code, initial)
+            x[i], z[i] = initial.x_bits, initial.z_bits
         placed = [(rho, lid, value) for rho, at in faults.items() for lid, value in at]
         for j, (rho, lid, value) in enumerate(placed):
             rnd[i, j] = rho
             row[i, j] = compiled.first_row[lid] + compiled.values[lid].index(value)
-    return frames, rnd, row
+    return x, z, rnd, row
 
 
 def _assert_injected_match_reference(ctx, cases):
@@ -998,9 +997,9 @@ def test_sampled_pair_draws_are_uniform(monkeypatch):
     seen = []
     run_injected = harness._run_injected
 
-    def capture(ctx, frames, rnd, row):
+    def capture(ctx, x, z, rnd, row):
         seen.append((rnd.ravel(), row.ravel()))
-        return run_injected(ctx, frames, rnd, row)
+        return run_injected(ctx, x, z, rnd, row)
 
     monkeypatch.setattr(harness, "_run_injected", capture)
     report = sample_fault_pairs(5, "strong", samples=100_000, seed=5)
