@@ -5,14 +5,16 @@ both reports of ``perfbench/run.py``, in one committed JSON file.
     python3 bench_trajectory.py 32 --against BENCH_31.json  # ...and prints ratios
 
 Each workload that ``BENCHMARK.json`` lists runs as ``perfbench/run.py
---workload W --seed 1 --seconds 20 --trace 0``, then ``--report grid`` and
-``--report setup`` run; a pass takes about three minutes. ``BENCH_<n>.json``
+--workload W --seed 1 --seconds 20 --trace 0``, and once more with
+``--trace 1`` for its per-layer metrics; then ``--report grid`` and
+``--report setup`` run. A pass takes about five minutes. ``BENCH_<n>.json``
 holds the checkout it measured (``git rev-parse HEAD`` and whether the tree
 had uncommitted changes) and, per run, the command, its manifest line, its
-metric lines and (for a workload) its result line.
-``--against`` then prints, for each workload and metric in both files, the
-new value over the old one. A ratio means something only between files
-made on the same machine.
+metric lines and (for a workload) its result line. The untraced runs are
+under ``workloads``, the traced ones under ``traced``.
+``--against`` then prints, for each workload and end-to-end metric in both
+files (the ``workloads`` runs only), the new value over the old one. A ratio
+means something only between files made on the same machine.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ def main(argv=None) -> int:
                      "uncommitted_changes": bool(git("status", "--porcelain"))},
         "workloads": {w: run(["--workload", w, "--seed", "1", "--seconds", "20", "--trace", "0"])
                       for w in workloads},
+        "traced": {w: run(["--workload", w, "--seed", "1", "--seconds", "20", "--trace", "1"])
+                   for w in workloads},
         "reports": {r: run(["--report", r]) for r in REPORTS},
     }
     path = ROOT / f"BENCH_{args.n}.json"

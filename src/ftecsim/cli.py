@@ -36,6 +36,7 @@ from .worstcase import (
     _EXHAUSTIVE_MAX_M,
     _EXHAUSTIVE_MAX_T,
     oracle_unusable_runs,
+    usable_run_masks,
     verify_round_bounds,
 )
 
@@ -196,6 +197,12 @@ def _cmd_verify_bounds(args) -> int:
     return 0 if report["ok"] else 2
 
 
+def _mask_runs(mask: int, length: int) -> list[tuple[int, int]]:
+    """The (start, end) runs of a ``usable_run_masks`` entry, left to right."""
+    starts = [p + 1 for p in range(length) if mask >> p & 1]
+    return list(zip(starts, [p + 1 for p in range(length) if mask >> p + length & 1]))
+
+
 def _cmd_oracle_check(args) -> int:
     if args.delta is not None:
         runs = decompose(args.delta)
@@ -223,18 +230,31 @@ def _cmd_oracle_check(args) -> int:
     checked = 0
     mismatches = []
     for length in range(1, args.max_len + 1):
-        for bits in range(1 << length):
+        # each vector's usable runs as starts | ends << length, one table per t
+        masks = [usable_run_masks(length, t) for t in range(1, args.t_max + 1)]
+        for bits in range((1 << length) - 1):  # the all-ones vector has no run
             delta = format(bits, f"0{length}b")
-            runs = {(r.start, r.end) for r in decompose(delta)}
-            if not runs:
-                continue
+            packed = int(delta[::-1], 2)
             for t in range(1, args.t_max + 1):
                 checked += 1
-                usable = {(r.start, r.end) for r in find_usable(t, delta)}
-                oracle = runs - oracle_unusable_runs(delta, t)
-                if usable != oracle:
+                expected = masks[t - 1][packed]
+                usable = find_usable(t, delta)
+                # the fold names a set of runs only for ordered, disjoint, in-range runs
+                found, last = 0, 0
+                for r in usable:
+                    start, end = r.start, r.end
+                    if not last < start <= end <= length:
+                        found = -1
+                        break
+                    found |= 1 << start - 1 | 1 << end - 1 + length
+                    last = end
+                if found == expected:
+                    continue
+                search = sorted({(r.start, r.end) for r in usable})
+                oracle = _mask_runs(expected, length)
+                if search != oracle:
                     mismatches.append({"delta": delta, "t": t,
-                                       "search": sorted(usable), "oracle": sorted(oracle)})
+                                       "search": search, "oracle": oracle})
     payload = {"max_len": args.max_len, "t_max": args.t_max,
                "checked": checked, "mismatches": mismatches}
     _write_output(json.dumps(payload, indent=2), args.out)

@@ -6,12 +6,14 @@ enumeration happens once per (rounds, budget), in ``_combination_table``:
 one row per fault assignment, held as four uint64 columns (the positions
 covered at least once, the positions covered twice or more, and the
 rounds with a type I and with a type II fault), grown in numpy one round
-at a time. It has two readers: ``_unusable_table``, which answers every
-``oracle_unusable_runs`` query, and ``consistent_combinations``, the
-definition-level form that filters the rows one vector at a time. A
-``_unusable_table`` entry names each covered zero run by its end bit,
-and the query takes the run's start from the vector's last one before
-that end, so the oracle finds its runs without the search.
+at a time. It has two readers: ``_unusable_table``, and
+``consistent_combinations``, the definition-level form that filters the
+rows one vector at a time. A ``_unusable_table`` entry names each
+covered zero run by its end bit. It is read one vector at a time by
+``oracle_unusable_runs``, which takes each run's start from the vector's
+last one before that end, and all vectors of a length at once by
+``usable_run_masks``, the form ``oracle-check``'s sweep reads, which
+finds each vector's runs by bit arithmetic. Neither calls the search.
 
 The round-bound search is not independent of the search: it reads
 ``decoders.reachable_states``, the walk of the policies' own decision
@@ -200,6 +202,32 @@ def oracle_unusable_runs(delta: str, t: int) -> set[tuple[int, int]]:
         covered ^= 1 << end
         runs.add((delta.rfind("1", 0, end) + 2, end))
     return runs
+
+
+def usable_run_masks(length: int, t: int) -> list[int]:
+    """For every vector of ``length`` bits (indexed as ``_unusable_table``
+    is), ``starts | ends << length``: bit p-1 of ``starts`` and of ``ends``
+    is set when a zero run the oracle finds usable starts, or ends, at
+    position p.
+
+    The bulk form of ``oracle_unusable_runs``: one ``_unusable_table`` read
+    per (length, t) in a few numpy passes. A vector's runs come from bit
+    arithmetic on it, not from ``diffvec``: its run ends are the zeros
+    ``z & ~(z >> 1)``, a run is usable unless the table covers its end,
+    and each usable end is filled down through its zeros to its start.
+    """
+    _check_regime(length + 1, t)
+    one = np.uint64(1)
+    zeros = ~np.arange(1 << length, dtype=np.uint64) & np.uint64((1 << length) - 1)
+    covered = np.asarray(_unusable_table(length, t), dtype=np.uint64) >> one
+    ends = zeros & ~(zeros >> one) & ~covered
+    runs, fill, shift = ends, zeros, 1
+    while shift < length:
+        runs = runs | (runs >> np.uint64(shift)) & fill
+        fill = fill & (fill >> np.uint64(shift))
+        shift *= 2
+    starts = runs & ~(runs << one)
+    return (starts | ends << np.uint64(length)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from ftecsim import cli, harness
 from ftecsim.cli import run_cli
+from ftecsim.diffvec import decompose
 from ftecsim.worstcase import oracle_unusable_runs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -118,6 +119,7 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     # bounds past the exhaustive regime are refused before any oracle call
     calls = []
     monkeypatch.setattr(cli, "oracle_unusable_runs", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "usable_run_masks", lambda *a: calls.append(a))
     for argv in (["oracle-check", "--max-len", "16", "--t-max", "1"],
                  ["oracle-check", "--max-len", "2", "--t-max", "6"]):
         assert run_cli(argv) == 1, argv
@@ -209,21 +211,75 @@ def test_oracle_check_modes(tmp_path):
     assert payload["checked"] > 0 and payload["mismatches"] == []
 
 
-def test_oracle_check_calls_oracle_once_per_case(tmp_path, monkeypatch):
-    # the sweep asks the oracle once per (delta, t); the bench's oracle span counts these calls
+def test_oracle_check_calls_search_once_per_case(tmp_path, monkeypatch):
+    # the sweep asks the search once per (delta, t), in the order of its vectors
     calls = []
+    real = cli.find_usable
 
-    def counting(delta, t):
+    def counting(t, delta):
         calls.append((delta, t))
-        return oracle_unusable_runs(delta, t)
+        return real(t, delta)
 
-    monkeypatch.setattr(cli, "oracle_unusable_runs", counting)
+    monkeypatch.setattr(cli, "find_usable", counting)
     out = tmp_path / "oc.json"
     assert run_cli(["oracle-check", "--max-len", "6", "--t-max", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     # every vector of length 1..6 with at least one zero, at t = 1, 2
     assert payload["checked"] == len(calls) == 2 * sum((1 << n) - 1 for n in range(1, 7))
     assert len(set(calls)) == len(calls)
+    assert calls == [(format(bits, f"0{n}b"), t) for n in range(1, 7)
+                     for bits in range((1 << n) - 1) for t in (1, 2)]
+
+
+def reference_sweep(max_len, t_max, search):
+    """``oracle-check``'s sweep one vector at a time: each vector's runs from
+    ``decompose``, less those ``oracle_unusable_runs`` covers, against the
+    runs ``search`` returns. Its JSON text and exit code."""
+    checked, mismatches = 0, []
+    for length in range(1, max_len + 1):
+        for bits in range(1 << length):
+            delta = format(bits, f"0{length}b")
+            runs = {(r.start, r.end) for r in decompose(delta)}
+            if not runs:
+                continue
+            for t in range(1, t_max + 1):
+                checked += 1
+                usable = {(r.start, r.end) for r in search(t, delta)}
+                oracle = runs - oracle_unusable_runs(delta, t)
+                if usable != oracle:
+                    mismatches.append({"delta": delta, "t": t,
+                                       "search": sorted(usable), "oracle": sorted(oracle)})
+    payload = {"max_len": max_len, "t_max": t_max, "checked": checked, "mismatches": mismatches}
+    return json.dumps(payload, indent=2) + "\n", 2 if mismatches else 0
+
+
+def test_oracle_check_matches_reference_sweep(monkeypatch, capsys):
+    """The bulk oracle reader gives the per-vector sweep's JSON and exit code
+    under the real search and under searches broken in different ways,
+    including ones whose runs overlap, repeat, end before they start or
+    start before position 1."""
+    real = cli.find_usable
+
+    def swap_ends(runs):
+        # the same start and end bits as the true runs, paired otherwise
+        if len(runs) < 2:
+            return runs
+        return [runs[0]._replace(end=runs[1].end), runs[1]._replace(end=runs[0].end), *runs[2:]]
+
+    searches = {
+        "real": real,
+        "drops the last run": lambda t, delta: real(t, delta)[:-1],
+        "moves each start left": lambda t, delta: [r._replace(start=r.start - 1)
+                                                   for r in real(t, delta)],
+        "adds every unusable run": lambda t, delta: decompose(delta),
+        "adds the whole vector": lambda t, delta: real(t, delta) + decompose("0" * len(delta)),
+        "repeats a run": lambda t, delta: real(t, delta) * 2,
+        "swaps two ends": lambda t, delta: swap_ends(real(t, delta)),
+    }
+    for name, search in searches.items():
+        monkeypatch.setattr(cli, "find_usable", search)
+        code = run_cli(["oracle-check", "--max-len", "8", "--t-max", "3"])
+        assert (capsys.readouterr().out, code) == reference_sweep(8, 3, search), name
 
 
 def test_oracle_check_reports_mismatches(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from ftecsim.worstcase import (
     consistent_combinations,
     max_unusable_length,
     oracle_unusable_runs,
+    usable_run_masks,
     verify_round_bounds,
 )
 
@@ -67,6 +68,11 @@ def test_oracle_regime_refusal():
         verify_round_bounds(6)
     with pytest.raises(ValueError, match=re.escape("fault budget must be >= 0, got -1")):
         oracle_unusable_runs("0100", -1)
+    with pytest.raises(ValueError, match=re.escape(
+            "exhaustive regime exceeded (m=17, t=1; limits m<=16, t<=5)")):
+        usable_run_masks(16, 1)
+    with pytest.raises(ValueError, match=re.escape("fault budget must be >= 0, got -1")):
+        usable_run_masks(4, -1)
     with pytest.raises(ValueError, match=re.escape(
             "difference vector must be over '0'/'1', got '0120'")):
         oracle_unusable_runs("0120", 2)
@@ -247,6 +253,29 @@ def test_oracle_table_matches_per_vector_oracle():
     for delta in ("0" * 15, "010" * 5, appendix_extremal_delta(5)):
         for t in range(1, 6):
             assert oracle_unusable_runs(delta, t) == per_vector_unusable_runs(delta, t), (delta, t)
+
+
+def test_usable_run_masks_match_per_vector_oracle():
+    """The bulk reader against the per-vector query: each entry's start and
+    end bits are those of the zero runs ``oracle_unusable_runs`` leaves
+    usable, with the runs found by a regular expression."""
+    def expected(delta, t):
+        runs = {(m.start() + 1, m.end()) for m in re.finditer("0+", delta)}
+        usable = runs - oracle_unusable_runs(delta, t)
+        starts = sum(1 << start - 1 for start, _ in usable)
+        return starts | sum(1 << end - 1 for _, end in usable) << len(delta)
+
+    for length in range(13):
+        for t in range(6):
+            masks = usable_run_masks(length, t)
+            assert len(masks) == 1 << length
+            for packed, mask in enumerate(masks):
+                delta = format(packed, f"0{length}b")[::-1] if length else ""
+                assert mask == expected(delta, t), (delta, t)
+    for delta in ("0" * 15, "010" * 5, appendix_extremal_delta(5)):
+        for t in range(6):
+            assert usable_run_masks(len(delta), t)[int(delta[::-1], 2)] == expected(delta, t), \
+                (delta, t)
 
 
 def test_oracle_table_built_once_per_length_and_budget(monkeypatch):
