@@ -241,8 +241,7 @@ def _cmd_oracle_check(args) -> int:
                 usable = find_usable(t, delta)
                 # the fold names a set of runs only for ordered, disjoint, in-range runs
                 found, last = 0, 0
-                for r in usable:
-                    start, end = r.start, r.end
+                for _, start, end, _, _, _ in usable:  # ZeroSubstring fields
                     if not last < start <= end <= length:
                         found = -1
                         break

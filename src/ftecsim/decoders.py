@@ -23,12 +23,14 @@ included (:data:`BUDGET_EXHAUSTED`). Before any stop test it reads its cap
 from :func:`worst_case_rounds`, the one check of what a rule accepts: at
 the cap the Shor rule stops, and the others, which the round bounds say
 never get there, raise :class:`ProtocolDefect`. The reference shot runner
-calls it round by round. One walk, :func:`reachable_states`, lists the
-states each rule can reach before it stops: every difference vector for
-strong and weak, every (rounds, repeats) pair for Shor. The Monte Carlo
-engine's transition tables (:func:`policy_table`), :func:`decision_table`
-and the round-bound search (``worstcase.max_unusable_length``) all read
-that walk, so none of them can drift apart.
+calls it round by round. Its decisions are shared frozen values: each
+distinct one is built and checked once, so equal decisions are the same
+object. One walk, :func:`reachable_states`, lists the states each rule can
+reach before it stops: every difference vector for strong and weak, every
+(rounds, repeats) pair for Shor. The Monte Carlo engine's transition tables
+(:func:`policy_table`), :func:`decision_table` and the round-bound search
+(``worstcase.max_unusable_length``) all read that walk, so none of them can
+drift apart.
 
 Tie-breaking is fixed: among usable runs the earliest wins, and within a
 run the syndrome of its first round is used. All rounds of a run share one
@@ -38,6 +40,7 @@ syndrome, so the choice only pins determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -80,6 +83,12 @@ class PolicyDecision:
             self.round_index is not None and 1 <= self.round_index <= self.rounds_used
         ):
             raise ValueError("stop_correct must name a round inside the history")
+
+
+# Each distinct decision is built and checked once, then shared: the rules
+# call this with all four fields, so equal decisions are the same object.
+# A refused field set raises on every call, since an exception is not cached.
+_decision = cache(PolicyDecision)
 
 
 @dataclass(frozen=True)
@@ -131,16 +140,16 @@ def _stop(budget: int, vec: str, rounds: int, shift: int) -> PolicyDecision | No
     if usable:
         index = usable[0].start + shift
         if index < 1:
-            return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
-        return PolicyDecision(STOP_CORRECT, rounds, index, USABLE_RUN)
+            return _decision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
+        return _decision(STOP_CORRECT, rounds, index, USABLE_RUN)
     if pairs_only(vec) == budget:
-        return PolicyDecision(STOP_CORRECT, rounds, rounds, PAIR_COUNT)
+        return _decision(STOP_CORRECT, rounds, rounds, PAIR_COUNT)
     return None
 
 
 # No fault budget left (stage 2 of CSS two-stage mode): the first measured
 # syndrome is guaranteed correct, so accept it.
-BUDGET_EXHAUSTED = PolicyDecision(STOP_CORRECT, 1, 1, USABLE_RUN)
+BUDGET_EXHAUSTED = _decision(STOP_CORRECT, 1, 1, USABLE_RUN)
 
 
 def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDecision:
@@ -155,13 +164,13 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
     rounds = len(delta) + 1
     if kind == "weak" and t == 1:  # the two-round protocol for distance-3 codes
         if s1_nonzero and rounds == 1:
-            return PolicyDecision(CONTINUE, rounds)
+            return _decision(CONTINUE, rounds, None, None)
         if s1_nonzero and delta[0] == "0":
-            return PolicyDecision(STOP_CORRECT, rounds, 1, USABLE_RUN)
-        return PolicyDecision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
+            return _decision(STOP_CORRECT, rounds, 1, USABLE_RUN)
+        return _decision(STOP_NO_CORRECTION, rounds, None, WEAK_NO_CORRECTION)
     if kind == "shor":
         repeated = len(delta) - len(delta.rstrip("0")) >= t
-        decision = PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT) if repeated else None
+        decision = _decision(STOP_CORRECT, rounds, rounds, SHOR_REPEAT) if repeated else None
     else:
         # weak tests delta without its first bit (budget t-1) or after a
         # prepended zero: position k of that vector is k+1 or k-1 in delta
@@ -171,9 +180,9 @@ def policy_decision(kind: str, t: int, s1_nonzero: bool, delta: str) -> PolicyDe
     if decision:
         return decision
     if rounds < cap:
-        return PolicyDecision(CONTINUE, rounds)
+        return _decision(CONTINUE, rounds, None, None)
     if kind == "shor":
-        return PolicyDecision(STOP_CORRECT, rounds, rounds, SHOR_CAP)
+        return _decision(STOP_CORRECT, rounds, rounds, SHOR_CAP)
     raise ProtocolDefect(f"{kind} policy undecided at its round cap "
                          f"(t={t}, branch={branch}, delta={delta!r})")
 

@@ -47,6 +47,9 @@ class ZeroSubstring(NamedTuple):
     beta: int
 
 
+_make = ZeroSubstring._make  # bound once: find_usable builds a run per usable one
+
+
 def difference_vector(syndromes) -> str:
     """The difference vector of a syndrome history: bit i is 0 exactly
     when rounds i and i+1 returned the same syndrome."""
@@ -95,7 +98,7 @@ def pairs_only(delta: str) -> int:
 
 def decompose(delta: str) -> list[ZeroSubstring]:
     """All maximal zero runs of ``delta`` with their (alpha, beta, gamma)."""
-    return list(map(ZeroSubstring._make, _runs(delta)))
+    return list(map(_make, _runs(delta)))
 
 
 def _check_budget(t_in: int) -> None:
@@ -111,9 +114,11 @@ def find_usable(t_in: int, delta: str) -> list[ZeroSubstring]:
     case the stopping policies handle before calling this).
     """
     _check_budget(t_in)
-    # (j, start, end, gamma, alpha, beta)
-    return [ZeroSubstring._make(run) for run in _runs(delta)
-            if run[3] + run[4] + run[5] >= t_in]
+    usable = []
+    for run in _runs(delta):  # (j, start, end, gamma, alpha, beta)
+        if run[3] + run[4] + run[5] >= t_in:
+            usable.append(_make(run))
+    return usable
 
 
 def operation_count(t_in: int, delta: str) -> int:

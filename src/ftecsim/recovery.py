@@ -192,10 +192,12 @@ def decode_sector_masks(table: SyndromeTable,
     keys = _mix(syndromes, table.m)
     bucket = keys >> np.uint64(table.shift) if table.shift else keys
     # a key in bucket h lies at lo <= i < hi; an empty bucket at the end has
-    # lo == len(keys), hence the clipped reads, whose keys then differ
-    lo = table.starts[bucket]
+    # lo == len(keys), hence the clipped reads, whose keys then differ. Every
+    # bucket is below 2**_BUCKET_BITS, so its int64 view is exact, and
+    # ``take`` on it spares the conversion a uint64 index costs on each read
+    lo = table.starts.take(bucket.view(np.int64))
     if table.steps:
-        hi = table.starts[bucket + _ONE]
+        hi = table.starts.take((bucket + _ONE).view(np.int64))
         for _ in range(table.steps):
             mid = (lo + hi) >> 1
             right = table.keys.take(mid, mode="clip") <= keys

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from conftest import advance, run_stream
+from ftecsim import decoders
 from ftecsim.colorcode import build_hex_color_code
 from ftecsim.decoders import (
     BUDGET_EXHAUSTED,
@@ -23,6 +24,7 @@ from ftecsim.decoders import (
     decision_table,
     policy_decision,
     policy_table,
+    reachable_states,
     worst_case_rounds,
 )
 from ftecsim.diffvec import min_faults
@@ -280,3 +282,28 @@ def test_policy_config_validation():
             PolicyDecision(STOP_CORRECT, 2, round_index, USABLE_RUN)
     assert PolicyConfig("weak", 2).max_rounds_cap() == 4
     assert PolicyConfig("weak", 3).max_rounds_cap() == 7
+
+
+def test_equal_decisions_are_one_shared_object(monkeypatch):
+    # a second walk of each weak branch returns the very objects of the first
+    for s1_nonzero in (False, True):
+        first = list(reachable_states("weak", 3, s1_nonzero))
+        second = list(reachable_states("weak", 3, s1_nonzero))
+        assert [delta for delta, _ in first] == [delta for delta, _ in second]
+        assert all(a is b for (_, a), (_, b) in zip(first, second))
+        shared = {}
+        assert all(shared.setdefault(d, d) is d for _, d in first + second)
+    # a refused field set raises on every call: no exception is cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="stop_correct must name a round inside"):
+            decoders._decision(STOP_CORRECT, 2, 3, USABLE_RUN)
+    # the walk reads the rule by module attribute, so a replaced rule reaches it
+    calls = []
+
+    def rule(*args):
+        calls.append(args)
+        return policy_decision(*args)
+
+    monkeypatch.setattr(decoders, "policy_decision", rule)
+    states = list(reachable_states("strong", 2, False))
+    assert calls == [("strong", 2, False, delta) for delta, _ in states]
