@@ -24,8 +24,8 @@ sits next to the same workload's run on this checkout, which side goes
 first alternating from one workload to the next, so both see the machine
 in the same state. The runs are stored under ``baseline`` with the full
 commit hash, and the same-session new/old ratios are printed. One pair per
-workload shows the direction of a change, not its significance: a claimed
-gain still needs ten interleaved pairs.
+workload can read against the direction of a change on a noisy machine: a
+claimed gain still needs ten interleaved pairs.
 """
 
 from __future__ import annotations
